@@ -75,8 +75,6 @@ from .lattices import (
     RingOfSetsLattice,
     SurvivalLattice,
     bounds,
-    diamond,
-    pentagon,
     ring_of_sets_closure,
 )
 from .network import (

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certify import DEFAULT_MAX_UNIVERSE, check_distributive, is_distributive
-from .errors import DistributivityRequired, NoBottomError
+from .errors import DistributivityRequired
 from .lattices import Element, Lattice
 from .network import (
     DEFAULT_MAX_CUT_VERTICES,
@@ -33,9 +33,8 @@ def path_throughput(net: FlowNetwork, cap: CapacityAssignment, path: tuple[str, 
     edges = list(zip(path, path[1:]))
     if not edges:
         raise ValueError("path must contain at least one edge")
-    known = set(net.edges)
     for e in edges:
-        if e not in known:
+        if e not in net.edge_set:
             raise ValueError(f"{e} is not an edge of the network")
     return cap.lattice.meet_all(cap[e] for e in edges)
 
@@ -47,39 +46,35 @@ def cut_capacity(net: FlowNetwork, cap: CapacityAssignment, cut: Cut) -> Element
     exists) is the empty join, i.e. the lattice bottom; NoBottomError if
     the lattice has none.
     """
-    crossing = crossing_edges(net, cut)
-    if not crossing:
-        bot = cap.lattice.bottom()
-        if bot is None:
-            raise NoBottomError(
-                "cut has an empty crossing set and the lattice has no bottom"
-            )
-        return bot
-    return cap.lattice.join_all(cap[e] for e in crossing)
+    return cap.lattice.join_all(cap[e] for e in crossing_edges(net, cut))
 
 
-def _bottom_or_raise(lattice: Lattice, why: str) -> Element:
-    bot = lattice.bottom()
-    if bot is None:
-        raise NoBottomError(f"{why} and {lattice.describe()} has no bottom element")
-    return bot
+def require_distributive(
+    lattice: Lattice, allow_non_distributive: bool, max_size: int, what: str
+) -> None:
+    """The gate in front of every route that is exact only on distributive
+    lattices: DistributivityRequired unless the lattice is certified
+    distributive or the caller overrides."""
+    dist = is_distributive(lattice, max_size)
+    if dist is not True and not allow_non_distributive:
+        raise DistributivityRequired(
+            f"{lattice.describe()} is not certified distributive; {what} is only "
+            "exact on distributive lattices (pass allow_non_distributive=True to "
+            "force it)"
+        )
 
 
 def alpha_bruteforce(
-    net: FlowNetwork,
-    cap: CapacityAssignment,
-    mode: str = "strict",
-    max_paths: int = DEFAULT_MAX_PATHS,
+    net: FlowNetwork, cap: CapacityAssignment, max_paths: int = DEFAULT_MAX_PATHS
 ) -> Element:
     """Join over all paths of the path throughput, by full enumeration.
 
     With no source-to-sink path at all the value is the empty join, the
     lattice bottom (the duality statement degenerates to bottom = bottom).
     """
-    paths = enumerate_paths(net, max_paths)
-    if not paths:
-        return _bottom_or_raise(cap.lattice, "the network has no source-to-sink path")
-    return cap.lattice.join_all(path_throughput(net, cap, p) for p in paths)
+    return cap.lattice.join_all(
+        path_throughput(net, cap, p) for p in enumerate_paths(net, max_paths)
+    )
 
 
 def beta_bruteforce(
@@ -96,8 +91,16 @@ def beta_bruteforce(
     keeps the duality intact (the two folds agree whenever every empty
     join involved is defined, since every crossing set contains a minimal
     one)."""
+    return _cut_side(net, cap, mode, max_vertices)[2]
+
+
+def _cut_side(
+    net: FlowNetwork, cap: CapacityAssignment, mode: str, max_vertices: int
+) -> tuple[list[Cut], list[Element], Element]:
+    """The cuts the cut side ranges over, their capacities, and their meet."""
     cuts = enumerate_cuts(net, max_vertices) if mode == "strict" else minimal_cuts(net, max_vertices)
-    return cap.lattice.meet_all(cut_capacity(net, cap, c) for c in cuts)
+    capacities = [cut_capacity(net, cap, c) for c in cuts]
+    return cuts, capacities, cap.lattice.meet_all(capacities)
 
 
 def alpha_dp(
@@ -114,19 +117,10 @@ def alpha_dp(
     capacity). Correct on distributive lattices only, which is why it
     refuses non-certified lattices without the override flag.
     """
-    dist = is_distributive(cap.lattice, max_size)
-    if dist is not True and not allow_non_distributive:
-        raise DistributivityRequired(
-            f"{cap.lattice.describe()} is not certified distributive; the dynamic "
-            "program is only exact on distributive lattices (pass "
-            "allow_non_distributive=True to force it)"
-        )
+    require_distributive(cap.lattice, allow_non_distributive, max_size, "the dynamic program")
     order = net.topological_order()
     lat = cap.lattice
-    seed = lat.join_all((v for _, v in cap.items()), empty=lat.bottom())
-    if seed is None:
-        raise NoBottomError("network has no capacities and the lattice has no bottom")
-    value: dict[str, Element] = {net.source: seed}
+    value: dict[str, Element] = {net.source: lat.join_all(v for _, v in cap.items())}
     for v in order:
         if v == net.source:
             continue
@@ -137,9 +131,8 @@ def alpha_dp(
         ]
         if terms:
             value[v] = lat.join_all(terms)
-    if net.sink not in value:
-        return _bottom_or_raise(lat, "the network has no source-to-sink path")
-    return value[net.sink]
+    # an unreached sink means no source-to-sink path: the empty join
+    return value[net.sink] if net.sink in value else lat.join_all(())
 
 
 @dataclass(frozen=True)
@@ -189,36 +182,17 @@ def verify_duality(
     """
     if method not in ("auto", "bruteforce", "dp"):
         raise ValueError(f"method must be auto, bruteforce or dp, got {method!r}")
-    lat = cap.lattice
     paths = enumerate_paths(net, max_paths)
-    throughputs = [path_throughput(net, cap, p) for p in paths]
-
     if method == "auto":
-        method = "dp" if is_distributive(lat) is True else "bruteforce"
+        method = "dp" if is_distributive(cap.lattice) is True else "bruteforce"
     if method == "dp":
         alpha = alpha_dp(net, cap, allow_non_distributive=allow_non_distributive)
-        alpha_method = "dp"
     else:
-        if throughputs:
-            alpha = lat.join_all(throughputs)
-        else:
-            alpha = _bottom_or_raise(lat, "the network has no source-to-sink path")
-        alpha_method = "bruteforce"
+        alpha = alpha_bruteforce(net, cap, max_paths)
+    cuts, capacities, beta = _cut_side(net, cap, mode, max_vertices)
 
-    cuts = enumerate_cuts(net, max_vertices) if mode == "strict" else minimal_cuts(net, max_vertices)
-    capacities = [cut_capacity(net, cap, c) for c in cuts]
-    beta = lat.meet_all(capacities)
-
-    optimal_path = None
-    for p, value in zip(paths, throughputs):
-        if value == alpha:
-            optimal_path = p
-            break
-    optimal_cut = None
-    for c, value in zip(cuts, capacities):
-        if value == beta:
-            optimal_cut = c
-            break
+    optimal_path = next((p for p in paths if path_throughput(net, cap, p) == alpha), None)
+    optimal_cut = next((c for c, value in zip(cuts, capacities) if value == beta), None)
 
     return DualityReport(
         alpha=alpha,
@@ -226,7 +200,7 @@ def verify_duality(
         equal=alpha == beta,
         optimal_path=optimal_path,
         optimal_cut=optimal_cut,
-        alpha_method=alpha_method,
+        alpha_method=method,
         beta_method="bruteforce",
         n_paths=len(paths),
         n_cuts=len(cuts),

@@ -31,7 +31,7 @@ from .errors import (
 from .flows import flow_value, is_feasible_flow, max_flow_value
 from .gallery import gallery_names, gallery_source, run_gallery_entry
 from .generators import random_instance
-from .instances import load_instance, load_lattice, parse_flow
+from .instances import load_instance, load_lattice, parse_flow, read_json
 from .network import DEFAULT_MAX_CUT_VERTICES, DEFAULT_MAX_PATHS
 
 EXIT_OK = 0
@@ -45,13 +45,20 @@ _INPUT_ERRORS = (
     UniverseTooLarge,
     DistributivityRequired,
     NoBottomError,
-    ValueError,
     OSError,
 )
 
 
 class _UsageError(Exception):
     pass
+
+
+def _vertex_count(text: str) -> int:
+    """A network size of at least two vertices (source and sink)."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random-check", help="fuzz duality on random distributive instances")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (or RANDOM_CHECK_SEED)")
     p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--max-vertices", type=int, default=10)
+    p.add_argument("--max-vertices", type=_vertex_count, default=10)
     add_format(p)
 
     return parser
@@ -215,7 +222,7 @@ def _cmd_maxflow(args) -> tuple[dict, int]:
     if inst.network is None:
         raise InstanceError("maxflow needs a network instance, got a poset")
     net, cap, lat = inst.network, inst.capacities, inst.lattice
-    value = max_flow_value(net, cap, mode=args.mode, allow_non_distributive=args.unsafe_dp)
+    value = max_flow_value(net, cap, allow_non_distributive=args.unsafe_dp)
     from .bottleneck import beta_bruteforce
 
     beta = beta_bruteforce(net, cap, mode=args.mode)
@@ -226,8 +233,8 @@ def _cmd_maxflow(args) -> tuple[dict, int]:
         "equal": value == beta,
     }
     if args.check_flow:
-        phi = parse_flow(Path(args.check_flow).read_text(), net, lat)
-        check = is_feasible_flow(net, cap, phi, mode=args.mode)
+        phi = parse_flow(read_json(args.check_flow), net, lat)
+        check = is_feasible_flow(net, cap, phi)
         result["checked_flow"] = check.to_dict(cap)
         result["checked_flow"]["value"] = lat.literal(
             flow_value(net, cap, phi, require_feasible=False)
@@ -281,11 +288,11 @@ def _cmd_dilworth(args) -> tuple[dict, int]:
 
     def render(r: dict) -> str:
         lines = [f"instance: {r['instance'] or args.file}"]
-        for key, rep in (("direct", direct), ("network", via)):
+        for key, rep, rhs_side in (("direct", direct, "antichain"), ("network", via, "cut")):
             if rep is None:
                 continue
             lines.append(
-                f"{key}: chain side = {lat.format(rep.lhs)}, antichain side = "
+                f"{key}: chain side = {lat.format(rep.lhs)}, {rhs_side} side = "
                 f"{lat.format(rep.rhs)}, equal = {rep.equal}"
             )
         if direct is not None:

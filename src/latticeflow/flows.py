@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .bottleneck import path_throughput
-from .certify import DEFAULT_MAX_UNIVERSE, is_distributive
-from .errors import DistributivityRequired, NoBottomError
+from .bottleneck import alpha_bruteforce, path_throughput, require_distributive
+from .certify import DEFAULT_MAX_UNIVERSE
+from .certify import is_distributive  # noqa: F401  (unused here; perfbench/spans.py wraps this binding)
 from .lattices import Element
-from .network import DEFAULT_MAX_PATHS, CapacityAssignment, Edge, FlowNetwork, enumerate_paths
+from .network import DEFAULT_MAX_PATHS, CapacityAssignment, Edge, FlowNetwork
+from .network import enumerate_paths  # noqa: F401  (unused here; perfbench/spans.py wraps this binding)
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,10 @@ def is_feasible_flow(
     net: FlowNetwork,
     cap: CapacityAssignment,
     phi: Mapping[Edge, Element],
-    mode: str = "strict",
 ) -> FlowCheck:
     """Report whether phi is capacity-dominated and join-conserved.
 
+    Every value of phi is checked for membership first (MismatchError).
     Dead-end vertices (possible in lenient mode) compare against the
     empty join, the lattice bottom.
     """
@@ -92,22 +93,19 @@ def flow_value(
 
     By default the flow is feasibility-checked first; with
     ``require_feasible=False`` the value is computed regardless, for
-    exploratory use.
+    exploratory use; the values it joins are still checked for membership.
     """
+    lat = cap.lattice
+    out = net.out_edges(net.source)
     if require_feasible:
-        check = is_feasible_flow(net, cap, phi, mode="lenient")
+        check = is_feasible_flow(net, cap, phi)
         if not check.ok:
             raise ValueError(
                 f"flow is infeasible: {len(check.capacity_violations)} capacity and "
                 f"{len(check.conservation_violations)} conservation violations"
             )
-    lat = cap.lattice
-    out = net.out_edges(net.source)
-    if not out:
-        bot = lat.bottom()
-        if bot is None:
-            raise NoBottomError("source has no outgoing edges and the lattice has no bottom")
-        return bot
+    else:
+        lat.check(*(phi[e] for e in out))
     return lat.join_all(phi[e] for e in out)
 
 
@@ -127,9 +125,7 @@ def path_flow(
     value = path_throughput(net, cap, path)
     lat = cap.lattice
     if mode == "lenient":
-        base = lat.bottom()
-        if base is None:
-            raise NoBottomError("lenient path flows need a lattice bottom")
+        base = lat.join_all(())
     else:
         base = lat.meet_all(v for _, v in cap.items())
     on_path = set(zip(path, path[1:]))
@@ -158,7 +154,6 @@ def joined_path_flow(
 def max_flow_value(
     net: FlowNetwork,
     cap: CapacityAssignment,
-    mode: str = "strict",
     allow_non_distributive: bool = False,
     max_paths: int = DEFAULT_MAX_PATHS,
     max_size: int = DEFAULT_MAX_UNIVERSE,
@@ -169,17 +164,7 @@ def max_flow_value(
     minimal cut value) is only valid over distributive lattices, so the
     same certification gate as the dynamic program applies.
     """
-    dist = is_distributive(cap.lattice, max_size)
-    if dist is not True and not allow_non_distributive:
-        raise DistributivityRequired(
-            f"{cap.lattice.describe()} is not certified distributive; the maximal "
-            "flow value equals the path-side fold only on distributive lattices "
-            "(pass allow_non_distributive=True to force it)"
-        )
-    paths = enumerate_paths(net, max_paths)
-    if not paths:
-        bot = cap.lattice.bottom()
-        if bot is None:
-            raise NoBottomError("network has no source-to-sink path and no lattice bottom")
-        return bot
-    return cap.lattice.join_all(path_throughput(net, cap, p) for p in paths)
+    require_distributive(
+        cap.lattice, allow_non_distributive, max_size, "equating the maximal flow value with the path side"
+    )
+    return alpha_bruteforce(net, cap, max_paths)

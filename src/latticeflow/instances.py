@@ -13,8 +13,12 @@ and a poset instance like
      "weights": {"JD": ["BC"], ...}}
 
 The "lattice" value may also be a string, read as a path to a lattice
-spec file relative to the instance file. Errors carry the JSON path of
-the offending field.
+spec file relative to the instance file. Every file is read by
+:func:`read_json`. Vertex and element names must be strings, and a
+network must pass the lenient clauses of :func:`validate_network` (no
+self-loops or cycles, edges leave the source and enter the sink); dead
+ends are allowed. Errors are :class:`InstanceError` and carry the JSON
+path of the offending field.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .lattices import (
     SurvivalLattice,
     ring_of_sets_closure,
 )
-from .network import CapacityAssignment, FlowNetwork
+from .network import CapacityAssignment, FlowNetwork, validate_network
 
 LATTICE_KINDS = (
     "chain",
@@ -64,6 +68,35 @@ def _need(spec: dict, key: str, path: str):
     return spec[key]
 
 
+def _name(value, path: str) -> str:
+    if not isinstance(value, str):
+        _fail(path, f"must be a name (a string), got {value!r}")
+    return value
+
+
+def _names(value, path: str) -> list[str]:
+    if not isinstance(value, list):
+        _fail(path, "must be a list of names")
+    return [_name(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+
+def _decode(text, where: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        _fail(where, f"not valid JSON: {exc}")
+
+
+def read_json(file):
+    """The JSON document in a file. InstanceError if the file cannot be
+    read, is not UTF-8, or is not valid JSON."""
+    try:
+        text = Path(file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InstanceError(f"cannot read {file}: {exc}") from None
+    return _decode(text, str(file))
+
+
 def _pairs(value, path: str) -> list[tuple[str, str]]:
     if not isinstance(value, list):
         _fail(path, "must be a list of [lower, upper] pairs")
@@ -81,13 +114,7 @@ def lattice_from_spec(spec, base_dir: Path | None = None, path: str = "lattice")
         ref = Path(spec)
         if base_dir is not None and not ref.is_absolute():
             ref = base_dir / ref
-        try:
-            data = json.loads(ref.read_text())
-        except OSError as exc:
-            _fail(path, f"cannot read lattice file {spec!r}: {exc}")
-        except json.JSONDecodeError as exc:
-            _fail(path, f"lattice file {spec!r} is not valid JSON: {exc}")
-        return lattice_from_spec(data, base_dir=ref.parent, path=path)
+        return lattice_from_spec(read_json(ref), base_dir=ref.parent, path=path)
     if not isinstance(spec, dict):
         _fail(path, f"must be an object or a file reference, got {type(spec).__name__}")
     kind = _need(spec, "kind", path)
@@ -156,10 +183,7 @@ class Instance:
 def parse_instance(data, base_dir: Path | None = None) -> Instance:
     """Validated Instance from a dict or JSON text."""
     if isinstance(data, (str, bytes)):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"not valid JSON: {exc}") from None
+        data = _decode(data, "instance")
     if not isinstance(data, dict):
         raise InstanceError(f"instance must be a JSON object, got {type(data).__name__}")
     lattice = lattice_from_spec(_need(data, "lattice", "instance"), base_dir)
@@ -167,9 +191,9 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
     description = data.get("description")
 
     if "vertices" in data:
-        vertices = _need(data, "vertices", "instance")
-        source = _need(data, "source", "instance")
-        sink = _need(data, "sink", "instance")
+        vertices = _names(data["vertices"], "vertices")
+        source = _name(_need(data, "source", "instance"), "source")
+        sink = _name(_need(data, "sink", "instance"), "sink")
         raw_edges = _need(data, "edges", "instance")
         if not isinstance(raw_edges, list):
             _fail("edges", "must be a list of edge objects")
@@ -179,8 +203,8 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
             where = f"edges[{i}]"
             if not isinstance(e, dict):
                 _fail(where, "must be an object with from/to/capacity")
-            u = _need(e, "from", where)
-            v = _need(e, "to", where)
+            u = _name(_need(e, "from", where), f"{where}.from")
+            v = _name(_need(e, "to", where), f"{where}.to")
             lit = _need(e, "capacity", where)
             try:
                 value = lattice.parse(lit)
@@ -192,13 +216,21 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
             net = FlowNetwork(vertices, edges, source, sink)
         except ValueError as exc:
             _fail("instance", str(exc))
+        bad = validate_network(net, mode="lenient").violations
+        if bad:
+            _fail("instance", "; ".join(
+                v.message + (f": {list(v.offenders)}" if v.offenders else "") for v in bad
+            ))
         assignment = CapacityAssignment(lattice, caps)
         assignment.check_total(net)
         return Instance(lattice, name, description, network=net, capacities=assignment)
 
     if "elements" in data:
-        elements = _need(data, "elements", "instance")
-        covers = _pairs(_need(data, "covers", "instance"), "covers")
+        elements = _names(data["elements"], "elements")
+        covers = [
+            (_name(a, f"covers[{i}][0]"), _name(b, f"covers[{i}][1]"))
+            for i, (a, b) in enumerate(_pairs(_need(data, "covers", "instance"), "covers"))
+        ]
         raw_weights = _need(data, "weights", "instance")
         if not isinstance(raw_weights, dict):
             _fail("weights", "must map element names to element literals")
@@ -221,16 +253,13 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
 
 def load_instance(file) -> Instance:
     path = Path(file)
-    return parse_instance(path.read_text(), base_dir=path.parent)
+    return parse_instance(read_json(path), base_dir=path.parent)
 
 
 def load_lattice(file) -> Lattice:
     """Read a file holding either a bare lattice spec or an instance."""
     path = Path(file)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"not valid JSON: {exc}") from None
+    data = read_json(path)
     if isinstance(data, dict) and "kind" in data:
         return lattice_from_spec(data, base_dir=path.parent)
     if isinstance(data, dict) and "lattice" in data:
@@ -267,21 +296,17 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def parse_flow(data, net: FlowNetwork, lattice: Lattice) -> dict:
-    """Edge-to-element map from a flow file: {"edges": [{"from", "to", "value"}]}."""
-    if isinstance(data, (str, bytes)):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"not valid JSON: {exc}") from None
-    if not isinstance(data, dict) or "edges" not in data:
+    """Edge-to-element map from a decoded flow file:
+    {"edges": [{"from", "to", "value"}]}."""
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise InstanceError("flow file must be an object with an 'edges' list")
     phi = {}
     for i, e in enumerate(data["edges"]):
         where = f"edges[{i}]"
         if not isinstance(e, dict):
             _fail(where, "must be an object with from/to/value")
-        edge = (_need(e, "from", where), _need(e, "to", where))
-        if edge not in set(net.edges):
+        edge = (_name(_need(e, "from", where), f"{where}.from"), _name(_need(e, "to", where), f"{where}.to"))
+        if edge not in net.edge_set:
             _fail(where, f"{edge} is not an edge of the network")
         try:
             phi[edge] = lattice.parse(_need(e, "value", where))

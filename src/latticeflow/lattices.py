@@ -2,16 +2,20 @@
 
 Elements are plain hashable Python values (ints, frozensets, tuples,
 strings) in a canonical form fixed by each lattice kind. They carry no
-back-reference to their lattice, so the public operations validate
-membership and raise :class:`MismatchError` on foreign elements. The
-underscore variants (``_join`` etc.) skip validation and are used by the
-fold helpers after a single membership pass.
+back-reference to their lattice, so membership is checked where an
+element enters the program: :meth:`Lattice.parse`, the public binary
+``leq``/``join``/``meet``, and the containers built on a lattice
+(capacity assignments, weighted posets, flows), which raise
+:class:`MismatchError` on foreign elements. The folds ``join_all`` and
+``meet_all`` run the unchecked underscore variants (``_join`` etc.) on
+elements validated at entry.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Hashable
 from functools import reduce
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -24,7 +28,7 @@ from .orderutils import (
 
 Element = Any
 
-_RAISE = object()
+_EMPTY = object()
 
 
 class Lattice:
@@ -111,18 +115,15 @@ class Lattice:
 
     # -- folds ---------------------------------------------------------
 
-    def join_all(self, items: Iterable[Element], empty=_RAISE) -> Element:
-        """Join of an iterable. ``empty`` is returned for an empty iterable;
-        by default the lattice bottom is used and :class:`NoBottomError`
-        is raised if there is none."""
-        out = _RAISE
+    def join_all(self, items: Iterable[Element]) -> Element:
+        """Join of an iterable of elements already known to be members.
+        The empty join is the lattice bottom; :class:`NoBottomError` if
+        there is none."""
+        out = _EMPTY
         for x in items:
-            self.check(x)
-            out = x if out is _RAISE else self._join(out, x)
-        if out is not _RAISE:
+            out = x if out is _EMPTY else self._join(out, x)
+        if out is not _EMPTY:
             return out
-        if empty is not _RAISE:
-            return empty
         bot = self.bottom()
         if bot is None:
             raise NoBottomError(
@@ -130,15 +131,13 @@ class Lattice:
             )
         return bot
 
-    def meet_all(self, items: Iterable[Element], empty=_RAISE) -> Element:
-        out = _RAISE
+    def meet_all(self, items: Iterable[Element]) -> Element:
+        """Meet of an iterable of members; the empty meet is the top."""
+        out = _EMPTY
         for x in items:
-            self.check(x)
-            out = x if out is _RAISE else self._meet(out, x)
-        if out is not _RAISE:
+            out = x if out is _EMPTY else self._meet(out, x)
+        if out is not _EMPTY:
             return out
-        if empty is not _RAISE:
-            return empty
         top = self.top()
         if top is None:
             raise NoBottomError(
@@ -265,7 +264,7 @@ class PowersetLattice(Lattice):
     def parse(self, literal):
         if not isinstance(literal, (list, tuple)):
             raise MismatchError(f"powerset element must be a list of atoms, got {literal!r}")
-        bad = [a for a in literal if a not in self._atomset]
+        bad = [a for a in literal if not isinstance(a, str) or a not in self._atomset]
         if bad:
             raise MismatchError(f"unknown atoms {bad} for {self.describe()}")
         return frozenset(literal)
@@ -366,8 +365,8 @@ class IntervalGridLattice(Lattice):
         self._n = n  # grid has n+1 levels: 0, step, ..., 1
 
     def _snap(self, v) -> float | None:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            return None
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not -1 < v < 2:
+            return None  # far off [0, 1]; also NaN, infinities and huge ints
         i = round(v / self.step)
         if i < 0 or i > self._n or abs(v - i * self.step) > 1e-9:
             return None
@@ -493,11 +492,11 @@ class DownsetLattice(Lattice):
         return frozenset(self.base)
 
     def parse(self, literal):
-        if not isinstance(literal, (list, tuple)):
-            raise MismatchError(f"downset element must be a list, got {literal!r}")
+        if not isinstance(literal, (list, tuple)) or not all(isinstance(x, Hashable) for x in literal):
+            raise MismatchError(f"downset element must be a list of names, got {literal!r}")
         s = frozenset(literal)
         if s not in self._uset:
-            raise MismatchError(f"{sorted(literal)!r} is not a down-set of the base poset")
+            raise MismatchError(f"{literal!r} is not a down-set of the base poset")
         return s
 
     def literal(self, x):
@@ -566,11 +565,11 @@ class RingOfSetsLattice(Lattice):
         return reduce(frozenset.__or__, self._family)
 
     def parse(self, literal):
-        if not isinstance(literal, (list, tuple)):
+        if not isinstance(literal, (list, tuple)) or not all(isinstance(x, Hashable) for x in literal):
             raise MismatchError(f"ring element must be a list of atoms, got {literal!r}")
         s = frozenset(literal)
         if s not in self._fset:
-            raise MismatchError(f"{sorted(literal)!r} is not in the generated ring of sets")
+            raise MismatchError(f"{literal!r} is not in the generated ring of sets")
         return s
 
     def literal(self, x):
@@ -725,7 +724,7 @@ class ExplicitLattice(Lattice):
         return iter(self._elements)
 
     def parse(self, literal):
-        if literal not in self._index:
+        if not isinstance(literal, Hashable) or literal not in self._index:
             raise MismatchError(f"{literal!r} is not an element of {self.describe()}")
         return literal
 
@@ -742,9 +741,7 @@ class ExplicitLattice(Lattice):
                 "elements": list(self._elements),
                 "covers": [list(c) for c in self._covers],
             }
-        pairs = sorted(
-            [a, b] for a, above in self._up.items() for b in above if a != b
-        )
+        pairs = sorted([a, b] for a, above in self._up.items() for b in above)
         return {"kind": "explicit", "elements": list(self._elements), "relation": pairs}
 
     def describe(self):
@@ -807,8 +804,8 @@ class SurvivalLattice(Lattice):
         self._vset = frozenset(self._vals)
 
     def _snap(self, v) -> float | None:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            return None
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not -1 < v < 2:
+            return None  # far off [0, 1]; also NaN, infinities and huge ints
         k = round(v * (self.levels - 1))
         if k < 0 or k >= self.levels:
             return None
@@ -888,14 +885,6 @@ class SurvivalLattice(Lattice):
 
     def describe(self):
         return f"survival({self.time_points} times, {self.levels} levels)"
-
-
-def pentagon() -> PentagonLattice:
-    return PentagonLattice()
-
-
-def diamond() -> DiamondLattice:
-    return DiamondLattice()
 
 
 def bounds(lattice: Lattice) -> tuple[Element | None, Element | None]:

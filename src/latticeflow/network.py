@@ -29,12 +29,14 @@ class FlowNetwork:
     duplicate vertices/edges, source == sink); the flow-network clauses
     that can meaningfully fail (self-loops, cycles, edge directions at
     source/sink, connectivity) are checked by :func:`validate_network`,
-    which reports rather than raises.
+    which reports rather than raises. Instance files must pass its
+    lenient clauses to load.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge], source: str, sink: str):
         self.vertices = tuple(vertices)
         self.edges = tuple((u, v) for u, v in edges)
+        self.edge_set = frozenset(self.edges)
         self.source = source
         self.sink = sink
         if len(set(self.vertices)) != len(self.vertices):
@@ -44,7 +46,7 @@ class FlowNetwork:
             raise ValueError("source and sink must be listed vertices")
         if source == sink:
             raise ValueError("source and sink must be distinct")
-        if len(set(self.edges)) != len(self.edges):
+        if len(self.edge_set) != len(self.edges):
             raise ValueError("duplicate (parallel) edges are not representable")
         self._out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         self._in: dict[str, list[Edge]] = {v: [] for v in self.vertices}
@@ -267,7 +269,7 @@ class CapacityAssignment:
 
     def check_total(self, net: FlowNetwork) -> None:
         missing = [e for e in net.edges if e not in self._values]
-        extra = [e for e in self._values if e not in set(net.edges)]
+        extra = [e for e in self._values if e not in net.edge_set]
         if missing:
             raise ValueError(f"edges without capacity: {missing}")
         if extra:

@@ -353,14 +353,14 @@ def test_criterion_9_dead_end_handling():
         net = add_dead_ends(rng, random_network(rng, max_vertices=7), count=rng.randint(1, 3))
         L = random_distributive_lattice(rng)  # bounded: all menu kinds carry bottom and top
         cap = random_capacities(rng, net, L)
-        alpha = alpha_bruteforce(net, cap, mode="lenient")
+        alpha = alpha_bruteforce(net, cap)
         beta = beta_bruteforce(net, cap, mode="lenient")
         if alpha != beta:
             failures.append((i, L.describe()))
     # no-path instance degenerates to bottom on both sides
     net = FlowNetwork(["s", "d", "t"], [("s", "d")], "s", "t")
     cap = CapacityAssignment(ChainLattice(5), {("s", "d"): 4})
-    alpha = alpha_bruteforce(net, cap, mode="lenient")
+    alpha = alpha_bruteforce(net, cap)
     beta = beta_bruteforce(net, cap, mode="lenient")
     no_path_ok = alpha == beta == 0
     elapsed = time.perf_counter() - started

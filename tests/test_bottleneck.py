@@ -215,7 +215,7 @@ class TestDeadEnds:
         for _ in range(30):
             net = add_dead_ends(rng, random_network(rng, max_vertices=6))
             cap = random_capacities(rng, net, PowersetLattice("abc"))
-            alpha = alpha_bruteforce(net, cap, mode="lenient")
+            alpha = alpha_bruteforce(net, cap)
             beta = beta_bruteforce(net, cap, mode="lenient")
             assert alpha == beta
 
@@ -223,7 +223,7 @@ class TestDeadEnds:
         net = FlowNetwork(["s", "d", "t"], [("s", "d")], "s", "t")
         L = ChainLattice(4)
         cap = CapacityAssignment(L, {("s", "d"): 3})
-        assert alpha_bruteforce(net, cap, mode="lenient") == 0
+        assert alpha_bruteforce(net, cap) == 0
         assert beta_bruteforce(net, cap, mode="lenient") == 0
 
     def test_beta_all_cuts_equals_beta_minimal_cuts(self):

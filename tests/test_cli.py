@@ -2,8 +2,25 @@ import json
 
 import pytest
 
+from latticeflow import cli
 from latticeflow.cli import run_command
 from latticeflow.gallery import gallery_names, gallery_source
+
+
+# smallest valid instances, for the malformed-input cases to alter
+NETWORK = {
+    "lattice": {"kind": "chain", "levels": 3},
+    "vertices": ["s", "t"],
+    "source": "s",
+    "sink": "t",
+    "edges": [{"from": "s", "to": "t", "capacity": 1}],
+}
+POSET = {
+    "lattice": {"kind": "chain", "levels": 3},
+    "elements": ["a", "b"],
+    "covers": [["a", "b"]],
+    "weights": {"a": 1, "b": 2},
+}
 
 
 @pytest.fixture
@@ -149,7 +166,7 @@ class TestDilworth:
         assert report["correspondences"]["paths"] == 5
         assert report["correspondences"]["chains_match_paths"] is True
 
-    def test_identity_failure_on_distributive_lattice_exits_two(self, tmp_path):
+    def test_identity_failure_on_distributive_lattice_exits_two(self, tmp_path, capsys):
         # chain side and antichain side genuinely differ on this poset,
         # which the CLI treats as a duality failure signal
         data = {
@@ -163,6 +180,13 @@ class TestDilworth:
         report, code = run_command(["dilworth", str(f), "--format", "json"])
         assert code == 2
         assert report["direct"]["equal"] is False
+        capsys.readouterr()
+        _, code = run_command(["dilworth", str(f)])
+        assert code == 2
+        out = capsys.readouterr().out
+        # the network's rhs is the cut side: the meet over minimal chain transversals
+        assert "direct: chain side = {p}, antichain side = {}, equal = False" in out
+        assert "network: chain side = {p}, cut side = {p}, equal = True" in out
 
     def test_dot_export(self, competencies_file, tmp_path):
         out = tmp_path / "poset.dot"
@@ -228,3 +252,63 @@ class TestErrors:
     def test_unknown_command_exits_one(self):
         report, code = run_command(["frobnicate"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("bottleneck", {**NETWORK, "vertices": 5}),
+            ("bottleneck", {**NETWORK, "source": ["s"]}),
+            ("bottleneck", {**NETWORK, "edges": [{"from": ["s"], "to": "t", "capacity": 1}]}),
+            ("bottleneck", {**NETWORK, "lattice": {"kind": "pentagon"}, "edges": [{"from": "s", "to": "t", "capacity": ["a"]}]}),
+            ("bottleneck", {**NETWORK, "lattice": {"kind": "intervals"}, "edges": [{"from": "s", "to": "t", "capacity": [float("nan"), 1]}]}),
+            ("dilworth", {**POSET, "elements": 7}),
+            ("dilworth", {**POSET, "covers": [[["a"], "b"]]}),
+        ],
+    )
+    def test_malformed_file_exits_one(self, tmp_path, capsys, command, data):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(data))
+        report, code = run_command([command, str(f)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["bottleneck", "check-lattice"])
+    def test_non_utf8_file_exits_one(self, tmp_path, capsys, command):
+        f = tmp_path / "bad.json"
+        f.write_bytes(b'{"kind": "\xff"}')
+        report, code = run_command([command, str(f)])
+        assert code == 1
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["maxflow"], ["bottleneck", "--oracle"]])
+    def test_cyclic_network_exits_one(self, tmp_path, capsys, argv):
+        data = {
+            **NETWORK,
+            "vertices": ["s", "u", "v", "t"],
+            "edges": [
+                {"from": "s", "to": "u", "capacity": 1},
+                {"from": "u", "to": "u", "capacity": 1},
+                {"from": "u", "to": "v", "capacity": 1},
+                {"from": "v", "to": "u", "capacity": 1},
+                {"from": "v", "to": "t", "capacity": 2},
+            ],
+        }
+        f = tmp_path / "cyclic.json"
+        f.write_text(json.dumps(data))
+        report, code = run_command([argv[0], str(f), *argv[1:]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "self-loops" in err and "cycle" in err
+
+    def test_random_check_needs_two_vertices(self, capsys):
+        report, code = run_command(["random-check", "--max-vertices", "1"])
+        assert code == 1
+        assert "--max-vertices" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_an_input_error(self, monkeypatch):
+        def broken(args):
+            raise ValueError("internal bug")
+
+        monkeypatch.setitem(cli._HANDLERS, "gallery", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            run_command(["gallery"])

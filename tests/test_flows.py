@@ -7,6 +7,7 @@ from latticeflow import (
     ChainLattice,
     DistributivityRequired,
     FlowNetwork,
+    MismatchError,
     PowersetLattice,
     alpha_bruteforce,
     beta_bruteforce,
@@ -86,6 +87,11 @@ class TestFlowValue:
             flow_value(net, cap, {("s", "t"): 4})
         assert flow_value(net, cap, {("s", "t"): 4}, require_feasible=False) == 4
 
+    def test_unchecked_flow_value_rejects_foreign_element(self):
+        net, cap = single_edge_instance(levels=5)
+        with pytest.raises(MismatchError):
+            flow_value(net, cap, {("s", "t"): 7}, require_feasible=False)
+
 
 class TestPathFlow:
     def test_off_path_edges_carry_capacity_meet(self):
@@ -110,7 +116,7 @@ class TestPathFlow:
         cap = random_capacities(rng, net, PowersetLattice("ab"))
         for p in enumerate_paths(net):
             phi = path_flow(net, cap, p, mode="lenient")
-            assert is_feasible_flow(net, cap, phi, mode="lenient").ok
+            assert is_feasible_flow(net, cap, phi).ok
 
 
 class TestSampledFlows:
@@ -180,4 +186,4 @@ class TestDeadEndConservation:
         cap = CapacityAssignment(L, {("s", "u"): 4, ("u", "t"): 3, ("u", "d"): 2})
         phi = path_flow(net, cap, ("s", "u", "t"), mode="lenient")
         assert phi[("u", "d")] == 0
-        assert is_feasible_flow(net, cap, phi, mode="lenient").ok
+        assert is_feasible_flow(net, cap, phi).ok

@@ -3,7 +3,11 @@ import json
 import pytest
 
 from latticeflow import (
+    ChainLattice,
+    ExplicitLattice,
     InstanceError,
+    ProductLattice,
+    check_lattice_axioms,
     dilworth_direct,
     emit_dot,
     gallery_instance,
@@ -37,6 +41,16 @@ class TestLatticeSpecs:
             L = lattice_from_spec(spec)
             again = lattice_from_spec(L.spec())
             assert set(again.element_list()) == set(L.element_list()), spec
+
+    def test_relation_spec_roundtrip_passes_axioms(self):
+        product = ProductLattice([ChainLattice(2), ChainLattice(2)])
+        el = product.element_list()
+        names = {x: f"x{i}" for i, x in enumerate(el)}
+        L = ExplicitLattice.from_relation(
+            list(names.values()), [(names[a], names[b]) for a in el for b in el if product.leq(a, b)]
+        )
+        assert check_lattice_axioms(L).ok
+        assert check_lattice_axioms(lattice_from_spec(L.spec())).ok
 
     def test_unknown_kind(self):
         with pytest.raises(InstanceError, match="unknown lattice kind"):
@@ -145,6 +159,12 @@ class TestFlowFiles:
         inst = gallery_instance("diamond")
         data = {"edges": [{"from": "t", "to": "s", "value": "a"}]}
         with pytest.raises(InstanceError, match="not an edge"):
+            parse_flow(data, inst.network, inst.lattice)
+
+    def test_non_string_edge_end_rejected(self):
+        inst = gallery_instance("diamond")
+        data = {"edges": [{"from": ["s"], "to": "t", "value": "a"}]}
+        with pytest.raises(InstanceError, match=r"edges\[0\]\.from"):
             parse_flow(data, inst.network, inst.lattice)
 
 
