@@ -22,10 +22,13 @@ from .network import (
     Cut,
     FlowNetwork,
     crossing_edges,
-    enumerate_cuts,
+    crossing_masks,
     enumerate_paths,
-    minimal_cuts,
+    minimal_masks,
+    partition_cut,
+    set_bits,
 )
+from .network import enumerate_cuts, minimal_cuts  # noqa: F401  (unused here; perfbench/spans.py wraps these bindings)
 
 
 def path_throughput(net: FlowNetwork, cap: CapacityAssignment, path: tuple[str, ...]) -> Element:
@@ -72,9 +75,16 @@ def alpha_bruteforce(
     With no source-to-sink path at all the value is the empty join, the
     lattice bottom (the duality statement degenerates to bottom = bottom).
     """
-    return cap.lattice.join_all(
-        path_throughput(net, cap, p) for p in enumerate_paths(net, max_paths)
-    )
+    return _path_side(net, cap, max_paths)[2]
+
+
+def _path_side(
+    net: FlowNetwork, cap: CapacityAssignment, max_paths: int
+) -> tuple[list[tuple[str, ...]], list[Element], Element]:
+    """The paths the path side ranges over, their throughputs, and their join."""
+    paths = enumerate_paths(net, max_paths)
+    throughputs = [path_throughput(net, cap, p) for p in paths]
+    return paths, throughputs, cap.lattice.join_all(throughputs)
 
 
 def beta_bruteforce(
@@ -96,11 +106,21 @@ def beta_bruteforce(
 
 def _cut_side(
     net: FlowNetwork, cap: CapacityAssignment, mode: str, max_vertices: int
-) -> tuple[list[Cut], list[Element], Element]:
-    """The cuts the cut side ranges over, their capacities, and their meet."""
-    cuts = enumerate_cuts(net, max_vertices) if mode == "strict" else minimal_cuts(net, max_vertices)
-    capacities = [cut_capacity(net, cap, c) for c in cuts]
-    return cuts, capacities, cap.lattice.meet_all(capacities)
+) -> tuple[int, Cut | None, Element]:
+    """How many cuts the cut side ranges over, the first of them (in
+    enumeration order) whose capacity is the meet, and that meet.
+
+    Cuts that induce the same crossing set have the same capacity, so
+    each distinct crossing set is folded once, as an edge bitmask.
+    """
+    first = crossing_masks(net, max_vertices)
+    keys = first if mode == "strict" else minimal_masks(first)
+    lat, edges = cap.lattice, net.edges
+    capacities = [lat.join_all(cap[edges[i]] for i in set_bits(m)) for m in keys]
+    beta = lat.meet_all(capacities)
+    witness = next((first[m] for m, value in zip(keys, capacities) if value == beta), None)
+    n_cuts = 2 ** (len(net.vertices) - 2) if mode == "strict" else len(keys)
+    return n_cuts, None if witness is None else partition_cut(net, witness), beta
 
 
 def alpha_dp(
@@ -182,17 +202,16 @@ def verify_duality(
     """
     if method not in ("auto", "bruteforce", "dp"):
         raise ValueError(f"method must be auto, bruteforce or dp, got {method!r}")
-    paths = enumerate_paths(net, max_paths)
     if method == "auto":
         method = "dp" if is_distributive(cap.lattice) is True else "bruteforce"
     if method == "dp":
+        paths = enumerate_paths(net, max_paths)
         alpha = alpha_dp(net, cap, allow_non_distributive=allow_non_distributive)
+        throughputs = (path_throughput(net, cap, p) for p in paths)
     else:
-        alpha = alpha_bruteforce(net, cap, max_paths)
-    cuts, capacities, beta = _cut_side(net, cap, mode, max_vertices)
-
-    optimal_path = next((p for p in paths if path_throughput(net, cap, p) == alpha), None)
-    optimal_cut = next((c for c, value in zip(cuts, capacities) if value == beta), None)
+        paths, throughputs, alpha = _path_side(net, cap, max_paths)
+    n_cuts, optimal_cut, beta = _cut_side(net, cap, mode, max_vertices)
+    optimal_path = next((p for p, value in zip(paths, throughputs) if value == alpha), None)
 
     return DualityReport(
         alpha=alpha,
@@ -203,7 +222,7 @@ def verify_duality(
         alpha_method=method,
         beta_method="bruteforce",
         n_paths=len(paths),
-        n_cuts=len(cuts),
+        n_cuts=n_cuts,
     )
 
 

@@ -31,6 +31,7 @@ from .network import (
     crossing_edges,
     enumerate_paths,
     minimal_cuts,
+    set_bits,
 )
 from .orderutils import (
     antisymmetry_violation,
@@ -138,24 +139,34 @@ def maximal_chains(poset: WeightedPoset, max_chains: int = DEFAULT_MAX_CHAINS) -
 def maximal_antichains(
     poset: WeightedPoset, max_elements: int = DEFAULT_MAX_POSET
 ) -> list[tuple[str, ...]]:
-    """All maximal antichains as element tuples in element order."""
+    """All maximal antichains as element tuples in element order.
+
+    They are the maximal cliques of the incomparability graph, found by
+    Bron-Kerbosch with pivoting over element bitmasks (bit i is the i-th
+    element) and listed in increasing mask order.
+    """
     n = len(poset.elements)
     if n > max_elements:
         raise CapExceeded(f"antichain enumeration capped at {max_elements} elements")
     elems = poset.elements
-    out = []
-    for mask in range(1, 2**n):
-        members = [elems[i] for i in range(n) if mask >> i & 1]
-        if any(poset.comparable(x, y) for x, y in itertools.combinations(members, 2)):
-            continue
-        mset = set(members)
-        if any(
-            x not in mset and not any(poset.comparable(x, y) for y in members)
-            for x in elems
-        ):
-            continue
-        out.append(tuple(members))
-    return out
+    apart = [
+        sum(1 << j for j, y in enumerate(elems) if j != i and not poset.comparable(x, y))
+        for i, x in enumerate(elems)
+    ]
+    cliques: list[int] = []
+
+    def extend(clique: int, candidates: int, excluded: int) -> None:
+        if not candidates | excluded:
+            cliques.append(clique)
+            return
+        pivot = max(set_bits(candidates | excluded), key=lambda u: (candidates & apart[u]).bit_count())
+        for v in set_bits(candidates & ~apart[pivot]):
+            extend(clique | 1 << v, candidates & apart[v], excluded & apart[v])
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
+
+    extend(0, (1 << n) - 1, 0)
+    return [tuple(elems[i] for i in set_bits(m)) for m in sorted(cliques)]
 
 
 def chain_value(poset: WeightedPoset, chain: Iterable[str]) -> Element:

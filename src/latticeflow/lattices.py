@@ -13,6 +13,7 @@ elements validated at entry.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Hashable
@@ -800,8 +801,23 @@ class SurvivalLattice(Lattice):
             raise ValueError("survival lattice needs at least 2 value levels")
         self.time_points = time_points
         self.levels = levels
-        self._vals = tuple(round(k / (levels - 1), 12) for k in range(levels))
-        self._vset = frozenset(self._vals)
+
+    def _grid(self, k: int) -> float:
+        """The k-th of the ``levels`` grid values, computed on demand so
+        that no spec can make the constructor allocate the whole grid."""
+        return round(k / (self.levels - 1), 12)
+
+    def _on_grid(self, v) -> bool:
+        """Whether ``v`` equals a grid value. The grid rises with k, so a
+        bisection finds the only candidate."""
+        try:
+            f = float(v)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        if f != v or not 0 <= f <= 1:
+            return False
+        k = bisect.bisect_left(range(self.levels), f, key=self._grid)
+        return k < self.levels and self._grid(k) == f
 
     def _snap(self, v) -> float | None:
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not -1 < v < 2:
@@ -809,13 +825,13 @@ class SurvivalLattice(Lattice):
         k = round(v * (self.levels - 1))
         if k < 0 or k >= self.levels:
             return None
-        canon = self._vals[k]
+        canon = self._grid(k)
         return canon if abs(v - canon) <= 1e-9 else None
 
     def __contains__(self, x):
         if not (isinstance(x, tuple) and len(x) == self.time_points):
             return False
-        if any(v not in self._vset for v in x):
+        if not all(self._on_grid(v) for v in x):
             return False
         return (
             x[0] == 1.0
@@ -845,7 +861,7 @@ class SurvivalLattice(Lattice):
                 yield (1.0, *prefix, 0.0)
                 return
             for i in range(floor_idx, -1, -1):
-                yield from rec(prefix + (self._vals[i],), i)
+                yield from rec(prefix + (self._grid(i),), i)
 
         yield from rec((), self.levels - 1)
 

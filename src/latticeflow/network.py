@@ -209,39 +209,102 @@ def enumerate_paths(net: FlowNetwork, max_paths: int = DEFAULT_MAX_PATHS) -> lis
     return out
 
 
-def enumerate_cuts(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICES) -> list[Cut]:
-    """All 2^(|V|-2) vertex partitions separating source from sink, in
-    binary-counter order over the name-sorted internal vertices."""
+def _check_cut_cap(net: FlowNetwork, max_vertices: int) -> None:
     if len(net.vertices) > max_vertices:
         raise CapExceeded(
             f"cut enumeration needs 2^{len(net.vertices) - 2} partitions; "
             f"cap is {max_vertices} vertices"
         )
+
+
+def partition_cut(net: FlowNetwork, mask: int) -> Cut:
+    """The cut of partition mask ``mask``: bit i puts the i-th name-sorted
+    internal vertex on the source side."""
     internal = sorted(net.internal_vertices())
-    k = len(internal)
-    cuts = []
-    for mask in range(2**k):
-        s_side = {net.source} | {internal[i] for i in range(k) if mask >> i & 1}
-        t_side = frozenset(v for v in net.vertices if v not in s_side)
-        cuts.append(Cut(frozenset(s_side), t_side))
-    return cuts
+    s_side = {net.source} | {v for i, v in enumerate(internal) if mask >> i & 1}
+    return Cut(frozenset(s_side), frozenset(v for v in net.vertices if v not in s_side))
+
+
+def enumerate_cuts(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICES) -> list[Cut]:
+    """All 2^(|V|-2) vertex partitions separating source from sink, in
+    binary-counter order over the name-sorted internal vertices."""
+    _check_cut_cap(net, max_vertices)
+    return [partition_cut(net, mask) for mask in range(2 ** (len(net.vertices) - 2))]
+
+
+def set_bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _or_table(base: int, masks: list[int]) -> list[int]:
+    """Entry m is ``base`` OR-ed with masks[i] for every bit i of m."""
+    table = [base]
+    for m in range(1, 2 ** len(masks)):
+        low = m & -m
+        table.append(table[m ^ low] | masks[low.bit_length() - 1])
+    return table
+
+
+def crossing_masks(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICES) -> dict[int, int]:
+    """Every distinct crossing-edge set of the partitions of
+    :func:`enumerate_cuts`, walked in the same order without building
+    them.
+
+    Keys are edge bitmasks (bit i is ``net.edges[i]``), each mapped to the
+    first partition mask (see :func:`partition_cut`) that induces it;
+    insertion order is first-seen order. A partition's crossing set is
+    the OR of its source side's out-edge masks less the OR of its in-edge
+    masks. Those ORs come from two tables over the low and the high half
+    of the vertex bits, so memory grows with the distinct crossing sets,
+    not with the partitions.
+    """
+    _check_cut_cap(net, max_vertices)
+    bit = {e: 1 << i for i, e in enumerate(net.edges)}
+
+    def edge_mask(edges) -> int:
+        return sum(bit[e] for e in edges)
+
+    internal = sorted(net.internal_vertices())
+    outs = [edge_mask(net.out_edges(v)) for v in internal]
+    ins = [edge_mask(net.in_edges(v)) for v in internal]
+    lo_bits = (len(internal) + 1) // 2
+    lo = list(zip(
+        _or_table(edge_mask(net.out_edges(net.source)), outs[:lo_bits]),
+        _or_table(edge_mask(net.in_edges(net.source)), ins[:lo_bits]),
+    ))
+    hi = zip(_or_table(0, outs[lo_bits:]), _or_table(0, ins[lo_bits:]))
+    first: dict[int, int] = {}
+    for h, (h_out, h_in) in enumerate(hi):
+        base = h << lo_bits
+        for low, (l_out, l_in) in enumerate(lo):
+            crossing = (l_out | h_out) & ~(l_in | h_in)
+            if crossing not in first:
+                first[crossing] = base | low
+    return first
+
+
+def minimal_masks(masks) -> list[int]:
+    """The inclusion-minimal masks among distinct ``masks``, in their
+    order. Keys are tested by popcount, each only against the minimal
+    ones already found: a proper subset always has fewer bits."""
+    found: list[int] = []
+    for m in sorted(masks, key=int.bit_count):
+        if not any(f & m == f for f in found):
+            found.append(m)
+    keep = set(found)
+    return [m for m in masks if m in keep]
 
 
 def minimal_cuts(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICES) -> list[Cut]:
     """Cuts whose crossing-edge sets are inclusion-minimal, deduplicated
     by crossing set (distinct partitions can induce the same crossing
     set); first representative in enumeration order is kept."""
-    cuts = enumerate_cuts(net, max_vertices)
-    by_crossing: dict[frozenset, Cut] = {}
-    for cut in cuts:
-        key = frozenset(crossing_edges(net, cut))
-        if key not in by_crossing:
-            by_crossing[key] = cut
-    keys = list(by_crossing)
-    minimal = [
-        by_crossing[k] for k in keys if not any(other < k for other in keys)
-    ]
-    return minimal
+    first = crossing_masks(net, max_vertices)
+    return [partition_cut(net, first[m]) for m in minimal_masks(first)]
 
 
 class CapacityAssignment:

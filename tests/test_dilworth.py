@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,9 @@ from latticeflow import (
     gallery_instance,
     maximal_antichains,
     maximal_chains,
+    minimal_cuts,
     validate_network,
+    verify_duality,
 )
 from latticeflow.generators import random_distributive_lattice, random_weighted_poset
 
@@ -283,3 +286,42 @@ class TestCorrespondences:
         assert not report.ok
         assert not report.cut_roundtrip_ok or not report.antichain_roundtrip_ok
         assert report.problems
+
+
+def reference_maximal_antichains(poset):
+    """The 2^n mask scan the clique enumeration must reproduce, order included."""
+    elems, n = poset.elements, len(poset.elements)
+    out = []
+    for mask in range(1, 2**n):
+        members = [elems[i] for i in range(n) if mask >> i & 1]
+        if any(poset.comparable(x, y) for x, y in itertools.combinations(members, 2)):
+            continue
+        if any(
+            x not in members and not any(poset.comparable(x, y) for y in members)
+            for x in elems
+        ):
+            continue
+        out.append(tuple(members))
+    return out
+
+
+class TestEnumerationContract:
+    def posets(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield random_weighted_poset(rng, random_distributive_lattice(rng), max_elements=12)
+
+    def test_maximal_antichains_match_mask_scan(self):
+        for poset in self.posets(53, 40):
+            assert maximal_antichains(poset) == reference_maximal_antichains(poset)
+
+    def test_auxiliary_network_cut_side_matches_reference(self):
+        from test_network import reference_cut_side, reference_minimal_cuts
+
+        for poset in self.posets(59, 12):
+            net, cap = auxiliary_network(poset)
+            assert minimal_cuts(net) == reference_minimal_cuts(net)
+            report = verify_duality(net, cap, mode="strict", method="bruteforce")
+            n_cuts, witness, beta = reference_cut_side(net, cap, "strict")
+            assert (report.beta, report.n_cuts, report.optimal_cut) == (beta, n_cuts, witness)
+            assert dilworth_via_network(poset).rhs == beta

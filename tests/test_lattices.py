@@ -265,6 +265,14 @@ class TestSurvival:
         with pytest.raises(MismatchError):
             SurvivalLattice(4, 3).parse([1.0, 0.5, 1.0, 0.0])
 
+    def test_huge_level_count_builds_no_grid(self):
+        L = SurvivalLattice(4, 10**9)
+        x = L.parse([1, 0.5, 0.5, 0])
+        assert x in L
+        assert abs(x[1] - 0.5) <= 1e-9
+        assert (1.0, 0.3, 0.3, 0.0) not in L
+        assert (True, x[1], x[2], False) in L  # bools compare equal to 1 and 0
+
 
 class TestDownset:
     def test_universe_members_are_down_closed(self):

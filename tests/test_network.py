@@ -4,6 +4,7 @@ import pytest
 
 from latticeflow import (
     CapExceeded,
+    Cut,
     FlowNetwork,
     crossing_edges,
     enumerate_cuts,
@@ -11,8 +12,15 @@ from latticeflow import (
     gallery_instance,
     minimal_cuts,
     validate_network,
+    verify_duality,
 )
-from latticeflow.generators import add_dead_ends, random_network
+from latticeflow.generators import (
+    add_dead_ends,
+    random_any_lattice,
+    random_capacities,
+    random_instance,
+    random_network,
+)
 
 
 def single_edge():
@@ -186,3 +194,75 @@ class TestPathCutInteraction:
         net = add_dead_ends(rng, random_network(rng, max_vertices=6))
         assert validate_network(net, "lenient").ok
         assert not validate_network(net, "strict").ok
+
+
+# Reference implementations of the cut enumeration contract: one Cut and
+# one frozenset crossing set per partition, in binary-counter order.
+
+
+def reference_enumerate_cuts(net):
+    internal = sorted(net.internal_vertices())
+    k = len(internal)
+    cuts = []
+    for mask in range(2**k):
+        s_side = {net.source} | {internal[i] for i in range(k) if mask >> i & 1}
+        t_side = frozenset(v for v in net.vertices if v not in s_side)
+        cuts.append(Cut(frozenset(s_side), t_side))
+    return cuts
+
+
+def reference_minimal_cuts(net):
+    by_crossing = {}
+    for cut in reference_enumerate_cuts(net):
+        by_crossing.setdefault(frozenset(crossing_edges(net, cut)), cut)
+    keys = list(by_crossing)
+    return [by_crossing[k] for k in keys if not any(other < k for other in keys)]
+
+
+def reference_cut_side(net, cap, mode):
+    """(n_cuts, optimal_cut, beta) by folding every cut's capacity."""
+    lat = cap.lattice
+    cuts = reference_enumerate_cuts(net) if mode == "strict" else reference_minimal_cuts(net)
+    capacities = [lat.join_all(cap[e] for e in crossing_edges(net, c)) for c in cuts]
+    beta = lat.meet_all(capacities)
+    witness = next((c for c, value in zip(cuts, capacities) if value == beta), None)
+    return len(cuts), witness, beta
+
+
+def differential_instances(seed, count):
+    """Seeded networks of 2-10 vertices over distributive and other
+    lattices, each also with two dead ends added."""
+    rng = random.Random(seed)
+    for i in range(count):
+        factory = {"lattice_factory": random_any_lattice} if i % 2 else {}
+        net, cap = random_instance(rng, max_vertices=10, **factory)
+        yield net, cap
+        dead = add_dead_ends(rng, net)
+        yield dead, random_capacities(rng, dead, cap.lattice)
+
+
+class TestEnumerationContract:
+    def test_enumerate_cuts_matches_reference(self):
+        for net, _ in differential_instances(41, 15):
+            assert enumerate_cuts(net) == reference_enumerate_cuts(net)
+
+    def test_minimal_cuts_match_reference_in_order(self):
+        for net, _ in differential_instances(43, 40):
+            assert minimal_cuts(net) == reference_minimal_cuts(net)
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_cut_side_matches_reference(self, mode):
+        for net, cap in differential_instances(47, 40):
+            report = verify_duality(net, cap, mode=mode, method="bruteforce")
+            n_cuts, witness, beta = reference_cut_side(net, cap, mode)
+            assert (report.beta, report.n_cuts, report.optimal_cut) == (beta, n_cuts, witness)
+
+    @pytest.mark.parametrize("method", ["bruteforce", "auto"])
+    def test_path_witness_is_first_attaining_path(self, method):
+        for net, cap in differential_instances(61, 20):
+            lat = cap.lattice
+            paths = enumerate_paths(net)
+            values = [lat.meet_all(cap[e] for e in zip(p, p[1:])) for p in paths]
+            report = verify_duality(net, cap, mode="lenient", method=method)
+            assert report.n_paths == len(paths)
+            assert report.optimal_path == next((p for p, v in zip(paths, values) if v == report.alpha), None)
