@@ -14,12 +14,19 @@ sufficient: the four-element poset a<c, a<d, b<d breaks it (the maximal
 antichain {b, c} misses the maximal chain {a, d}), while the
 five-element poset a<b<e, a<c, d<e satisfies it and still has the
 minimal chain transversal {a, e}, which is not an antichain.
+
+Each poset is enumerated once: it keeps its chains, antichains and
+auxiliary network, and the network keeps its partition walk. The routes
+share only lists that were already identical and the walk, between the
+cut side and the cut round trip; lhs and rhs still come from each
+route's own folds, and paths are still checked against chains.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .bottleneck import verify_duality
@@ -28,11 +35,12 @@ from .lattices import Element, Lattice
 from .network import (
     CapacityAssignment,
     FlowNetwork,
-    crossing_edges,
+    crossing_masks,
     enumerate_paths,
-    minimal_cuts,
+    minimal_masks,
     set_bits,
 )
+from .network import crossing_edges, minimal_cuts  # noqa: F401  (unused here; perfbench/spans.py wraps these bindings)
 from .orderutils import (
     antisymmetry_violation,
     covers_from_closure,
@@ -48,7 +56,8 @@ class WeightedPoset:
 
     Order input may be cover pairs or any relation pairs; the transitive
     closure is taken and the stored cover relation is its transitive
-    reduction, so Hasse-diagram-style input round-trips unchanged.
+    reduction, so Hasse-diagram-style input round-trips unchanged. Covers,
+    like minimal and maximal elements, are listed in element order.
     """
 
     def __init__(
@@ -104,6 +113,11 @@ class WeightedPoset:
     def cover_successors(self, x: str) -> tuple[str, ...]:
         return tuple(b for a, b in self.covers if a == x)
 
+    # each runs once per poset, through the module function (whose binding spans wrap)
+    chains = cached_property(lambda self: tuple(maximal_chains(self)))
+    antichains = cached_property(lambda self: tuple(maximal_antichains(self)))
+    network = cached_property(lambda self: auxiliary_network(self))
+
     def __repr__(self):
         return f"WeightedPoset({len(self.elements)} elements, {len(self.covers)} covers)"
 
@@ -115,13 +129,12 @@ def maximal_chains(poset: WeightedPoset, max_chains: int = DEFAULT_MAX_CHAINS) -
     maximal element, so this is a DFS over the cover relation, minimal
     elements and successors taken in element order.
     """
-    order = {x: i for i, x in enumerate(poset.elements)}
     out: list[tuple[str, ...]] = []
     chain: list[str] = []
 
     def walk(x: str):
         chain.append(x)
-        succ = sorted(poset.cover_successors(x), key=order.__getitem__)
+        succ = poset.cover_successors(x)
         if not succ:
             if len(out) >= max_chains:
                 raise CapExceeded(f"more than {max_chains} maximal chains")
@@ -131,7 +144,7 @@ def maximal_chains(poset: WeightedPoset, max_chains: int = DEFAULT_MAX_CHAINS) -
                 walk(y)
         chain.pop()
 
-    for m in sorted(poset.minimal_elements(), key=order.__getitem__):
+    for m in poset.minimal_elements():
         walk(m)
     return out
 
@@ -204,18 +217,16 @@ class DilworthReport:
 
 def dilworth_direct(poset: WeightedPoset) -> DilworthReport:
     """Both duality sides by direct enumeration of chains and antichains."""
-    chains = maximal_chains(poset)
-    antichains = maximal_antichains(poset)
-    chain_values = [chain_value(poset, c) for c in chains]
-    antichain_values = [antichain_value(poset, a) for a in antichains]
+    chain_values = [chain_value(poset, c) for c in poset.chains]
+    antichain_values = [antichain_value(poset, a) for a in poset.antichains]
     lhs = poset.lattice.join_all(chain_values)
     rhs = poset.lattice.meet_all(antichain_values)
     return DilworthReport(
         lhs=lhs,
         rhs=rhs,
         equal=lhs == rhs,
-        chains=tuple(chains),
-        antichains=tuple(antichains),
+        chains=poset.chains,
+        antichains=poset.antichains,
         chain_values=tuple(chain_values),
         antichain_values=tuple(antichain_values),
         method="direct",
@@ -239,22 +250,15 @@ def auxiliary_network(poset: WeightedPoset) -> tuple[FlowNetwork, CapacityAssign
     """
     s = _fresh_name("s", poset.elements)
     t = _fresh_name("t", poset.elements)
-    lat = poset.lattice
-    top_weight = lat.join_all(poset.weights[x] for x in poset.elements)
-    order = {x: i for i, x in enumerate(poset.elements)}
-    edges: list[tuple[str, str]] = []
-    caps: dict[tuple[str, str], Element] = {}
-    for m in sorted(poset.minimal_elements(), key=order.__getitem__):
-        edges.append((s, m))
-        caps[(s, m)] = top_weight
-    for x, y in sorted(poset.covers, key=lambda c: (order[c[0]], order[c[1]])):
-        edges.append((x, y))
-        caps[(x, y)] = poset.weights[x]
-    for m in sorted(poset.maximal_elements(), key=order.__getitem__):
-        edges.append((m, t))
-        caps[(m, t)] = poset.weights[m]
+    top_weight = poset.lattice.join_all(poset.weights[x] for x in poset.elements)
+    edges = [
+        *((s, m) for m in poset.minimal_elements()),
+        *poset.covers,
+        *((m, t) for m in poset.maximal_elements()),
+    ]
+    caps = {e: top_weight if e[0] == s else poset.weights[e[0]] for e in edges}
     net = FlowNetwork((s, *poset.elements, t), edges, s, t)
-    return net, CapacityAssignment(lat, caps)
+    return net, CapacityAssignment(poset.lattice, caps)
 
 
 def dilworth_via_network(poset: WeightedPoset) -> DilworthReport:
@@ -266,22 +270,16 @@ def dilworth_via_network(poset: WeightedPoset) -> DilworthReport:
     crossing edges are a chain transversal). It equals the direct
     antichain side only when the maximal antichains are exactly the
     minimal chain transversals. Chain/antichain lists and per-item values
-    are the same enumerations as the direct route; only lhs and rhs come
-    from the network, which is what makes the cross-method comparison
-    meaningful.
+    are the direct route's; only lhs and rhs come from the network, which
+    is what makes the cross-method comparison meaningful.
     """
-    net, cap = auxiliary_network(poset)
+    net, cap = poset.network
     report = verify_duality(net, cap, mode="strict", method="bruteforce")
-    chains = maximal_chains(poset)
-    antichains = maximal_antichains(poset)
-    return DilworthReport(
+    return replace(
+        dilworth_direct(poset),
         lhs=report.alpha,
         rhs=report.beta,
         equal=report.alpha == report.beta,
-        chains=tuple(chains),
-        antichains=tuple(antichains),
-        chain_values=tuple(chain_value(poset, c) for c in chains),
-        antichain_values=tuple(antichain_value(poset, a) for a in antichains),
         method="network",
     )
 
@@ -339,74 +337,69 @@ def check_correspondences(poset: WeightedPoset) -> CorrespondenceReport:
     implies that the maximal antichains are exactly the minimal chain
     transversals, but not conversely.
     """
-    net, _ = auxiliary_network(poset)
+    net, _ = poset.network
     problems: list[str] = []
 
     paths = enumerate_paths(net)
-    chains = maximal_chains(poset)
-    stripped = sorted(p[1:-1] for p in paths)
-    chains_match = stripped == sorted(chains)
+    chains_match = sorted(p[1:-1] for p in paths) == sorted(poset.chains)
     if not chains_match:
         problems.append("stripped paths differ from maximal chains")
 
-    poset_edges = {e for e in net.edges if e[0] != net.source}
-    mcuts = minimal_cuts(net)
-    mcut_crossings = [frozenset(crossing_edges(net, c)) for c in mcuts]
-    in_poset_edges = [x for x in mcut_crossings if x <= poset_edges]
+    # minimal among the crossing sets that avoid the source edges: every
+    # subset of such a set avoids them too, so these are exactly the
+    # minimal crossing sets that use only cover/sink edges
+    source_edges = sum(1 << i for i, e in enumerate(net.edges) if e[0] == net.source)
+    in_poset_edges = [
+        frozenset(net.edges[i] for i in set_bits(m))
+        for m in minimal_masks([m for m in crossing_masks(net) if not m & source_edges])
+    ]
 
-    antichains = maximal_antichains(poset)
-    antichain_rt_ok = True
-    for a in antichains:
-        s_side = _cut_for_antichain(poset, net, a)
-        crossing = frozenset(
-            e for e in net.edges if e[0] in s_side and e[1] not in s_side
-        )
-        if not crossing <= poset_edges:
-            antichain_rt_ok = False
-            problems.append(f"cut for antichain {a} crosses a source edge")
-            continue
+    antichains = poset.antichains
+
+    def crossing_for(antichain) -> frozenset:
+        s_side = _cut_for_antichain(poset, net, antichain)
+        return frozenset(e for e in net.edges if e[0] in s_side and e[1] not in s_side)
+
+    def tails(crossing) -> tuple[str, ...]:
+        return tuple(sorted({e[0] for e in crossing}, key=poset.elements.index))
+
+    def antichain_problem(a) -> str | None:
+        crossing = crossing_for(a)
+        if any(e[0] == net.source for e in crossing):
+            return f"cut for antichain {a} crosses a source edge"
         if crossing not in in_poset_edges:
-            antichain_rt_ok = False
-            problems.append(f"cut for antichain {a} is not a minimal cut")
-            continue
-        back = tuple(sorted({e[0] for e in crossing}, key=poset.elements.index))
-        if back != a:
-            antichain_rt_ok = False
-            problems.append(f"antichain {a} round-trips to {back}")
+            return f"cut for antichain {a} is not a minimal cut"
+        if tails(crossing) != a:
+            return f"antichain {a} round-trips to {tails(crossing)}"
+        return None
 
-    cut_rt_ok = True
-    for crossing in in_poset_edges:
-        sources = tuple(sorted({e[0] for e in crossing}, key=poset.elements.index))
+    def cut_problem(crossing) -> str | None:
+        sources = tails(crossing)
         if any(poset.comparable(x, y) for x, y in itertools.combinations(sources, 2)):
-            cut_rt_ok = False
-            problems.append(f"minimal cut sources {sources} are not an antichain")
-            continue
+            return f"minimal cut sources {sources} are not an antichain"
         if sources not in antichains:
-            cut_rt_ok = False
-            problems.append(f"minimal cut sources {sources} are not a maximal antichain")
-            continue
-        s_side = _cut_for_antichain(poset, net, sources)
-        back = frozenset(e for e in net.edges if e[0] in s_side and e[1] not in s_side)
-        if back != crossing:
-            cut_rt_ok = False
-            problems.append(f"cut with sources {sources} does not round-trip")
+            return f"minimal cut sources {sources} are not a maximal antichain"
+        if crossing_for(sources) != crossing:
+            return f"cut with sources {sources} does not round-trip"
+        return None
 
-    bijective_counts = len(antichains) == len(in_poset_edges)
-    if not bijective_counts:
+    antichain_problems = [q for q in map(antichain_problem, antichains) if q]
+    cut_problems = [q for q in map(cut_problem, in_poset_edges) if q]
+    problems += antichain_problems + cut_problems
+    if len(antichains) != len(in_poset_edges):
         problems.append(
             f"{len(antichains)} maximal antichains vs {len(in_poset_edges)} "
             "minimal cuts over cover/sink edges"
         )
 
-    ok = chains_match and antichain_rt_ok and cut_rt_ok and bijective_counts
     return CorrespondenceReport(
-        ok=ok,
-        chain_count=len(chains),
+        ok=not problems,
+        chain_count=len(poset.chains),
         path_count=len(paths),
         chains_match_paths=chains_match,
         antichain_count=len(antichains),
         poset_edge_cut_count=len(in_poset_edges),
-        antichain_roundtrip_ok=antichain_rt_ok,
-        cut_roundtrip_ok=cut_rt_ok,
+        antichain_roundtrip_ok=not antichain_problems,
+        cut_roundtrip_ok=not cut_problems,
         problems=tuple(problems),
     )

@@ -260,9 +260,14 @@ def crossing_masks(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICE
     the OR of its source side's out-edge masks less the OR of its in-edge
     masks. Those ORs come from two tables over the low and the high half
     of the vertex bits, so memory grows with the distinct crossing sets,
-    not with the partitions.
+    not with the partitions. The walk runs once per network: its result
+    is kept on ``net`` for later calls, which must only read it; the cap
+    is checked on every call.
     """
     _check_cut_cap(net, max_vertices)
+    cached = getattr(net, "_crossing_masks", None)
+    if cached is not None:
+        return cached
     bit = {e: 1 << i for i, e in enumerate(net.edges)}
 
     def edge_mask(edges) -> int:
@@ -284,6 +289,7 @@ def crossing_masks(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICE
             crossing = (l_out | h_out) & ~(l_in | h_in)
             if crossing not in first:
                 first[crossing] = base | low
+    net._crossing_masks = first
     return first
 
 

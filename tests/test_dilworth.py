@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -10,6 +13,7 @@ from latticeflow import (
     WeightedPoset,
     auxiliary_network,
     check_correspondences,
+    crossing_edges,
     dilworth_direct,
     dilworth_via_network,
     enumerate_paths,
@@ -20,7 +24,11 @@ from latticeflow import (
     validate_network,
     verify_duality,
 )
+from latticeflow.cli import run_command
+from latticeflow.dilworth import CorrespondenceReport, _cut_for_antichain
+from latticeflow.gallery import gallery_source
 from latticeflow.generators import random_distributive_lattice, random_weighted_poset
+from latticeflow.instances import Instance, instance_to_dict
 
 
 def competency_poset():
@@ -64,6 +72,17 @@ def transversal_gap_poset():
     weights = {x: frozenset("p" if x in "bcd" else "") for x in "abcde"}
     return WeightedPoset(
         list("abcde"), [("a", "b"), ("b", "e"), ("a", "c"), ("d", "e")], weights, L
+    )
+
+
+def complete_bipartite_poset():
+    # m1, m2 < f1, f2; both sides agree, yet a minimal cut has comparable
+    # crossing sources, so the cut round trip breaks
+    return WeightedPoset(
+        ["m1", "m2", "f1", "f2"],
+        [("m1", "f1"), ("m1", "f2"), ("m2", "f1"), ("m2", "f2")],
+        {"m1": 1, "m2": 2, "f1": 3, "f2": 4},
+        ChainLattice(5),
     )
 
 
@@ -325,3 +344,156 @@ class TestEnumerationContract:
             n_cuts, witness, beta = reference_cut_side(net, cap, "strict")
             assert (report.beta, report.n_cuts, report.optimal_cut) == (beta, n_cuts, witness)
             assert dilworth_via_network(poset).rhs == beta
+
+
+def reference_correspondences(poset):
+    """The correspondence check on fresh enumerations: ``minimal_cuts``
+    and ``crossing_edges`` over the whole walk, then a frozenset scan
+    per antichain and per cut."""
+    net, _ = auxiliary_network(poset)
+    problems = []
+    paths = enumerate_paths(net)
+    chains = maximal_chains(poset)
+    chains_match = sorted(p[1:-1] for p in paths) == sorted(chains)
+    if not chains_match:
+        problems.append("stripped paths differ from maximal chains")
+    poset_edges = {e for e in net.edges if e[0] != net.source}
+    mcut_crossings = [frozenset(crossing_edges(net, c)) for c in minimal_cuts(net)]
+    in_poset_edges = [x for x in mcut_crossings if x <= poset_edges]
+    antichains = maximal_antichains(poset)
+    antichain_rt_ok = True
+    for a in antichains:
+        s_side = _cut_for_antichain(poset, net, a)
+        crossing = frozenset(e for e in net.edges if e[0] in s_side and e[1] not in s_side)
+        if not crossing <= poset_edges:
+            antichain_rt_ok = False
+            problems.append(f"cut for antichain {a} crosses a source edge")
+            continue
+        if crossing not in in_poset_edges:
+            antichain_rt_ok = False
+            problems.append(f"cut for antichain {a} is not a minimal cut")
+            continue
+        back = tuple(sorted({e[0] for e in crossing}, key=poset.elements.index))
+        if back != a:
+            antichain_rt_ok = False
+            problems.append(f"antichain {a} round-trips to {back}")
+    cut_rt_ok = True
+    for crossing in in_poset_edges:
+        sources = tuple(sorted({e[0] for e in crossing}, key=poset.elements.index))
+        if any(poset.comparable(x, y) for x, y in itertools.combinations(sources, 2)):
+            cut_rt_ok = False
+            problems.append(f"minimal cut sources {sources} are not an antichain")
+            continue
+        if sources not in antichains:
+            cut_rt_ok = False
+            problems.append(f"minimal cut sources {sources} are not a maximal antichain")
+            continue
+        s_side = _cut_for_antichain(poset, net, sources)
+        back = frozenset(e for e in net.edges if e[0] in s_side and e[1] not in s_side)
+        if back != crossing:
+            cut_rt_ok = False
+            problems.append(f"cut with sources {sources} does not round-trip")
+    bijective_counts = len(antichains) == len(in_poset_edges)
+    if not bijective_counts:
+        problems.append(
+            f"{len(antichains)} maximal antichains vs {len(in_poset_edges)} "
+            "minimal cuts over cover/sink edges"
+        )
+    return CorrespondenceReport(
+        ok=chains_match and antichain_rt_ok and cut_rt_ok and bijective_counts,
+        chain_count=len(chains),
+        path_count=len(paths),
+        chains_match_paths=chains_match,
+        antichain_count=len(antichains),
+        poset_edge_cut_count=len(in_poset_edges),
+        antichain_roundtrip_ok=antichain_rt_ok,
+        cut_roundtrip_ok=cut_rt_ok,
+        problems=tuple(problems),
+    )
+
+
+class TestCorrespondenceContract:
+    def test_random_posets_match_reference(self):
+        rng = random.Random(67)
+        broken = 0
+        for _ in range(60):
+            poset = random_weighted_poset(rng, random_distributive_lattice(rng), max_elements=12)
+            report = check_correspondences(poset)
+            assert report == reference_correspondences(poset), poset
+            broken += not report.ok
+        assert 0 < broken < 60  # both verdicts are exercised
+
+    @pytest.mark.parametrize(
+        "make",
+        [n_poset, transversal_gap_poset, complete_bipartite_poset,
+         lambda: antichain_poset(3), lambda: total_order([3, 1, 4, 2])],
+        ids=["n-poset", "transversal-gap", "bipartite-2+2", "antichain", "total-order"],
+    )
+    def test_pinned_posets_match_reference(self, make):
+        assert check_correspondences(make()) == reference_correspondences(make())
+
+
+def count_enumerations(monkeypatch, argv):
+    """Run the CLI with every binding of the enumerations wrapped, as the
+    benchmark's span recorders do. A partition walk counts only when its
+    network has none kept from an earlier call."""
+    from latticeflow import dilworth, network
+
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counted_walk(net, *args, **kwargs):
+        if getattr(net, "_crossing_masks", None) is None:
+            counts["partition walks"] += 1
+        return walk(net, *args, **kwargs)
+
+    walk = network.crossing_masks
+    wrappers = [
+        (dilworth.maximal_chains, counted("maximal_chains", dilworth.maximal_chains)),
+        (dilworth.maximal_antichains, counted("maximal_antichains", dilworth.maximal_antichains)),
+        (dilworth.auxiliary_network, counted("auxiliary_network", dilworth.auxiliary_network)),
+        (walk, counted_walk),
+    ]
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "latticeflow"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            for original, wrapper in wrappers:
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    _, code = run_command(argv)
+    return counts, code
+
+
+class TestOneEnumerationPerPoset:
+    @pytest.mark.parametrize("poset", ["competencies", "survival", "n-poset"])
+    def test_both_routes_and_correspondences_enumerate_once(self, poset, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "poset.json"
+        if poset == "n-poset":
+            path.write_text(json.dumps(instance_to_dict(Instance(n_poset().lattice, poset, poset=n_poset()))))
+        else:
+            path.write_text(gallery_source(poset))
+        counts, _ = count_enumerations(
+            monkeypatch, ["dilworth", str(path), "--method", "both", "--correspondences"]
+        )
+        assert counts == {
+            "maximal_chains": 1, "maximal_antichains": 1, "auxiliary_network": 1, "partition walks": 1,
+        }
+
+    def test_direct_route_builds_no_network(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "poset.json"
+        path.write_text(gallery_source("competencies"))
+        counts, code = count_enumerations(monkeypatch, ["dilworth", str(path), "--method", "direct"])
+        assert code == 0
+        assert counts == {"maximal_chains": 1, "maximal_antichains": 1}
+
+    def test_public_functions_still_enumerate_afresh(self):
+        poset = competency_poset()
+        assert maximal_chains(poset) is not maximal_chains(poset)
+        assert poset.chains is poset.chains
+        assert list(poset.chains) == maximal_chains(poset)
+        assert list(poset.antichains) == maximal_antichains(poset)

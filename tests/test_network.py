@@ -21,6 +21,7 @@ from latticeflow.generators import (
     random_instance,
     random_network,
 )
+from latticeflow.network import crossing_masks
 
 
 def single_edge():
@@ -151,6 +152,20 @@ class TestMinimalCuts:
             kept = [frozenset(crossing_edges(net, c)) for c in minimal_cuts(net)]
             for k in kept:
                 assert not any(other < k for other in all_crossings)
+
+
+class TestPartitionWalk:
+    def test_walk_is_kept_on_the_network(self):
+        net = gallery_instance("diamond").network
+        first = crossing_masks(net)
+        assert crossing_masks(net) is first
+        assert crossing_masks(FlowNetwork(net.vertices, net.edges, "s", "t")) == first
+
+    def test_cap_checked_on_every_call(self):
+        net = gallery_instance("pentagon").network
+        crossing_masks(net)
+        with pytest.raises(CapExceeded):
+            crossing_masks(net, max_vertices=len(net.vertices) - 1)
 
 
 class TestPathCutInteraction:
