@@ -1,17 +1,27 @@
 """Exhaustive lattice axiom checking and distributivity certification.
 
-Certification is honest about its method: small universes are checked by
-cubic enumeration of both distributive laws, while parametric kinds whose
+Certification is honest about its method: parametric kinds whose
 distributivity is structural (chains, set lattices, products of such)
-short-circuit with a "structural" certificate. Non-distributive verdicts
-carry a failing triple and a five-element pentagon/diamond sublattice
-witness extracted from the sublattice the triple generates.
+short-circuit with a "structural" certificate, and every other universe
+within the size cap is checked on every triple. The cubic scans run over
+the lattice's index tables (:meth:`Lattice.tables`) one (a, b) row at a
+time: a row compares whole lists over c, or ANDs up-set and down-set
+bitmasks, instead of making per-triple calls. The distributivity scan
+takes the first c where a row differs, so its failing triple and law are
+those of the triple-by-triple order. The axiom scan replays only the rows
+that fail through the per-triple checks on the native operations, which
+keeps its violation order, messages and truncation. Non-distributive
+verdicts carry a failing triple and a five-element pentagon/diamond
+sublattice witness, searched on indices in the sublattice the triple
+generates. :func:`find_forbidden_sublattice` stays an independent oracle:
+its five-subset scan uses the native ``_join``/``_meet``, not the tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 from .errors import UniverseTooLarge
@@ -100,6 +110,15 @@ def _guard_size(lattice: Lattice, max_size: int) -> int:
     return size
 
 
+def _gatherers(rows) -> list:
+    """For each table row r, the function taking a row x to the tuple
+    of x[i] for i in r (itemgetter does that in C, but returns a bare
+    item, not a 1-tuple, when r has one entry)."""
+    if len(rows) == 1:
+        return [lambda x, i=rows[0][0]: (x[i],)]
+    return [itemgetter(*r) for r in rows]
+
+
 def check_lattice_axioms(lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE) -> AxiomReport:
     """Exhaustively verify the lattice axioms and order consistency.
 
@@ -141,9 +160,28 @@ def check_lattice_axioms(lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE)
         if leq(a, b) and leq(b, a):
             report("antisymmetry", (a, b), f"{fmt(a)} and {fmt(b)} are mutually <= but distinct")
 
-    for a, b in itertools.product(elems, repeat=2):
+    # The pair laws and then the triple laws, checked on the index tables;
+    # a pair or an (a, b) row over every c that breaks a law is replayed
+    # on the native operations, which word and order the violations.
+    _, J, M, up, down = lattice.tables()
+    for (ia, a), (ib, b) in itertools.product(enumerate(elems), repeat=2):
         if truncated:
             break
+        jab, mab = J[ia][ib], M[ia][ib]
+        le = bool(up[ia] >> ib & 1)
+        if (
+            jab == J[ib][ia]  # join-commutativity
+            and mab == M[ib][ia]  # meet-commutativity
+            and J[ia][mab] == ia  # absorption
+            and M[ia][jab] == ia  # absorption
+            and (jab == ib) is le  # order-consistency
+            and (mab == ia) is le
+            and up[ia] >> jab & 1  # join-upper-bound
+            and up[ib] >> jab & 1
+            and down[ia] >> mab & 1  # meet-lower-bound
+            and down[ib] >> mab & 1
+        ):
+            continue
         jab, mab = join(a, b), meet(a, b)
         if jab != join(b, a):
             report("join-commutativity", (a, b), f"{fmt(a)} v {fmt(b)} != {fmt(b)} v {fmt(a)}")
@@ -164,37 +202,54 @@ def check_lattice_axioms(lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE)
         if not (leq(mab, a) and leq(mab, b)):
             report("meet-lower-bound", (a, b), f"{fmt(mab)} is not a lower bound")
 
-    for a, b, c in itertools.product(elems, repeat=3):
+    by_join, by_meet = _gatherers(J), _gatherers(M)
+    for ia, a in enumerate(elems):
         if truncated:
             break
-        if leq(a, b) and leq(b, c) and not leq(a, c):
-            report("transitivity", (a, b, c), f"{fmt(a)} <= {fmt(b)} <= {fmt(c)} but not {fmt(a)} <= {fmt(c)}")
-            continue
-        if join(a, join(b, c)) != join(join(a, b), c):
-            report("join-associativity", (a, b, c), "join associativity fails")
-        if meet(a, meet(b, c)) != meet(meet(a, b), c):
-            report("meet-associativity", (a, b, c), "meet associativity fails")
-        if leq(a, c) and leq(b, c) and not leq(join(a, b), c):
-            report("join-least-upper-bound", (a, b, c), f"{fmt(join(a,b))} not least among upper bounds")
-        if leq(c, a) and leq(c, b) and not leq(c, meet(a, b)):
-            report("meet-greatest-lower-bound", (a, b, c), f"{fmt(meet(a,b))} not greatest among lower bounds")
+        Ja, Ma, up_a, down_a = J[ia], M[ia], up[ia], down[ia]
+        for ib, b in enumerate(elems):
+            if truncated:
+                break
+            jab, mab = Ja[ib], Ma[ib]
+            if (
+                not (up_a >> ib & 1 and up[ib] & ~up_a)  # transitivity
+                and by_join[ib](Ja) == J[jab]  # join-associativity
+                and by_meet[ib](Ma) == M[mab]  # meet-associativity
+                and not up_a & up[ib] & ~up[jab]  # join-least-upper-bound
+                and not down_a & down[ib] & ~down[mab]  # meet-greatest-lower-bound
+            ):
+                continue
+            for c in elems:
+                if truncated:
+                    break
+                if leq(a, b) and leq(b, c) and not leq(a, c):
+                    report("transitivity", (a, b, c), f"{fmt(a)} <= {fmt(b)} <= {fmt(c)} but not {fmt(a)} <= {fmt(c)}")
+                    continue
+                if join(a, join(b, c)) != join(join(a, b), c):
+                    report("join-associativity", (a, b, c), "join associativity fails")
+                if meet(a, meet(b, c)) != meet(meet(a, b), c):
+                    report("meet-associativity", (a, b, c), "meet associativity fails")
+                if leq(a, c) and leq(b, c) and not leq(join(a, b), c):
+                    report("join-least-upper-bound", (a, b, c), f"{fmt(join(a,b))} not least among upper bounds")
+                if leq(c, a) and leq(c, b) and not leq(c, meet(a, b)):
+                    report("meet-greatest-lower-bound", (a, b, c), f"{fmt(meet(a,b))} not greatest among lower bounds")
 
     return AxiomReport(ok=not violations, size=size, violations=tuple(violations), truncated=truncated)
 
 
-def _sublattice_closure(lattice: Lattice, seeds) -> list:
+def _sublattice_closure(join: tuple, meet: tuple, seeds) -> list[int]:
+    """Indices of the sublattice the seed indices generate, in element order."""
     current = set(seeds)
     while True:
         new = set()
-        for a, b in itertools.combinations(sorted(current, key=lattice.element_list().index), 2):
-            for x in (lattice._join(a, b), lattice._meet(a, b)):
+        for a, b in itertools.combinations(current, 2):
+            for x in (join[a][b], meet[a][b]):
                 if x not in current:
                     new.add(x)
         if not new:
             break
         current |= new
-    order = {x: i for i, x in enumerate(lattice.element_list())}
-    return sorted(current, key=order.__getitem__)
+    return sorted(current)
 
 
 def _classify_five(lattice: Lattice, five: tuple) -> SublatticeWitness | None:
@@ -238,12 +293,41 @@ def _classify_five(lattice: Lattice, five: tuple) -> SublatticeWitness | None:
     return None
 
 
-def _witness_from_triple(lattice: Lattice, triple) -> SublatticeWitness | None:
-    closure = _sublattice_closure(lattice, triple)
-    for five in itertools.combinations(closure, 5):
-        wit = _classify_five(lattice, five)
-        if wit is not None:
-            return wit
+def _witness_from_triple(lattice: Lattice, triple: tuple[int, int, int]) -> SublatticeWitness | None:
+    """The first N5/M3 five-subset, in ``combinations`` order, of the
+    sublattice the triple of indices generates. Subsets not closed under
+    the tables' join and meet are passed over before classification."""
+    elems, J, M, _, _ = lattice.tables()
+    for five in itertools.combinations(_sublattice_closure(J, M, triple), 5):
+        if all(J[x][y] in five and M[x][y] in five for x, y in itertools.combinations(five, 2)):
+            wit = _classify_five(lattice, tuple(elems[i] for i in five))
+            if wit is not None:
+                return wit
+    return None
+
+
+def _first_difference(xs: tuple, ys: tuple) -> int:
+    """The first position where xs and ys differ, or their length."""
+    if xs == ys:
+        return len(xs)
+    return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
+
+
+def _first_distributive_failure(lattice: Lattice) -> tuple[tuple[int, int, int], str] | None:
+    """Indices of the first triple, in product order, where a distributive
+    law fails, and the law; meet-over-join is checked first on a triple.
+    Each (a, b) row compares both laws over every c at once."""
+    elems, J, M, _, _ = lattice.tables()
+    n = len(elems)
+    by_join, by_meet = _gatherers(J), _gatherers(M)
+    for ia, (Ja, Ma) in enumerate(zip(J, M)):
+        for ib in range(n):
+            # meet(a, join(b, c)) against join(meet(a, b), meet(a, c))
+            c1 = _first_difference(by_join[ib](Ma), by_meet[ia](J[Ma[ib]]))
+            # join(a, meet(b, c)) against meet(join(a, b), join(a, c))
+            c2 = _first_difference(by_meet[ib](Ja), by_join[ia](M[Ja[ib]]))
+            if c1 < n or c2 < n:
+                return ((ia, ib, c1), "meet-over-join") if c1 <= c2 else ((ia, ib, c2), "join-over-meet")
     return None
 
 
@@ -264,30 +348,19 @@ def check_distributive(
         lattice._distributivity_cert = cert
         return cert
     _guard_size(lattice, max_size)
-    elems = lattice.element_list()
-    join, meet = lattice._join, lattice._meet
-    cert = None
-    for a, b, c in itertools.product(elems, repeat=3):
-        if meet(a, join(b, c)) != join(meet(a, b), meet(a, c)):
-            cert = DistributivityCertificate(
-                False,
-                "exhaustive",
-                witness_triple=(a, b, c),
-                failed_law="meet-over-join",
-                sublattice=_witness_from_triple(lattice, (a, b, c)),
-            )
-            break
-        if join(a, meet(b, c)) != meet(join(a, b), join(a, c)):
-            cert = DistributivityCertificate(
-                False,
-                "exhaustive",
-                witness_triple=(a, b, c),
-                failed_law="join-over-meet",
-                sublattice=_witness_from_triple(lattice, (a, b, c)),
-            )
-            break
-    if cert is None:
+    failure = _first_distributive_failure(lattice)
+    if failure is None:
         cert = DistributivityCertificate(True, "exhaustive")
+    else:
+        triple, law = failure
+        elems = lattice.element_list()
+        cert = DistributivityCertificate(
+            False,
+            "exhaustive",
+            witness_triple=tuple(elems[i] for i in triple),
+            failed_law=law,
+            sublattice=_witness_from_triple(lattice, triple),
+        )
     lattice._distributivity_cert = cert
     return cert
 

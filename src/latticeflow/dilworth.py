@@ -15,11 +15,12 @@ antichain {b, c} misses the maximal chain {a, d}), while the
 five-element poset a<b<e, a<c, d<e satisfies it and still has the
 minimal chain transversal {a, e}, which is not an antichain.
 
-Each poset is enumerated once: it keeps its chains, antichains and
-auxiliary network, and the network keeps its partition walk. The routes
-share only lists that were already identical and the walk, between the
-cut side and the cut round trip; lhs and rhs still come from each
-route's own folds, and paths are still checked against chains.
+Each poset is enumerated and folded once: it keeps its chains,
+antichains, auxiliary network and direct report, and the network keeps
+its partition walk. The routes share only lists that were already
+identical and the walk, between the cut side and the cut round trip; lhs
+and rhs still come from each route's own folds, and paths are still
+checked against chains.
 """
 
 from __future__ import annotations
@@ -216,12 +217,18 @@ class DilworthReport:
 
 
 def dilworth_direct(poset: WeightedPoset) -> DilworthReport:
-    """Both duality sides by direct enumeration of chains and antichains."""
+    """Both duality sides by direct enumeration of chains and antichains.
+
+    The folds run once per poset: the report is kept on ``poset`` and
+    returned by later calls, as the network keeps its partition walk."""
+    cached = getattr(poset, "_direct_report", None)
+    if cached is not None:
+        return cached
     chain_values = [chain_value(poset, c) for c in poset.chains]
     antichain_values = [antichain_value(poset, a) for a in poset.antichains]
     lhs = poset.lattice.join_all(chain_values)
     rhs = poset.lattice.meet_all(antichain_values)
-    return DilworthReport(
+    poset._direct_report = DilworthReport(
         lhs=lhs,
         rhs=rhs,
         equal=lhs == rhs,
@@ -231,6 +238,7 @@ def dilworth_direct(poset: WeightedPoset) -> DilworthReport:
         antichain_values=tuple(antichain_values),
         method="direct",
     )
+    return poset._direct_report
 
 
 def _fresh_name(base: str, taken) -> str:

@@ -18,7 +18,7 @@ import itertools
 import math
 from collections.abc import Hashable
 from functools import reduce
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MismatchError, NoBottomError, UniverseTooLarge
 from .orderutils import (
@@ -30,6 +30,21 @@ from .orderutils import (
 Element = Any
 
 _EMPTY = object()
+
+
+class LatticeTables(NamedTuple):
+    """A finite lattice compiled to indices into ``elements``.
+
+    ``join[i][j]`` and ``meet[i][j]`` are the indices of the join and the
+    meet of elements i and j. Bit j of ``up[i]`` is set when i <= j, and
+    bit j of ``down[i]`` when j <= i.
+    """
+
+    elements: tuple
+    join: tuple[tuple[int, ...], ...]
+    meet: tuple[tuple[int, ...], ...]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
 
 
 class Lattice:
@@ -91,6 +106,48 @@ class Lattice:
         if cached is None:
             cached = tuple(self.elements())
             self._element_cache = cached
+        return cached
+
+    def tables(self) -> LatticeTables:
+        """The universe compiled to index tables, one ``_join``, ``_meet``
+        and ``_leq`` call per ordered pair, built on first use and kept.
+
+        Raises RuntimeError if a join or meet lies outside the universe:
+        that is a fault in the lattice kind, and no index may stand for it.
+        """
+        cached = getattr(self, "_tables_cache", None)
+        if cached is not None:
+            return cached
+        elems = self.element_list()
+        index = {x: i for i, x in enumerate(elems)}
+
+        def row(op, a) -> tuple[int, ...]:
+            out = []
+            for b in elems:
+                x = op(a, b)
+                try:
+                    out.append(index[x])
+                except (KeyError, TypeError):
+                    raise RuntimeError(
+                        f"{self.describe()}: {op.__name__}({a!r}, {b!r}) = {x!r} is not an element"
+                    ) from None
+            return tuple(out)
+
+        up = [0] * len(elems)
+        down = [0] * len(elems)
+        for i, a in enumerate(elems):
+            for j, b in enumerate(elems):
+                if self._leq(a, b):
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
+        cached = LatticeTables(
+            elems,
+            tuple(row(self._join, a) for a in elems),
+            tuple(row(self._meet, a) for a in elems),
+            tuple(up),
+            tuple(down),
+        )
+        self._tables_cache = cached
         return cached
 
     def bottom(self) -> Element | None:
@@ -646,7 +703,9 @@ class ExplicitLattice(Lattice):
     transitivity, reflexivity, ...) is representable; the axiom checker in
     :mod:`latticeflow.certify` is the place that flags it. Join and meet
     pick a deterministic minimal upper / maximal lower bound so they stay
-    total even on corrupted tables.
+    total even on corrupted tables. They are read off bitmasks over element
+    indices: bit j of ``_up_mask[i]`` is set when i <= j by the table, and
+    bit j of ``_down_mask[i]`` when j <= i.
     """
 
     kind = "explicit"
@@ -672,8 +731,18 @@ class ExplicitLattice(Lattice):
             up[a].add(b)
         self._up = {x: frozenset(s) for x, s in up.items()}
         self._covers = tuple(covers) if covers is not None else None
-        self._join_table: dict = {}
-        self._meet_table: dict = {}
+        self._up_mask = [0] * len(elems)
+        self._down_mask = [0] * len(elems)
+        for i, x in enumerate(elems):
+            for y in self._up[x]:
+                j = self._index[y]
+                self._up_mask[i] |= 1 << j
+                self._down_mask[j] |= 1 << i
+        # The element whose up-set (down-set) is the mask, among those that
+        # are <= themselves with nothing else both above and below them.
+        clean = [i for i in range(len(elems)) if self._up_mask[i] & self._down_mask[i] == 1 << i]
+        self._up_owner = {self._up_mask[i]: i for i in clean}
+        self._down_owner = {self._down_mask[i]: i for i in clean}
 
     @classmethod
     def from_covers(cls, elements: Sequence[str], covers: Iterable[tuple[str, str]]):
@@ -697,20 +766,36 @@ class ExplicitLattice(Lattice):
         return b in self._up[a]
 
     def _bound(self, a, b, upper: bool):
-        table = self._join_table if upper else self._meet_table
-        key = (a, b) if self._index[a] <= self._index[b] else (b, a)
-        hit = table.get(key)
-        if hit is not None:
-            return hit
+        """The lowest-index minimal common upper bound (maximal lower bound
+        when not ``upper``); failing that the lowest-index common bound;
+        failing that the lower-index one of ``a`` and ``b``."""
+        i, j = self._index[a], self._index[b]
+        # a candidate v is passed over when some other candidate u lies
+        # between it and a, b: v is in farther[u] and u in nearer[v]
         if upper:
-            cands = [z for z in self._elements if self._leq(a, z) and self._leq(b, z)]
-            best = [u for u in cands if not any(v != u and self._leq(v, u) for v in cands)]
+            cands, nearer, farther, owner = (
+                self._up_mask[i] & self._up_mask[j], self._down_mask, self._up_mask, self._up_owner
+            )
         else:
-            cands = [z for z in self._elements if self._leq(z, a) and self._leq(z, b)]
-            best = [u for u in cands if not any(v != u and self._leq(u, v) for v in cands)]
-        out = best[0] if best else (cands[0] if cands else a)
-        table[key] = out
-        return out
+            cands, nearer, farther, owner = (
+                self._down_mask[i] & self._down_mask[j], self._up_mask, self._down_mask, self._down_owner
+            )
+        # In a lattice the candidates are exactly farther[u] for the bound u.
+        # When they are and u is clean, u is a candidate, every other one
+        # lies beyond u and none lies nearer: u is the only minimal one.
+        u = owner.get(cands)
+        if u is not None:
+            return self._elements[u]
+        rest = cands
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            if not nearer[u] & cands & ~low:
+                return self._elements[u]
+            rest &= ~(farther[u] | low)
+        if cands:
+            return self._elements[(cands & -cands).bit_length() - 1]
+        return self._elements[min(i, j)]
 
     def _join(self, a, b):
         return self._bound(a, b, upper=True)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,8 @@ from latticeflow import (
     check_lattice_axioms,
     find_forbidden_sublattice,
 )
-from latticeflow.generators import random_explicit_lattice
+from latticeflow.certify import AxiomReport, AxiomViolation, DistributivityCertificate, _classify_five
+from latticeflow.generators import random_any_lattice, random_explicit_lattice
 
 
 class TestAxioms:
@@ -124,3 +126,267 @@ class TestForbiddenSublattice:
             cert = check_distributive(L)
             wit = find_forbidden_sublattice(L)
             assert cert.distributive == (wit is None), L.spec()
+
+
+# -- row scans against the triple-by-triple checks they replace --------------
+
+
+def reference_bound(L: ExplicitLattice, a, b, upper: bool):
+    """``ExplicitLattice._bound`` as a list scan with an O(c^2) minimality
+    filter. Its last resort is the lower-index one of a and b: the old
+    scan returned its first argument, but kept the answer for both
+    argument orders, and the axiom check asked with the lower index first."""
+    if L._index[b] < L._index[a]:
+        a, b = b, a
+    if upper:
+        cands = [z for z in L._elements if L._leq(a, z) and L._leq(b, z)]
+        best = [u for u in cands if not any(v != u and L._leq(v, u) for v in cands)]
+    else:
+        cands = [z for z in L._elements if L._leq(z, a) and L._leq(z, b)]
+        best = [u for u in cands if not any(v != u and L._leq(u, v) for v in cands)]
+    return best[0] if best else (cands[0] if cands else a)
+
+
+def reference_axioms(lattice, max_size: int = 512) -> AxiomReport:
+    """``check_lattice_axioms`` checking every pair and triple on the
+    native operations, one at a time."""
+    size = lattice.size()
+    if size > max_size:
+        raise UniverseTooLarge(lattice.describe())
+    elems = lattice.element_list()
+    violations = []
+    truncated = False
+
+    def report(law, witness, message) -> bool:
+        nonlocal truncated
+        if len(violations) >= 25:
+            truncated = True
+            return True
+        violations.append(AxiomViolation(law, witness, message))
+        return False
+
+    leq, join, meet = lattice._leq, lattice._join, lattice._meet
+    fmt = lattice.format
+
+    for a in elems:
+        if not leq(a, a):
+            if report("reflexivity", (a,), f"{fmt(a)} <= {fmt(a)} fails"):
+                break
+        if join(a, a) != a:
+            if report("join-idempotence", (a,), f"{fmt(a)} v {fmt(a)} != {fmt(a)}"):
+                break
+        if meet(a, a) != a:
+            if report("meet-idempotence", (a,), f"{fmt(a)} ^ {fmt(a)} != {fmt(a)}"):
+                break
+
+    for a, b in itertools.combinations(elems, 2):
+        if truncated:
+            break
+        if leq(a, b) and leq(b, a):
+            report("antisymmetry", (a, b), f"{fmt(a)} and {fmt(b)} are mutually <= but distinct")
+
+    for a, b in itertools.product(elems, repeat=2):
+        if truncated:
+            break
+        jab, mab = join(a, b), meet(a, b)
+        if jab != join(b, a):
+            report("join-commutativity", (a, b), f"{fmt(a)} v {fmt(b)} != {fmt(b)} v {fmt(a)}")
+        if mab != meet(b, a):
+            report("meet-commutativity", (a, b), f"{fmt(a)} ^ {fmt(b)} != {fmt(b)} ^ {fmt(a)}")
+        if join(a, mab) != a:
+            report("absorption", (a, b), f"{fmt(a)} v ({fmt(a)} ^ {fmt(b)}) != {fmt(a)}")
+        if meet(a, jab) != a:
+            report("absorption", (a, b), f"{fmt(a)} ^ ({fmt(a)} v {fmt(b)}) != {fmt(a)}")
+        if leq(a, b) != (jab == b) or leq(a, b) != (mab == a):
+            report(
+                "order-consistency",
+                (a, b),
+                f"leq({fmt(a)},{fmt(b)}), join={fmt(jab)}, meet={fmt(mab)} disagree",
+            )
+        if not (leq(a, jab) and leq(b, jab)):
+            report("join-upper-bound", (a, b), f"{fmt(jab)} is not an upper bound")
+        if not (leq(mab, a) and leq(mab, b)):
+            report("meet-lower-bound", (a, b), f"{fmt(mab)} is not a lower bound")
+
+    for a, b, c in itertools.product(elems, repeat=3):
+        if truncated:
+            break
+        if leq(a, b) and leq(b, c) and not leq(a, c):
+            report("transitivity", (a, b, c), f"{fmt(a)} <= {fmt(b)} <= {fmt(c)} but not {fmt(a)} <= {fmt(c)}")
+            continue
+        if join(a, join(b, c)) != join(join(a, b), c):
+            report("join-associativity", (a, b, c), "join associativity fails")
+        if meet(a, meet(b, c)) != meet(meet(a, b), c):
+            report("meet-associativity", (a, b, c), "meet associativity fails")
+        if leq(a, c) and leq(b, c) and not leq(join(a, b), c):
+            report("join-least-upper-bound", (a, b, c), f"{fmt(join(a,b))} not least among upper bounds")
+        if leq(c, a) and leq(c, b) and not leq(c, meet(a, b)):
+            report("meet-greatest-lower-bound", (a, b, c), f"{fmt(meet(a,b))} not greatest among lower bounds")
+
+    return AxiomReport(ok=not violations, size=size, violations=tuple(violations), truncated=truncated)
+
+
+def reference_witness(lattice, triple):
+    """The first N5/M3 five-subset of the element closure of the triple."""
+    order = {x: i for i, x in enumerate(lattice.element_list())}
+    current = set(triple)
+    while True:
+        new = {
+            x
+            for a, b in itertools.combinations(current, 2)
+            for x in (lattice._join(a, b), lattice._meet(a, b))
+            if x not in current
+        }
+        if not new:
+            break
+        current |= new
+    for five in itertools.combinations(sorted(current, key=order.__getitem__), 5):
+        wit = _classify_five(lattice, five)
+        if wit is not None:
+            return wit
+    return None
+
+
+def reference_distributive(lattice) -> DistributivityCertificate:
+    """``check_distributive`` triple by triple on the native operations,
+    without its certificate cache."""
+    if lattice.known_distributive:
+        return DistributivityCertificate(True, "structural")
+    join, meet = lattice._join, lattice._meet
+    for a, b, c in itertools.product(lattice.element_list(), repeat=3):
+        for law, holds in (
+            ("meet-over-join", meet(a, join(b, c)) == join(meet(a, b), meet(a, c))),
+            ("join-over-meet", join(a, meet(b, c)) == meet(join(a, b), join(a, c))),
+        ):
+            if not holds:
+                return DistributivityCertificate(
+                    False, "exhaustive", (a, b, c), law, reference_witness(lattice, (a, b, c))
+                )
+    return DistributivityCertificate(True, "exhaustive")
+
+
+def corrupted_tables(seed: int, count: int):
+    """Relation tables of at most 8 elements used verbatim: random
+    relations, and order tables of random lattices with a few pairs
+    flipped, so that most but not all laws hold."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 3 == 0:
+            elems = [f"x{k}" for k in range(rng.randint(1, 8))]
+            density = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+            pairs = {(a, b) for a in elems for b in elems if rng.random() < density}
+        else:
+            L = random_explicit_lattice(rng, max_size=8)
+            elems = list(L.element_list())
+            pairs = {(a, b) for a in elems for b in elems if L.leq(a, b)}
+            for _ in range(rng.randint(1, 2)):
+                pairs ^= {(rng.choice(elems), rng.choice(elems))}
+        yield ExplicitLattice.from_relation(elems, sorted(pairs))
+
+
+def explicit_copy(L) -> ExplicitLattice:
+    """The same order as an explicit table, so no structural shortcut applies."""
+    elems = L.element_list()
+    names = [f"e{i}" for i in range(len(elems))]
+    pairs = [(names[i], names[j]) for i, a in enumerate(elems) for j, b in enumerate(elems) if L._leq(a, b)]
+    return ExplicitLattice.from_relation(names, pairs)
+
+
+class RiggedPowerset(PowersetLattice):
+    """A powerset whose join or meet gives a chosen answer on some ordered
+    pairs, so that one pair law fails with every other pair law holding."""
+
+    known_distributive = False
+
+    def __init__(self, atoms, joins=(), meets=()):
+        super().__init__(atoms)
+        self.joins = {(frozenset(a), frozenset(b)): frozenset(x) for a, b, x in joins}
+        self.meets = {(frozenset(a), frozenset(b)): frozenset(x) for a, b, x in meets}
+
+    def _join(self, a, b):
+        return self.joins.get((a, b), a | b)
+
+    def _meet(self, a, b):
+        return self.meets.get((a, b), a & b)
+
+
+def rigged_lattices():
+    # at the pair ({x}, {x,y}) only join-commutativity fails
+    yield RiggedPowerset("xy", joins=[("xy", "x", "y")])
+    # at the pair ({x}, {x,y}) only meet-commutativity fails
+    yield RiggedPowerset("xy", meets=[("xy", "x", "y")])
+    # at the pair ({x}, {y}) only join-upper-bound fails
+    yield RiggedPowerset("xyz", joins=[("x", "y", "xz"), ("y", "x", "xz")])
+    # at the pair ({x,y}, {y,z}) only meet-lower-bound fails
+    yield RiggedPowerset("xyz", meets=[("xy", "yz", "x"), ("yz", "xy", "x")])
+
+
+def contract_lattices():
+    from test_acceptance import _builtin_lattices
+
+    yield from _builtin_lattices()
+    yield from rigged_lattices()
+    rng = random.Random(17)
+    for _ in range(30):
+        yield random_explicit_lattice(rng)
+    rng = random.Random(19)
+    for _ in range(20):
+        L = random_any_lattice(rng)
+        if L.size() <= 24:
+            yield L
+            yield explicit_copy(L)
+    yield from corrupted_tables(23, 40)
+
+
+class TestTableContract:
+    @pytest.mark.parametrize("L", list(contract_lattices()), ids=lambda L: L.describe())
+    def test_tables_equal_native_ops_on_every_pair(self, L):
+        elems, J, M, up, down = L.tables()
+        assert elems == L.element_list()
+        assert L.tables() is L.tables()
+        for i, a in enumerate(elems):
+            for j, b in enumerate(elems):
+                assert elems[J[i][j]] == L._join(a, b)
+                assert elems[M[i][j]] == L._meet(a, b)
+                assert bool(up[i] >> j & 1) == L._leq(a, b)
+                assert bool(down[j] >> i & 1) == L._leq(a, b)
+
+    def test_bitmask_bound_matches_list_scan(self):
+        lattices = [L for L in contract_lattices() if isinstance(L, ExplicitLattice)]
+        lattices += corrupted_tables(29, 200)
+        for L in lattices:
+            for a, b in itertools.product(L.element_list(), repeat=2):
+                assert L._join(a, b) == reference_bound(L, a, b, upper=True), (L.spec(), a, b)
+                assert L._meet(a, b) == reference_bound(L, a, b, upper=False), (L.spec(), a, b)
+
+    def test_result_outside_the_universe_raises(self):
+        class Leaky(ChainLattice):
+            def _join(self, a, b):
+                return self.levels if {a, b} == {1, 2} else super()._join(a, b)
+
+        with pytest.raises(RuntimeError, match="is not an element"):
+            Leaky(4).tables()
+
+
+class TestReportContract:
+    def test_corrupted_tables(self):
+        checked = with_violations = 0
+        for L in corrupted_tables(31, 1000):
+            report = check_lattice_axioms(L)
+            assert report == reference_axioms(L), L.spec()
+            assert check_distributive(L) == reference_distributive(L), L.spec()
+            checked += 1
+            with_violations += not report.ok
+        assert checked == 1000 and with_violations > 700
+
+    def test_lattice_draws(self):
+        for L in contract_lattices():
+            assert check_lattice_axioms(L) == reference_axioms(L), L.describe()
+            assert check_distributive(L) == reference_distributive(L), L.describe()
+
+    def test_truncated_report(self):
+        L = ExplicitLattice.from_relation([f"y{i}" for i in range(8)], [])
+        report = check_lattice_axioms(L)
+        assert report.truncated and len(report.violations) == 25
+        assert report == reference_axioms(L)
+        assert check_distributive(L) == reference_distributive(L)

@@ -491,6 +491,33 @@ class TestOneEnumerationPerPoset:
         assert code == 0
         assert counts == {"maximal_chains": 1, "maximal_antichains": 1}
 
+    @pytest.mark.parametrize("method", ["both", "network"])
+    def test_each_chain_and_antichain_is_folded_once(self, method, monkeypatch, tmp_path, capsys):
+        from latticeflow import cli, dilworth
+
+        path = tmp_path / "poset.json"
+        path.write_text(gallery_source("competencies"))
+        folds = Counter()
+        for name in ("chain_value", "antichain_value"):
+            def counted(poset, items, name=name, fn=getattr(dilworth, name)):
+                folds[name] += 1
+                return fn(poset, items)
+            monkeypatch.setattr(dilworth, name, counted)
+        fresh_from_cli = []
+        direct = cli.dilworth_direct
+
+        def cli_direct(poset):
+            fresh_from_cli.append(getattr(poset, "_direct_report", None) is None)
+            return direct(poset)
+
+        monkeypatch.setattr(cli, "dilworth_direct", cli_direct)
+        report, code = run_command(["dilworth", str(path), "--method", method, "--format", "json"])
+        assert code == 0
+        listed = report["network"]
+        assert folds == {"chain_value": len(listed["chains"]), "antichain_value": len(listed["antichains"])}
+        # with both routes the CLI's own call is the one that folds
+        assert fresh_from_cli == ([True] if method == "both" else [])
+
     def test_public_functions_still_enumerate_afresh(self):
         poset = competency_poset()
         assert maximal_chains(poset) is not maximal_chains(poset)
