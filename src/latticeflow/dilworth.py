@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Mapping
 
 from .bottleneck import verify_duality
@@ -42,11 +42,7 @@ from .network import (
     set_bits,
 )
 from .network import crossing_edges, minimal_cuts  # noqa: F401  (unused here; perfbench/spans.py wraps these bindings)
-from .orderutils import (
-    antisymmetry_violation,
-    covers_from_closure,
-    reflexive_transitive_closure,
-)
+from .orderutils import closure, cover_masks, first_cycle, relation_masks, transpose
 
 DEFAULT_MAX_CHAINS = 1_000_000
 DEFAULT_MAX_POSET = 20
@@ -58,7 +54,8 @@ class WeightedPoset:
     Order input may be cover pairs or any relation pairs; the transitive
     closure is taken and the stored cover relation is its transitive
     reduction, so Hasse-diagram-style input round-trips unchanged. Covers,
-    like minimal and maximal elements, are listed in element order.
+    like minimal and maximal elements, are listed in element order. The
+    order is kept as up-set, down-set and cover masks (see ``orderutils``).
     """
 
     def __init__(
@@ -80,10 +77,12 @@ class WeightedPoset:
                 raise ValueError(f"order pair ({a!r}, {b!r}) mentions unknown elements")
             if a == b:
                 raise ValueError(f"order pair ({a!r}, {b!r}) is reflexive")
-        up = reflexive_transitive_closure(elems, relations)
-        bad = antisymmetry_violation(up)
+        index = {x: i for i, x in enumerate(elems)}
+        up = closure(relation_masks(index, relations))
+        down = transpose(up)
+        bad = first_cycle(up, down)
         if bad is not None:
-            raise ValueError(f"order relation has a cycle through {bad}")
+            raise ValueError(f"order relation has a cycle through {tuple(elems[i] for i in bad)}")
         missing = [x for x in elems if x not in weights]
         if missing:
             raise ValueError(f"elements without weights: {missing}")
@@ -92,27 +91,26 @@ class WeightedPoset:
         self.elements = elems
         self.lattice = lattice
         self.weights = {x: weights[x] for x in elems}
+        self._index = index
         self._up = up
-        self.covers = tuple(covers_from_closure(elems, up))
+        self._down = down
+        self._cover = cover_masks(up)
+        self.covers = tuple((x, elems[j]) for x, c in zip(elems, self._cover) for j in set_bits(c))
 
     def leq(self, x: str, y: str) -> bool:
-        return y in self._up[x]
+        return bool(self._up[self._index[x]] >> self._index[y] & 1)
 
     def comparable(self, x: str, y: str) -> bool:
         return self.leq(x, y) or self.leq(y, x)
 
     def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(
-            x for x in self.elements if not any(y != x and self.leq(y, x) for y in self.elements)
-        )
+        return tuple(x for i, x in enumerate(self.elements) if self._down[i] == 1 << i)
 
     def maximal_elements(self) -> tuple[str, ...]:
-        return tuple(
-            x for x in self.elements if not any(y != x and self.leq(x, y) for y in self.elements)
-        )
+        return tuple(x for i, x in enumerate(self.elements) if self._up[i] == 1 << i)
 
     def cover_successors(self, x: str) -> tuple[str, ...]:
-        return tuple(b for a, b in self.covers if a == x)
+        return tuple(self.elements[j] for j in set_bits(self._cover[self._index[x]]))
 
     # each runs once per poset, through the module function (whose binding spans wrap)
     chains = cached_property(lambda self: tuple(maximal_chains(self)))
@@ -163,10 +161,7 @@ def maximal_antichains(
     if n > max_elements:
         raise CapExceeded(f"antichain enumeration capped at {max_elements} elements")
     elems = poset.elements
-    apart = [
-        sum(1 << j for j, y in enumerate(elems) if j != i and not poset.comparable(x, y))
-        for i, x in enumerate(elems)
-    ]
+    apart = [((1 << n) - 1) & ~(u | d) for u, d in zip(poset._up, poset._down)]
     cliques: list[int] = []
 
     def extend(clique: int, candidates: int, excluded: int) -> None:
@@ -321,8 +316,8 @@ class CorrespondenceReport:
 def _cut_for_antichain(poset: WeightedPoset, net: FlowNetwork, antichain) -> frozenset:
     """Source side of the cut induced by an antichain: the source vertex
     plus everything weakly below some antichain member."""
-    below = {x for x in poset.elements if any(poset.leq(x, a) for a in antichain)}
-    return frozenset({net.source} | below)
+    below = reduce(int.__or__, (poset._down[poset._index[a]] for a in antichain), 0)
+    return frozenset({net.source, *(poset.elements[i] for i in set_bits(below))})
 
 
 def check_correspondences(poset: WeightedPoset) -> CorrespondenceReport:

@@ -21,11 +21,7 @@ from functools import reduce
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MismatchError, NoBottomError, UniverseTooLarge
-from .orderutils import (
-    antisymmetry_violation,
-    covers_from_closure,
-    reflexive_transitive_closure,
-)
+from .orderutils import closure, cover_masks, first_cycle, relation_masks, set_bits, transpose
 
 Element = Any
 
@@ -108,9 +104,15 @@ class Lattice:
             self._element_cache = cached
         return cached
 
+    def _up_masks(self) -> list[int]:
+        """Up-set bitmasks over ``element_list()``, one ``_leq`` call per
+        ordered pair; kinds that hold them already return theirs."""
+        elems = self.element_list()
+        return [sum(1 << j for j, b in enumerate(elems) if self._leq(a, b)) for a in elems]
+
     def tables(self) -> LatticeTables:
-        """The universe compiled to index tables, one ``_join``, ``_meet``
-        and ``_leq`` call per ordered pair, built on first use and kept.
+        """The universe compiled to index tables, one ``_join`` and
+        ``_meet`` call per ordered pair, built on first use and kept.
 
         Raises RuntimeError if a join or meet lies outside the universe:
         that is a fault in the lattice kind, and no index may stand for it.
@@ -133,19 +135,13 @@ class Lattice:
                     ) from None
             return tuple(out)
 
-        up = [0] * len(elems)
-        down = [0] * len(elems)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                if self._leq(a, b):
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
+        up = self._up_masks()
         cached = LatticeTables(
             elems,
             tuple(row(self._join, a) for a in elems),
             tuple(row(self._meet, a) for a in elems),
             tuple(up),
-            tuple(down),
+            tuple(transpose(up)),
         )
         self._tables_cache = cached
         return cached
@@ -508,22 +504,19 @@ class DownsetLattice(Lattice):
             raise UniverseTooLarge(
                 f"downset lattice over {len(base)} elements is too large to enumerate"
             )
-        up = reflexive_transitive_closure(base, relations)
-        bad = antisymmetry_violation(up)
+        up = closure(relation_masks({x: i for i, x in enumerate(base)}, relations))
+        down = transpose(up)
+        bad = first_cycle(up, down)
         if bad is not None:
-            raise ValueError(f"relation is not a partial order: cycle through {bad}")
+            raise ValueError(f"relation is not a partial order: cycle through {tuple(base[i] for i in bad)}")
         self.base = base
-        self._up = up
-        self._covers = tuple(covers_from_closure(base, up))
-        down = {x: frozenset(y for y in base if x in up[y]) for x in base}
-        universe = []
-        n = len(base)
-        for mask in range(2**n):
-            s = frozenset(base[i] for i in range(n) if mask >> i & 1)
-            if all(down[x] <= s for x in s):
-                universe.append(s)
-        self._universe = tuple(universe)
-        self._uset = frozenset(universe)
+        self._covers = tuple((base[i], base[j]) for i, c in enumerate(cover_masks(up)) for j in set_bits(c))
+        self._universe = tuple(
+            frozenset(base[i] for i in set_bits(mask))
+            for mask in range(2 ** len(base))
+            if not any(down[i] & ~mask for i in set_bits(mask))
+        )
+        self._uset = frozenset(self._universe)
 
     def __contains__(self, x):
         return x in self._uset
@@ -724,20 +717,9 @@ class ExplicitLattice(Lattice):
             raise ValueError("explicit lattice needs at least one element")
         self._elements = elems
         self._index = {x: i for i, x in enumerate(elems)}
-        up: dict[str, set] = {x: set() for x in elems}
-        for a, b in leq_pairs:
-            if a not in self._index or b not in self._index:
-                raise ValueError(f"order pair ({a!r}, {b!r}) mentions unknown elements")
-            up[a].add(b)
-        self._up = {x: frozenset(s) for x, s in up.items()}
+        self._up_mask = relation_masks(self._index, leq_pairs)
+        self._down_mask = transpose(self._up_mask)
         self._covers = tuple(covers) if covers is not None else None
-        self._up_mask = [0] * len(elems)
-        self._down_mask = [0] * len(elems)
-        for i, x in enumerate(elems):
-            for y in self._up[x]:
-                j = self._index[y]
-                self._up_mask[i] |= 1 << j
-                self._down_mask[j] |= 1 << i
         # The element whose up-set (down-set) is the mask, among those that
         # are <= themselves with nothing else both above and below them.
         clean = [i for i in range(len(elems)) if self._up_mask[i] & self._down_mask[i] == 1 << i]
@@ -747,12 +729,7 @@ class ExplicitLattice(Lattice):
     @classmethod
     def from_covers(cls, elements: Sequence[str], covers: Iterable[tuple[str, str]]):
         covers = [tuple(c) for c in covers]
-        up = reflexive_transitive_closure(tuple(elements), covers)
-        bad = antisymmetry_violation(up)
-        if bad is not None:
-            raise ValueError(f"cover relation has a cycle through {bad}")
-        pairs = [(a, b) for a, above in up.items() for b in above]
-        return cls(elements, pairs, covers=covers)
+        return cls(elements, _closed_pairs(elements, covers), covers=covers)
 
     @classmethod
     def from_relation(cls, elements: Sequence[str], pairs: Iterable[tuple[str, str]]):
@@ -763,7 +740,10 @@ class ExplicitLattice(Lattice):
         return x in self._index
 
     def _leq(self, a, b):
-        return b in self._up[a]
+        return bool(self._up_mask[self._index[a]] >> self._index[b] & 1)
+
+    def _up_masks(self):
+        return self._up_mask
 
     def _bound(self, a, b, upper: bool):
         """The lowest-index minimal common upper bound (maximal lower bound
@@ -827,13 +807,29 @@ class ExplicitLattice(Lattice):
                 "elements": list(self._elements),
                 "covers": [list(c) for c in self._covers],
             }
-        pairs = sorted([a, b] for a, above in self._up.items() for b in above)
-        return {"kind": "explicit", "elements": list(self._elements), "relation": pairs}
+        elems = self._elements
+        pairs = sorted([a, elems[j]] for a, m in zip(elems, self._up_mask) for j in set_bits(m))
+        return {"kind": "explicit", "elements": list(elems), "relation": pairs}
 
     def describe(self):
         if self.kind != "explicit":
             return self.kind
         return f"explicit({len(self._elements)} elements)"
+
+
+def _closed_pairs(elements: Sequence[str], covers: Sequence[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The pairs of the partial order generated by ``covers``; ValueError
+    on an unknown name or a cycle. A repeated name stands at its first
+    position, so the cycle named is the same as without the repeat."""
+    names = tuple(dict.fromkeys(elements))
+    up = closure(relation_masks({x: i for i, x in enumerate(names)}, covers))
+    bad = first_cycle(up, transpose(up))
+    if bad is not None:
+        raise ValueError(f"cover relation has a cycle through {tuple(names[i] for i in bad)}")
+    return [(a, names[j]) for a, m in zip(names, up) for j in set_bits(m)]
+
+
+_FIVE = ("0", "a", "b", "c", "1")
 
 
 class PentagonLattice(ExplicitLattice):
@@ -843,9 +839,7 @@ class PentagonLattice(ExplicitLattice):
 
     def __init__(self):
         covers = [("0", "c"), ("c", "b"), ("b", "1"), ("0", "a"), ("a", "1")]
-        up = reflexive_transitive_closure(("0", "a", "b", "c", "1"), covers)
-        pairs = [(x, y) for x, above in up.items() for y in above]
-        super().__init__(("0", "a", "b", "c", "1"), pairs, covers=covers)
+        super().__init__(_FIVE, _closed_pairs(_FIVE, covers), covers=covers)
 
     def spec(self):
         return {"kind": "pentagon"}
@@ -858,9 +852,7 @@ class DiamondLattice(ExplicitLattice):
 
     def __init__(self):
         covers = [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")]
-        up = reflexive_transitive_closure(("0", "a", "b", "c", "1"), covers)
-        pairs = [(x, y) for x, above in up.items() for y in above]
-        super().__init__(("0", "a", "b", "c", "1"), pairs, covers=covers)
+        super().__init__(_FIVE, _closed_pairs(_FIVE, covers), covers=covers)
 
     def spec(self):
         return {"kind": "diamond"}

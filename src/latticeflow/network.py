@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from .errors import CapExceeded
 from .lattices import Element, Lattice
-from .orderutils import topological_order
+from .orderutils import set_bits, topological_order  # noqa: F401  (set_bits is re-exported)
 
 Edge = tuple[str, str]
 
@@ -230,14 +230,6 @@ def enumerate_cuts(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICE
     binary-counter order over the name-sorted internal vertices."""
     _check_cut_cap(net, max_vertices)
     return [partition_cut(net, mask) for mask in range(2 ** (len(net.vertices) - 2))]
-
-
-def set_bits(mask: int):
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _or_table(base: int, masks: list[int]) -> list[int]:

@@ -1,63 +1,84 @@
-"""Small helpers for finite order relations given as pairs."""
+"""Finite orders as bitmask rows: bit j of ``up[i]`` is set when element
+i <= element j (when the pair (i, j) is in the relation). This module is
+the one place that builds such rows: from name pairs, by closure (a
+whole row at a time), by transposing up-sets to down-sets, and by
+transitive reduction to covers. Set bits are walked lowest first, so
+every listing read off a row is in element order.
+"""
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+import heapq
+from typing import Hashable, Iterable, Mapping, Sequence
 
 
-def reflexive_transitive_closure(
-    elements: Sequence[Hashable], pairs: Iterable[tuple[Hashable, Hashable]]
-) -> dict[Hashable, frozenset]:
-    """Map each element to the set of elements weakly above it.
+def set_bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Warshall-style closure; includes x <= x for every element.
-    """
-    up: dict[Hashable, set] = {x: {x} for x in elements}
+
+def relation_masks(index: Mapping[Hashable, int], pairs: Iterable[tuple[Hashable, Hashable]]) -> list[int]:
+    """Rows of the relation holding exactly the given pairs of names;
+    ``index`` maps each name to its position. ValueError on an unknown name."""
+    up = [0] * len(index)
     for a, b in pairs:
-        up[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for x in elements:
-            new = set(up[x])
-            for y in up[x]:
-                new |= up[y]
-            if len(new) != len(up[x]):
-                up[x] = new
-                changed = True
-    return {x: frozenset(s) for x, s in up.items()}
+        if a not in index or b not in index:
+            raise ValueError(f"order pair ({a!r}, {b!r}) mentions unknown elements")
+        up[index[a]] |= 1 << index[b]
+    return up
 
 
-def antisymmetry_violation(up: dict[Hashable, frozenset]) -> tuple | None:
-    """First pair (x, y) with x <= y <= x but x != y, or None."""
-    for x, above in up.items():
-        for y in above:
-            if y != x and x in up[y]:
-                return (x, y)
+def closure(rows: Sequence[int]) -> list[int]:
+    """Reflexive-transitive closure; every row holding k takes in row k (Warshall)."""
+    up = [r | 1 << i for i, r in enumerate(rows)]
+    for k, row in enumerate(up):
+        bit = 1 << k
+        for i, r in enumerate(up):
+            if r & bit:
+                up[i] = r | row
+    return up
+
+
+def transpose(rows: Sequence[int]) -> list[int]:
+    """Bit i of entry j is set when bit j of ``rows[i]`` is."""
+    cols = [0] * len(rows)
+    for i, r in enumerate(rows):
+        for j in set_bits(r):
+            cols[j] |= 1 << i
+    return cols
+
+
+def first_cycle(up: Sequence[int], down: Sequence[int]) -> tuple[int, int] | None:
+    """The first element i with some j != i and i <= j <= i, and the
+    lowest such j; None when the relation is antisymmetric."""
+    for i, (u, d) in enumerate(zip(up, down)):
+        both = u & d & ~(1 << i)
+        if both:
+            return i, (both & -both).bit_length() - 1
     return None
 
 
-def covers_from_closure(
-    elements: Sequence[Hashable], up: dict[Hashable, frozenset]
-) -> list[tuple[Hashable, Hashable]]:
-    """Transitive reduction of a finite partial order: the cover pairs."""
+def cover_masks(up: Sequence[int]) -> list[int]:
+    """Transitive reduction of a partial order: bit j of entry i is set
+    when j covers i (i < j with nothing strictly between)."""
+    strict = [u & ~(1 << i) for i, u in enumerate(up)]
     out = []
-    for x in elements:
-        strictly_above = [y for y in elements if y != x and y in up[x]]
-        for y in strictly_above:
-            if not any(z != y and y in up[z] for z in strictly_above):
-                out.append((x, y))
+    for s in strict:
+        beyond = 0
+        for j in set_bits(s):
+            beyond |= strict[j]
+        out.append(s & ~beyond)
     return out
 
 
 def topological_order(
     vertices: Sequence[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
 ) -> list:
-    """Kahn's algorithm. Raises ValueError if the graph has a cycle.
-
-    Ties are broken by position in the input vertex sequence, so the
-    result is deterministic.
-    """
+    """Kahn's algorithm; ready vertices wait on a heap of their input
+    positions, so ties go to the earliest. ValueError on a cycle."""
     edges = list(edges)
     indeg = {v: 0 for v in vertices}
     succ: dict[Hashable, list] = {v: [] for v in vertices}
@@ -65,19 +86,16 @@ def topological_order(
         indeg[v] += 1
         succ[u].append(v)
     pos = {v: i for i, v in enumerate(vertices)}
-    ready = sorted((v for v in vertices if indeg[v] == 0), key=pos.__getitem__)
+    ready = [pos[v] for v in vertices if indeg[v] == 0]
+    heapq.heapify(ready)
     out = []
     while ready:
-        v = ready.pop(0)
+        v = vertices[heapq.heappop(ready)]
         out.append(v)
-        changed = False
         for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                ready.append(w)
-                changed = True
-        if changed:
-            ready.sort(key=pos.__getitem__)
+                heapq.heappush(ready, pos[w])
     if len(out) != len(list(vertices)):
         stuck = [v for v in vertices if indeg[v] > 0]
         raise ValueError(f"graph has a directed cycle through {stuck}")

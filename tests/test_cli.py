@@ -263,6 +263,7 @@ class TestErrors:
             ("bottleneck", {**NETWORK, "lattice": {"kind": "intervals"}, "edges": [{"from": "s", "to": "t", "capacity": [float("nan"), 1]}]}),
             ("dilworth", {**POSET, "elements": 7}),
             ("dilworth", {**POSET, "covers": [[["a"], "b"]]}),
+            ("check-lattice", {"kind": "explicit", "elements": ["a", "b"], "covers": [["a", "zz"]]}),
         ],
     )
     def test_malformed_file_exits_one(self, tmp_path, capsys, command, data):
