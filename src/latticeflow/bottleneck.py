@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certify import DEFAULT_MAX_UNIVERSE, check_distributive, is_distributive
+from .certify import check_distributive, is_distributive
 from .errors import DistributivityRequired
 from .lattices import Element, Lattice
 from .network import (
@@ -52,13 +52,11 @@ def cut_capacity(net: FlowNetwork, cap: CapacityAssignment, cut: Cut) -> Element
     return cap.lattice.join_all(cap[e] for e in crossing_edges(net, cut))
 
 
-def require_distributive(
-    lattice: Lattice, allow_non_distributive: bool, max_size: int, what: str
-) -> None:
+def require_distributive(lattice: Lattice, allow_non_distributive: bool, what: str) -> None:
     """The gate in front of every route that is exact only on distributive
     lattices: DistributivityRequired unless the lattice is certified
     distributive or the caller overrides."""
-    dist = is_distributive(lattice, max_size)
+    dist = is_distributive(lattice)
     if dist is not True and not allow_non_distributive:
         raise DistributivityRequired(
             f"{lattice.describe()} is not certified distributive; {what} is only "
@@ -127,7 +125,6 @@ def alpha_dp(
     net: FlowNetwork,
     cap: CapacityAssignment,
     allow_non_distributive: bool = False,
-    max_size: int = DEFAULT_MAX_UNIVERSE,
 ) -> Element:
     """Path side by dynamic programming over a topological order.
 
@@ -137,7 +134,7 @@ def alpha_dp(
     capacity). Correct on distributive lattices only, which is why it
     refuses non-certified lattices without the override flag.
     """
-    require_distributive(cap.lattice, allow_non_distributive, max_size, "the dynamic program")
+    require_distributive(cap.lattice, allow_non_distributive, "the dynamic program")
     order = net.topological_order()
     lat = cap.lattice
     value: dict[str, Element] = {net.source: lat.join_all(v for _, v in cap.items())}

@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-import time
 from pathlib import Path
 
 from .bottleneck import verify_duality
@@ -410,13 +409,11 @@ def run_command(argv) -> tuple[dict, int]:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {"error": str(exc)}, EXIT_INPUT
-    started = time.perf_counter()
     try:
         report, code = _HANDLERS[args.command](args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {"error": str(exc)}, EXIT_INPUT
-    report["timing_s"] = round(time.perf_counter() - started, 6)
     return report, code
 
 

@@ -42,7 +42,7 @@ from .network import (
     set_bits,
 )
 from .network import crossing_edges, minimal_cuts  # noqa: F401  (unused here; perfbench/spans.py wraps these bindings)
-from .orderutils import closure, cover_masks, first_cycle, relation_masks, transpose
+from .orderutils import cover_pairs, partial_order
 
 DEFAULT_MAX_CHAINS = 1_000_000
 DEFAULT_MAX_POSET = 20
@@ -55,7 +55,7 @@ class WeightedPoset:
     closure is taken and the stored cover relation is its transitive
     reduction, so Hasse-diagram-style input round-trips unchanged. Covers,
     like minimal and maximal elements, are listed in element order. The
-    order is kept as up-set, down-set and cover masks (see ``orderutils``).
+    order is kept as up-set and down-set masks (see ``orderutils``).
     """
 
     def __init__(
@@ -77,12 +77,7 @@ class WeightedPoset:
                 raise ValueError(f"order pair ({a!r}, {b!r}) mentions unknown elements")
             if a == b:
                 raise ValueError(f"order pair ({a!r}, {b!r}) is reflexive")
-        index = {x: i for i, x in enumerate(elems)}
-        up = closure(relation_masks(index, relations))
-        down = transpose(up)
-        bad = first_cycle(up, down)
-        if bad is not None:
-            raise ValueError(f"order relation has a cycle through {tuple(elems[i] for i in bad)}")
+        up, down = partial_order(elems, relations)
         missing = [x for x in elems if x not in weights]
         if missing:
             raise ValueError(f"elements without weights: {missing}")
@@ -91,11 +86,13 @@ class WeightedPoset:
         self.elements = elems
         self.lattice = lattice
         self.weights = {x: weights[x] for x in elems}
-        self._index = index
+        self._index = {x: i for i, x in enumerate(elems)}
         self._up = up
         self._down = down
-        self._cover = cover_masks(up)
-        self.covers = tuple((x, elems[j]) for x, c in zip(elems, self._cover) for j in set_bits(c))
+        self.covers = tuple(cover_pairs(elems, up))
+        self._successors = dict.fromkeys(elems, ())
+        for a, b in self.covers:
+            self._successors[a] += (b,)
 
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self._index[x]] >> self._index[y] & 1)
@@ -110,7 +107,7 @@ class WeightedPoset:
         return tuple(x for i, x in enumerate(self.elements) if self._up[i] == 1 << i)
 
     def cover_successors(self, x: str) -> tuple[str, ...]:
-        return tuple(self.elements[j] for j in set_bits(self._cover[self._index[x]]))
+        return self._successors[x]
 
     # each runs once per poset, through the module function (whose binding spans wrap)
     chains = cached_property(lambda self: tuple(maximal_chains(self)))

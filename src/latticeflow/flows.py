@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .bottleneck import alpha_bruteforce, path_throughput, require_distributive
-from .certify import DEFAULT_MAX_UNIVERSE
 from .certify import is_distributive  # noqa: F401  (unused here; perfbench/spans.py wraps this binding)
 from .lattices import Element
-from .network import DEFAULT_MAX_PATHS, CapacityAssignment, Edge, FlowNetwork
+from .network import CapacityAssignment, Edge, FlowNetwork
 from .network import enumerate_paths  # noqa: F401  (unused here; perfbench/spans.py wraps this binding)
 
 
@@ -155,8 +154,6 @@ def max_flow_value(
     net: FlowNetwork,
     cap: CapacityAssignment,
     allow_non_distributive: bool = False,
-    max_paths: int = DEFAULT_MAX_PATHS,
-    max_size: int = DEFAULT_MAX_UNIVERSE,
 ) -> Element:
     """Largest flow value, computed as the join of path throughputs.
 
@@ -165,6 +162,6 @@ def max_flow_value(
     same certification gate as the dynamic program applies.
     """
     require_distributive(
-        cap.lattice, allow_non_distributive, max_size, "equating the maximal flow value with the path side"
+        cap.lattice, allow_non_distributive, "equating the maximal flow value with the path side"
     )
-    return alpha_bruteforce(net, cap, max_paths)
+    return alpha_bruteforce(net, cap)

@@ -74,9 +74,7 @@ def random_element(rng: random.Random, lattice: Lattice):
     return rng.choice(lattice.element_list())
 
 
-def random_network(
-    rng: random.Random, max_vertices: int = 10, edge_prob: float = 0.35
-) -> FlowNetwork:
+def random_network(rng: random.Random, max_vertices: int = 10) -> FlowNetwork:
     """Random strict-valid DAG: vertices are topologically ordered by
     construction and every internal vertex gets at least one edge from an
     earlier vertex and one to a later vertex."""
@@ -89,7 +87,7 @@ def random_network(
     for i, j in itertools.combinations(range(k + 2), 2):
         if (i, j) == (0, k + 1):
             continue
-        if rng.random() < edge_prob:
+        if rng.random() < 0.35:
             edges.add((order[i], order[j]))
     if k == 0 or rng.random() < 0.3:
         edges.add(("s", "t"))
@@ -184,7 +182,7 @@ def random_explicit_lattice(rng: random.Random, max_size: int = 12) -> ExplicitL
             for b in members
             if ambient._leq(a, b)
         ]
-        return ExplicitLattice(names, pairs)
+        return ExplicitLattice.from_relation(names, pairs)
     # dependable fallback: a small Boolean cube
     cube = PowersetLattice("xy")
     members = cube.element_list()
@@ -193,7 +191,7 @@ def random_explicit_lattice(rng: random.Random, max_size: int = 12) -> ExplicitL
     pairs = [
         (by_member[a], by_member[b]) for a in members for b in members if cube._leq(a, b)
     ]
-    return ExplicitLattice(names, pairs)
+    return ExplicitLattice.from_relation(names, pairs)
 
 
 def random_weighted_poset(

@@ -122,7 +122,7 @@ def lattice_from_spec(spec, base_dir: Path | None = None, path: str = "lattice")
         if kind == "chain":
             return ChainLattice(_need(spec, "levels", path))
         if kind == "powerset":
-            return PowersetLattice(_need(spec, "universe", path))
+            return PowersetLattice(_names(_need(spec, "universe", path), f"{path}.universe"))
         if kind == "product":
             factors = _need(spec, "factors", path)
             if not isinstance(factors, list) or not factors:
@@ -134,16 +134,21 @@ def lattice_from_spec(spec, base_dir: Path | None = None, path: str = "lattice")
             return IntervalGridLattice(spec.get("step", 0.01))
         if kind == "downset":
             return DownsetLattice(
-                _need(spec, "elements", path), _pairs(_need(spec, "covers", path), f"{path}.covers")
+                _names(_need(spec, "elements", path), f"{path}.elements"),
+                _pairs(_need(spec, "covers", path), f"{path}.covers"),
             )
         if kind == "ring":
+            generators = _need(spec, "generators", path)
+            if not isinstance(generators, list):
+                _fail(f"{path}.generators", "must be a list of name lists")
+            universe = spec.get("universe")
             return ring_of_sets_closure(
-                _need(spec, "generators", path),
-                universe=spec.get("universe"),
+                [_names(g, f"{path}.generators[{i}]") for i, g in enumerate(generators)],
+                universe=None if universe is None else _names(universe, f"{path}.universe"),
                 adjoin_bounds=spec.get("adjoin_bounds", False),
             )
         if kind == "explicit":
-            elements = _need(spec, "elements", path)
+            elements = _names(_need(spec, "elements", path), f"{path}.elements")
             if "covers" in spec:
                 return ExplicitLattice.from_covers(elements, _pairs(spec["covers"], f"{path}.covers"))
             if "relation" in spec:
@@ -234,6 +239,10 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
         raw_weights = _need(data, "weights", "instance")
         if not isinstance(raw_weights, dict):
             _fail("weights", "must map element names to element literals")
+        known = set(elements)
+        unknown = [x for x in raw_weights if x not in known]
+        if unknown:
+            _fail("weights", f"weights for unknown elements {unknown}")
         weights = {}
         for x, lit in raw_weights.items():
             try:

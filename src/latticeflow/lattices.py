@@ -21,7 +21,7 @@ from functools import reduce
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MismatchError, NoBottomError, UniverseTooLarge
-from .orderutils import closure, cover_masks, first_cycle, relation_masks, set_bits, transpose
+from .orderutils import cover_pairs, partial_order, relation_masks, set_bits, transpose
 
 Element = Any
 
@@ -274,11 +274,32 @@ class ChainLattice(Lattice):
         return f"chain({self.levels})"
 
 
-class PowersetLattice(Lattice):
+class _SetLattice(Lattice):
+    """A family of frozensets of names ordered by inclusion, closed under
+    union (join) and intersection (meet), hence distributive."""
+
+    known_distributive = True
+
+    def _leq(self, a, b):
+        return a <= b
+
+    def _join(self, a, b):
+        return a | b
+
+    def _meet(self, a, b):
+        return a & b
+
+    def literal(self, x):
+        return sorted(x)
+
+    def format(self, x):
+        return "{" + ",".join(sorted(x)) + "}"
+
+
+class PowersetLattice(_SetLattice):
     """All subsets of a finite set of named atoms, ordered by inclusion."""
 
     kind = "powerset"
-    known_distributive = True
 
     def __init__(self, atoms: Iterable[str]):
         atoms = tuple(atoms)
@@ -291,15 +312,6 @@ class PowersetLattice(Lattice):
 
     def __contains__(self, x):
         return isinstance(x, frozenset) and x <= self._atomset
-
-    def _leq(self, a, b):
-        return a <= b
-
-    def _join(self, a, b):
-        return a | b
-
-    def _meet(self, a, b):
-        return a & b
 
     def size(self):
         return 2 ** len(self.atoms)
@@ -322,12 +334,6 @@ class PowersetLattice(Lattice):
         if bad:
             raise MismatchError(f"unknown atoms {bad} for {self.describe()}")
         return frozenset(literal)
-
-    def literal(self, x):
-        return sorted(x)
-
-    def format(self, x):
-        return "{" + ",".join(sorted(x)) + "}"
 
     def spec(self):
         return {"kind": "powerset", "universe": list(self.atoms)}
@@ -410,6 +416,8 @@ class IntervalGridLattice(Lattice):
     known_distributive = True
 
     def __init__(self, step: float = 0.01):
+        if isinstance(step, bool):
+            raise ValueError(f"interval grid step must be a number, got {step!r}")
         if not (0 < step <= 1):
             raise ValueError("interval grid step must be in (0, 1]")
         n = round(1 / step)
@@ -481,7 +489,7 @@ class IntervalGridLattice(Lattice):
         return f"intervals(step={self.step})"
 
 
-class DownsetLattice(Lattice):
+class DownsetLattice(_SetLattice):
     """Down-closed subsets of a finite poset, ordered by inclusion.
 
     Union and intersection of down-sets are down-sets, so this is a
@@ -489,7 +497,6 @@ class DownsetLattice(Lattice):
     """
 
     kind = "downset"
-    known_distributive = True
     _MAX_BASE = 16
 
     def __init__(self, elements: Sequence[str], relations: Iterable[tuple[str, str]]):
@@ -504,13 +511,9 @@ class DownsetLattice(Lattice):
             raise UniverseTooLarge(
                 f"downset lattice over {len(base)} elements is too large to enumerate"
             )
-        up = closure(relation_masks({x: i for i, x in enumerate(base)}, relations))
-        down = transpose(up)
-        bad = first_cycle(up, down)
-        if bad is not None:
-            raise ValueError(f"relation is not a partial order: cycle through {tuple(base[i] for i in bad)}")
+        up, down = partial_order(base, relations)
         self.base = base
-        self._covers = tuple((base[i], base[j]) for i, c in enumerate(cover_masks(up)) for j in set_bits(c))
+        self._covers = tuple(cover_pairs(base, up))
         self._universe = tuple(
             frozenset(base[i] for i in set_bits(mask))
             for mask in range(2 ** len(base))
@@ -520,15 +523,6 @@ class DownsetLattice(Lattice):
 
     def __contains__(self, x):
         return x in self._uset
-
-    def _leq(self, a, b):
-        return a <= b
-
-    def _join(self, a, b):
-        return a | b
-
-    def _meet(self, a, b):
-        return a & b
 
     def size(self):
         return len(self._universe)
@@ -550,12 +544,6 @@ class DownsetLattice(Lattice):
             raise MismatchError(f"{literal!r} is not a down-set of the base poset")
         return s
 
-    def literal(self, x):
-        return sorted(x)
-
-    def format(self, x):
-        return "{" + ",".join(sorted(x)) + "}"
-
     def spec(self):
         return {
             "kind": "downset",
@@ -567,11 +555,10 @@ class DownsetLattice(Lattice):
         return f"downset({len(self.base)}-element poset)"
 
 
-class RingOfSetsLattice(Lattice):
+class RingOfSetsLattice(_SetLattice):
     """A family of sets closed under pairwise union and intersection."""
 
     kind = "ring"
-    known_distributive = True
 
     def __init__(self, universe: Iterable[str], family: Iterable[frozenset]):
         self.universe = tuple(universe)
@@ -594,15 +581,6 @@ class RingOfSetsLattice(Lattice):
     def __contains__(self, x):
         return x in self._fset
 
-    def _leq(self, a, b):
-        return a <= b
-
-    def _join(self, a, b):
-        return a | b
-
-    def _meet(self, a, b):
-        return a & b
-
     def size(self):
         return len(self._family)
 
@@ -623,12 +601,6 @@ class RingOfSetsLattice(Lattice):
             raise MismatchError(f"{literal!r} is not in the generated ring of sets")
         return s
 
-    def literal(self, x):
-        return sorted(x)
-
-    def format(self, x):
-        return "{" + ",".join(sorted(x)) + "}"
-
     def spec(self):
         gens = self._spec_generators
         if gens is None:
@@ -644,11 +616,13 @@ class RingOfSetsLattice(Lattice):
         return f"ring-of-sets({len(self._family)} sets)"
 
 
+_MAX_RING_SETS = 4096
+
+
 def ring_of_sets_closure(
     generators: Iterable[Iterable[str]],
     universe: Iterable[str] | None = None,
     adjoin_bounds: bool = False,
-    max_size: int = 4096,
 ) -> RingOfSetsLattice:
     """Smallest family containing the generators and closed under pairwise
     union and intersection.
@@ -681,8 +655,8 @@ def ring_of_sets_closure(
         if not new:
             break
         family |= new
-        if len(family) > max_size:
-            raise UniverseTooLarge(f"ring-of-sets closure exceeded {max_size} sets")
+        if len(family) > _MAX_RING_SETS:
+            raise UniverseTooLarge(f"ring-of-sets closure exceeded {_MAX_RING_SETS} sets")
     lat = RingOfSetsLattice(sorted(universe_set), family)
     lat._spec_generators = tuple(gens)
     lat._spec_adjoin = adjoin_bounds
@@ -699,6 +673,10 @@ class ExplicitLattice(Lattice):
     total even on corrupted tables. They are read off bitmasks over element
     indices: bit j of ``_up_mask[i]`` is set when i <= j by the table, and
     bit j of ``_down_mask[i]`` when j <= i.
+
+    The constructor takes the table as these up-set rows, one per element
+    (see ``orderutils``); :meth:`from_relation` and :meth:`from_covers`
+    take name pairs.
     """
 
     kind = "explicit"
@@ -707,7 +685,7 @@ class ExplicitLattice(Lattice):
     def __init__(
         self,
         elements: Sequence[str],
-        leq_pairs: Iterable[tuple[str, str]],
+        up_rows: Iterable[int],
         covers: Sequence[tuple[str, str]] | None = None,
     ):
         elems = tuple(elements)
@@ -715,10 +693,14 @@ class ExplicitLattice(Lattice):
             raise ValueError("explicit lattice has duplicate element names")
         if not elems:
             raise ValueError("explicit lattice needs at least one element")
+        up = list(up_rows)
+        n = len(elems)
+        if len(up) != n or not all(isinstance(r, int) and 0 <= r < 1 << n for r in up):
+            raise ValueError(f"explicit lattice needs {n} up-set rows, integers below 2**{n}")
         self._elements = elems
         self._index = {x: i for i, x in enumerate(elems)}
-        self._up_mask = relation_masks(self._index, leq_pairs)
-        self._down_mask = transpose(self._up_mask)
+        self._up_mask = up
+        self._down_mask = transpose(up)
         self._covers = tuple(covers) if covers is not None else None
         # The element whose up-set (down-set) is the mask, among those that
         # are <= themselves with nothing else both above and below them.
@@ -728,13 +710,19 @@ class ExplicitLattice(Lattice):
 
     @classmethod
     def from_covers(cls, elements: Sequence[str], covers: Iterable[tuple[str, str]]):
-        covers = [tuple(c) for c in covers]
-        return cls(elements, _closed_pairs(elements, covers), covers=covers)
+        """The order the covers generate; ValueError on an unknown name or
+        a cycle, checked before the element names are."""
+        elements, covers = tuple(elements), [tuple(c) for c in covers]
+        return cls(elements, partial_order(elements, covers)[0], covers=covers)
 
     @classmethod
     def from_relation(cls, elements: Sequence[str], pairs: Iterable[tuple[str, str]]):
         """Use the relation table verbatim, without closing it."""
-        return cls(elements, pairs)
+        elems = tuple(elements)
+        index = {x: i for i, x in enumerate(elems)}
+        if not elems or len(index) < len(elems):
+            return cls(elems, [])  # the constructor refuses these names before any pair
+        return cls(elems, relation_masks(index, pairs))
 
     def __contains__(self, x):
         return x in self._index
@@ -817,18 +805,6 @@ class ExplicitLattice(Lattice):
         return f"explicit({len(self._elements)} elements)"
 
 
-def _closed_pairs(elements: Sequence[str], covers: Sequence[tuple[str, str]]) -> list[tuple[str, str]]:
-    """The pairs of the partial order generated by ``covers``; ValueError
-    on an unknown name or a cycle. A repeated name stands at its first
-    position, so the cycle named is the same as without the repeat."""
-    names = tuple(dict.fromkeys(elements))
-    up = closure(relation_masks({x: i for i, x in enumerate(names)}, covers))
-    bad = first_cycle(up, transpose(up))
-    if bad is not None:
-        raise ValueError(f"cover relation has a cycle through {tuple(names[i] for i in bad)}")
-    return [(a, names[j]) for a, m in zip(names, up) for j in set_bits(m)]
-
-
 _FIVE = ("0", "a", "b", "c", "1")
 
 
@@ -839,7 +815,7 @@ class PentagonLattice(ExplicitLattice):
 
     def __init__(self):
         covers = [("0", "c"), ("c", "b"), ("b", "1"), ("0", "a"), ("a", "1")]
-        super().__init__(_FIVE, _closed_pairs(_FIVE, covers), covers=covers)
+        super().__init__(_FIVE, partial_order(_FIVE, covers)[0], covers=covers)
 
     def spec(self):
         return {"kind": "pentagon"}
@@ -852,7 +828,7 @@ class DiamondLattice(ExplicitLattice):
 
     def __init__(self):
         covers = [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")]
-        super().__init__(_FIVE, _closed_pairs(_FIVE, covers), covers=covers)
+        super().__init__(_FIVE, partial_order(_FIVE, covers)[0], covers=covers)
 
     def spec(self):
         return {"kind": "diamond"}

@@ -2,8 +2,10 @@
 i <= element j (when the pair (i, j) is in the relation). This module is
 the one place that builds such rows: from name pairs, by closure (a
 whole row at a time), by transposing up-sets to down-sets, and by
-transitive reduction to covers. Set bits are walked lowest first, so
-every listing read off a row is in element order.
+transitive reduction to covers. :func:`partial_order` and
+:func:`cover_pairs` are the entry points for a named partial order. Set
+bits are walked lowest first, so every listing read off a row is in
+element order.
 """
 
 from __future__ import annotations
@@ -72,6 +74,27 @@ def cover_masks(up: Sequence[int]) -> list[int]:
             beyond |= strict[j]
         out.append(s & ~beyond)
     return out
+
+
+def partial_order(
+    names: Sequence[Hashable], pairs: Iterable[tuple[Hashable, Hashable]]
+) -> tuple[list[int], list[int]]:
+    """Up and down rows of the partial order that ``pairs`` generate on
+    ``names``; a repeated name counts once, at its first position.
+    ValueError on an unknown name, or on a cycle, which is named by its
+    first element and that element's lowest-index partner."""
+    names = list(dict.fromkeys(names))
+    up = closure(relation_masks({x: i for i, x in enumerate(names)}, pairs))
+    down = transpose(up)
+    bad = first_cycle(up, down)
+    if bad is not None:
+        raise ValueError(f"order relation has a cycle through {tuple(names[i] for i in bad)}")
+    return up, down
+
+
+def cover_pairs(names: Sequence[Hashable], up: Sequence[int]) -> list[tuple[Hashable, Hashable]]:
+    """The cover pairs (lower, upper) of a partial order, in element order."""
+    return [(names[i], names[j]) for i, c in enumerate(cover_masks(up)) for j in set_bits(c)]
 
 
 def topological_order(

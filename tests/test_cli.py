@@ -264,6 +264,15 @@ class TestErrors:
             ("dilworth", {**POSET, "elements": 7}),
             ("dilworth", {**POSET, "covers": [[["a"], "b"]]}),
             ("check-lattice", {"kind": "explicit", "elements": ["a", "b"], "covers": [["a", "zz"]]}),
+            # a string is not a list of names, even though it iterates as one
+            ("check-lattice", {"kind": "powerset", "universe": "ab"}),
+            ("check-lattice", {"kind": "explicit", "elements": "abc", "covers": []}),
+            ("check-lattice", {"kind": "explicit", "elements": "abc", "relation": []}),
+            ("check-lattice", {"kind": "downset", "elements": "abc", "covers": []}),
+            ("check-lattice", {"kind": "ring", "generators": ["ab"]}),
+            ("check-lattice", {"kind": "ring", "generators": [["a"]], "universe": "ab"}),
+            ("check-lattice", {"kind": "intervals", "step": True}),
+            ("dilworth", {**POSET, "weights": {"a": 1, "b": 2, "zz": 0}}),
         ],
     )
     def test_malformed_file_exits_one(self, tmp_path, capsys, command, data):

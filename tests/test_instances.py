@@ -60,6 +60,27 @@ class TestLatticeSpecs:
         with pytest.raises(InstanceError, match="lattice"):
             lattice_from_spec({"kind": "chain"})
 
+    @pytest.mark.parametrize(
+        "spec, where",
+        [
+            ({"kind": "powerset", "universe": "ab"}, "lattice.universe: "),
+            ({"kind": "explicit", "elements": "abc", "covers": []}, "lattice.elements: "),
+            ({"kind": "explicit", "elements": [0, 1], "relation": []}, r"lattice.elements\[0\]: "),
+            ({"kind": "downset", "elements": "abc", "covers": []}, "lattice.elements: "),
+            ({"kind": "ring", "generators": "ab"}, "lattice.generators: "),
+            ({"kind": "ring", "generators": ["ab"]}, r"lattice.generators\[0\]: "),
+            ({"kind": "ring", "generators": [["a"]], "universe": "ab"}, "lattice.universe: "),
+            ({"kind": "intervals", "step": True}, "lattice: interval grid step must be a number"),
+        ],
+    )
+    def test_name_lists_and_step_are_typed(self, spec, where):
+        with pytest.raises(InstanceError, match="^" + where):
+            lattice_from_spec(spec)
+
+    def test_ring_universe_null_means_absent(self):
+        L = lattice_from_spec({"kind": "ring", "generators": [["a"], ["b"]], "universe": None})
+        assert L.universe == ("a", "b")
+
     def test_file_reference(self, tmp_path):
         (tmp_path / "lat.json").write_text(json.dumps({"kind": "chain", "levels": 3}))
         instance = {
@@ -105,6 +126,16 @@ class TestParseInstance:
             "weights": {"x": 7},
         }
         with pytest.raises(InstanceError, match="weights.x"):
+            parse_instance(data)
+
+    def test_weights_for_unknown_elements_rejected(self):
+        data = {
+            "lattice": {"kind": "chain", "levels": 2},
+            "elements": ["x"],
+            "covers": [],
+            "weights": {"x": 1, "zz": 0, "yy": 0},
+        }
+        with pytest.raises(InstanceError, match=r"^weights: weights for unknown elements \['zz', 'yy'\]$"):
             parse_instance(data)
 
     def test_neither_payload(self):

@@ -28,7 +28,9 @@ from latticeflow.lattices import DownsetLattice, ExplicitLattice, Lattice
 from latticeflow.orderutils import (
     closure,
     cover_masks,
+    cover_pairs,
     first_cycle,
+    partial_order,
     relation_masks,
     set_bits,
     topological_order,
@@ -144,6 +146,12 @@ class TestMaskHelpers:
             up = closure(relation_masks({x: i for i, x in enumerate(names)}, pairs))
             ref = reference_closure(names, pairs)
             assert {x: names_of(names, m) for x, m in zip(names, up)} == ref
+            if reference_first_cycle_element(ref) is None:
+                order_up, order_down = partial_order(names, pairs)
+                assert {x: names_of(names, m) for x, m in zip(names, order_up)} == ref
+                assert [names_of(names, m) for m in order_down] == [
+                    frozenset(y for y in names if x in ref[y]) for x in names
+                ]
 
     def test_transpose_gives_down_sets(self):
         for names, pairs in self.RELATIONS:
@@ -163,12 +171,16 @@ class TestMaskHelpers:
             first = reference_first_cycle_element(reference_closure(names, pairs))
             if first is None:
                 assert bad is None
+                partial_order(names, pairs)
                 continue
             cyclic += 1
             i, j = bad
             assert names[i] == first
             mutual = [k for k in range(len(names)) if k != i and up[i] >> k & 1 and up[k] >> i & 1]
             assert j == min(mutual)
+            with pytest.raises(ValueError) as err:
+                partial_order(names, pairs)
+            assert str(err.value) == f"order relation has a cycle through {(first, names[min(mutual)])}"
         assert 50 < cyclic < len(self.RELATIONS) - 50
 
     def test_covers_match_reference(self):
@@ -179,7 +191,9 @@ class TestMaskHelpers:
                 continue
             orders += 1
             covers = [(names[i], names[j]) for i, c in enumerate(cover_masks(up)) for j in set_bits(c)]
-            assert covers == reference_covers(names, reference_closure(names, pairs))
+            ref = reference_covers(names, reference_closure(names, pairs))
+            assert covers == ref
+            assert cover_pairs(names, partial_order(names, pairs)[0]) == ref
         assert orders > 50
 
     def test_relation_masks_keep_pairs_as_given(self):
@@ -189,6 +203,13 @@ class TestMaskHelpers:
     def test_relation_masks_reject_unknown_names(self):
         with pytest.raises(ValueError, match=r"order pair \('a', 'zz'\) mentions unknown elements"):
             relation_masks({"a": 0, "b": 1}, [("a", "b"), ("a", "zz")])
+        with pytest.raises(ValueError, match=r"order pair \('a', 'zz'\) mentions unknown elements"):
+            partial_order(["a", "b"], [("a", "b"), ("a", "zz")])
+
+    def test_partial_order_counts_a_repeated_name_once(self):
+        assert partial_order(["a", "b", "a"], [("a", "b")]) == ([0b11, 0b10], [0b01, 0b11])
+        with pytest.raises(ValueError, match=r"cycle through \('a', 'b'\)"):
+            partial_order(["a", "b", "a"], [("b", "a"), ("a", "b")])
 
 
 class TestTopologicalOrder:
@@ -364,25 +385,50 @@ class TestLatticeContract:
         with pytest.raises(ValueError, match="mentions unknown elements"):
             ExplicitLattice.from_covers(["a", "b"], [("a", "zz")])
 
+    def test_constructor_takes_up_rows(self):
+        lattice = ExplicitLattice(["a", "b"], [0b11, 0b10])
+        assert lattice.spec() == ExplicitLattice.from_relation(["a", "b"], [("a", "a"), ("a", "b"), ("b", "b")]).spec()
+        for rows in ([0b11], [0b11, 0b110], [-1, 0b10], [("a", "b"), ("b", "b")]):
+            with pytest.raises(ValueError, match="needs 2 up-set rows"):
+                ExplicitLattice(["a", "b"], rows)
+
+    def test_name_checks_keep_their_order(self):
+        # a relation table: repeated or missing names before unknown pairs
+        with pytest.raises(ValueError, match="duplicate element names"):
+            ExplicitLattice.from_relation(["a", "a"], [("a", "zz")])
+        with pytest.raises(ValueError, match="at least one element"):
+            ExplicitLattice.from_relation([], [("a", "zz")])
+        # a cover list: unknown pairs and cycles before repeated or missing names
+        with pytest.raises(ValueError, match=r"cycle through \('a', 'b'\)"):
+            ExplicitLattice.from_covers(["a", "a", "b"], [("a", "b"), ("b", "a")])
+        with pytest.raises(ValueError, match="duplicate element names"):
+            ExplicitLattice.from_covers(["a", "a", "b"], [("a", "b")])
+        with pytest.raises(ValueError, match="mentions unknown elements"):
+            ExplicitLattice.from_covers([], [("a", "zz")])
+        with pytest.raises(ValueError, match="at least one element"):
+            ExplicitLattice.from_covers(iter([]), [])
+
 
 class TestCycleWitness:
     """The cycle named in an error must not depend on string hashing."""
 
     CYCLE = [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]
     FILES = {
-        "check-lattice": {"kind": "explicit", "elements": ["a", "b", "c", "d"], "covers": CYCLE},
-        "dilworth": {
+        "check-lattice": ("check-lattice", {"kind": "explicit", "elements": ["a", "b", "c", "d"], "covers": CYCLE}),
+        "dilworth": ("dilworth", {
             "lattice": {"kind": "chain", "levels": 2},
             "elements": ["a", "b", "c", "d"],
             "covers": CYCLE,
             "weights": {"a": 0, "b": 1, "c": 0, "d": 1},
-        },
+        }),
+        "downset": ("check-lattice", {"kind": "downset", "elements": ["a", "b", "c", "d"], "covers": CYCLE}),
     }
 
-    @pytest.mark.parametrize("command", sorted(FILES))
-    def test_same_witness_under_every_hash_seed(self, tmp_path, command):
+    @pytest.mark.parametrize("case", sorted(FILES))
+    def test_same_witness_under_every_hash_seed(self, tmp_path, case):
+        command, data = self.FILES[case]
         f = tmp_path / "cycle.json"
-        f.write_text(json.dumps(self.FILES[command]))
+        f.write_text(json.dumps(data))
         src = str(Path(latticeflow.__file__).resolve().parent.parent)
         errors = set()
         for seed in ("1", "2", "3", "4"):
@@ -394,4 +440,4 @@ class TestCycleWitness:
             assert done.returncode == 1
             errors.add(done.stderr)
         assert len(errors) == 1
-        assert "cycle through ('a', 'b')" in errors.pop()
+        assert "order relation has a cycle through ('a', 'b')" in errors.pop()
