@@ -21,6 +21,7 @@ from .network import (
     CapacityAssignment,
     Cut,
     FlowNetwork,
+    _or_table,
     crossing_edges,
     crossing_masks,
     enumerate_paths,
@@ -108,15 +109,35 @@ def _cut_side(
     """How many cuts the cut side ranges over, the first of them (in
     enumeration order) whose capacity is the meet, and that meet.
 
-    Cuts that induce the same crossing set have the same capacity, so
-    each distinct crossing set is folded once, as an edge bitmask.
+    A cut's capacity depends only on the set of distinct values that
+    cross it, because join is associative, commutative and idempotent
+    under the lattice axioms. So the distinct capacity values are
+    numbered in first-edge order, each crossing-edge mask is mapped to
+    its value mask through OR tables over 8 edges at a time, and each
+    distinct value mask is folded once. The empty crossing set still
+    folds as the empty join: the bottom, or NoBottomError.
     """
     first = crossing_masks(net, max_vertices)
     keys = first if mode == "strict" else minimal_masks(first)
-    lat, edges = cap.lattice, net.edges
-    capacities = [lat.join_all(cap[edges[i]] for i in set_bits(m)) for m in keys]
-    beta = lat.meet_all(capacities)
-    witness = next((first[m] for m, value in zip(keys, capacities) if value == beta), None)
+    lat = cap.lattice
+    value_bit: dict[Element, int] = {}
+    edge_bits = [value_bit.setdefault(cap[e], 1 << len(value_bit)) for e in net.edges]
+    tables = [_or_table(0, edge_bits[i:i + 8]) for i in range(0, len(edge_bits), 8)]
+
+    def value_mask(m: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[m & 0xFF]
+            m >>= 8
+        return out
+
+    values = list(value_bit)
+    value_masks = {m: value_mask(m) for m in keys}
+    capacity = {
+        v: lat.join_all(values[i] for i in set_bits(v)) for v in dict.fromkeys(value_masks.values())
+    }
+    beta = lat.meet_all(capacity.values())
+    witness = next((first[m] for m, v in value_masks.items() if capacity[v] == beta), None)
     n_cuts = 2 ** (len(net.vertices) - 2) if mode == "strict" else len(keys)
     return n_cuts, None if witness is None else partition_cut(net, witness), beta
 

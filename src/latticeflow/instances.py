@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .certify import DEFAULT_MAX_UNIVERSE, check_lattice_axioms
 from .dilworth import WeightedPoset
 from .errors import InstanceError, MismatchError
 from .lattices import (
@@ -142,10 +143,13 @@ def lattice_from_spec(spec, base_dir: Path | None = None, path: str = "lattice")
             if not isinstance(generators, list):
                 _fail(f"{path}.generators", "must be a list of name lists")
             universe = spec.get("universe")
+            adjoin = spec.get("adjoin_bounds", False)
+            if not isinstance(adjoin, bool):
+                _fail(f"{path}.adjoin_bounds", f"must be true or false, got {adjoin!r}")
             return ring_of_sets_closure(
                 [_names(g, f"{path}.generators[{i}]") for i, g in enumerate(generators)],
                 universe=None if universe is None else _names(universe, f"{path}.universe"),
-                adjoin_bounds=spec.get("adjoin_bounds", False),
+                adjoin_bounds=adjoin,
             )
         if kind == "explicit":
             elements = _names(_need(spec, "elements", path), f"{path}.elements")
@@ -167,6 +171,21 @@ def lattice_from_spec(spec, base_dir: Path | None = None, path: str = "lattice")
     except (TypeError, ValueError) as exc:
         _fail(path, str(exc))
     _fail(f"{path}.kind", f"unknown lattice kind {kind!r}; known kinds: {', '.join(LATTICE_KINDS)}")
+
+
+def _require_lattice(lattice: Lattice, path: str = "lattice") -> None:
+    """Explicit order tables, alone or as product factors, are the one
+    kind whose join and meet can break the lattice axioms, and every fold
+    rests on those axioms: a table that fails them is refused. Tables
+    above the certification cap load unchecked."""
+    if isinstance(lattice, ProductLattice):
+        for i, factor in enumerate(lattice.factors):
+            _require_lattice(factor, f"{path}.factors[{i}]")
+    elif lattice.kind == "explicit" and lattice.size() <= DEFAULT_MAX_UNIVERSE:
+        report = check_lattice_axioms(lattice)
+        if not report.ok:
+            first = report.violations[0]
+            _fail(path, f"not a lattice: {first.law}: {first.message}")
 
 
 @dataclass
@@ -192,6 +211,7 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
     if not isinstance(data, dict):
         raise InstanceError(f"instance must be a JSON object, got {type(data).__name__}")
     lattice = lattice_from_spec(_need(data, "lattice", "instance"), base_dir)
+    _require_lattice(lattice)
     name = data.get("name")
     description = data.get("description")
 

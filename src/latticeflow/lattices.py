@@ -848,10 +848,13 @@ class SurvivalLattice(Lattice):
     known_distributive = True
 
     def __init__(self, time_points: int = 4, levels: int = 3):
-        if not isinstance(time_points, int) or time_points < 2:
-            raise ValueError("survival lattice needs at least 2 time points")
-        if not isinstance(levels, int) or levels < 2:
-            raise ValueError("survival lattice needs at least 2 value levels")
+        for count, what in ((time_points, "time points"), (levels, "value levels")):
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise ValueError(
+                    f"survival lattice needs an integer count of {what}, got {type(count).__name__}"
+                )
+            if count < 2:
+                raise ValueError(f"survival lattice needs at least 2 {what}")
         self.time_points = time_points
         self.levels = levels
 

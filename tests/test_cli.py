@@ -21,6 +21,19 @@ POSET = {
     "covers": [["a", "b"]],
     "weights": {"a": 1, "b": 2},
 }
+# b and c have no common upper bound: an order table that is not a lattice
+NOT_A_LATTICE = {"kind": "explicit", "elements": ["a", "b", "c"], "covers": [["a", "b"], ["a", "c"]]}
+NOT_A_LATTICE_NETWORK = {
+    "lattice": NOT_A_LATTICE,
+    "vertices": ["s", "u", "t"],
+    "source": "s",
+    "sink": "t",
+    "edges": [
+        {"from": "s", "to": "t", "capacity": "b"},
+        {"from": "s", "to": "u", "capacity": "c"},
+        {"from": "u", "to": "t", "capacity": "b"},
+    ],
+}
 
 
 @pytest.fixture
@@ -61,6 +74,14 @@ class TestCheckLattice:
         assert report["distributivity"]["forbidden_sublattice"]["label"] == "M3"
         printed = json.loads(capsys.readouterr().out)
         assert printed["axioms"]["ok"]
+
+    def test_non_lattice_table_reports_its_violations(self, tmp_path):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(NOT_A_LATTICE_NETWORK))
+        report, code = run_command(["check-lattice", str(f), "--format", "json"])
+        assert code == 0
+        assert not report["axioms"]["ok"]
+        assert len(report["axioms"]["violations"]) == 4
 
     def test_text_output(self, tmp_path, capsys):
         f = tmp_path / "chain.json"
@@ -273,6 +294,11 @@ class TestErrors:
             ("check-lattice", {"kind": "ring", "generators": [["a"]], "universe": "ab"}),
             ("check-lattice", {"kind": "intervals", "step": True}),
             ("dilworth", {**POSET, "weights": {"a": 1, "b": 2, "zz": 0}}),
+            ("bottleneck", NOT_A_LATTICE_NETWORK),
+            ("check-lattice", {"kind": "ring", "generators": [["a"]], "universe": ["a", "b"], "adjoin_bounds": "no"}),
+            ("check-lattice", {"kind": "survival", "time_points": 3, "levels": 3.0}),
+            ("check-lattice", {"kind": "survival", "time_points": 3.0, "levels": 3}),
+            ("check-lattice", {"kind": "survival", "time_points": True, "levels": 3}),
         ],
     )
     def test_malformed_file_exits_one(self, tmp_path, capsys, command, data):
@@ -281,6 +307,38 @@ class TestErrors:
         report, code = run_command([command, str(f)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            ("bottleneck", NOT_A_LATTICE_NETWORK, "lattice: not a lattice: join-upper-bound: b is not an upper bound"),
+            ("maxflow", NOT_A_LATTICE_NETWORK, "lattice: not a lattice: "),
+            (
+                "bottleneck",
+                {
+                    **NETWORK,
+                    "lattice": {"kind": "product", "factors": [{"kind": "chain", "levels": 2}, NOT_A_LATTICE]},
+                    "edges": [{"from": "s", "to": "t", "capacity": [0, "b"]}],
+                },
+                "lattice.factors[1]: not a lattice: ",
+            ),
+            ("dilworth", {**POSET, "lattice": NOT_A_LATTICE, "weights": {"a": "b", "b": "c"}}, "lattice: not a lattice: "),
+            ("check-lattice", {"kind": "ring", "generators": [["a"]], "universe": ["a", "b"], "adjoin_bounds": "no"},
+             "lattice.adjoin_bounds: must be true or false, got 'no'"),
+            ("check-lattice", {"kind": "survival", "time_points": 3, "levels": 3.0},
+             "survival lattice needs an integer count of value levels, got float"),
+            ("check-lattice", {"kind": "survival", "time_points": 3.0, "levels": 3},
+             "survival lattice needs an integer count of time points, got float"),
+            ("check-lattice", {"kind": "survival", "time_points": True, "levels": 3},
+             "survival lattice needs an integer count of time points, got bool"),
+        ],
+    )
+    def test_malformed_file_names_the_fault(self, tmp_path, capsys, command, data, message):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(data))
+        _, code = run_command([command, str(f)])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["bottleneck", "check-lattice"])
     def test_non_utf8_file_exits_one(self, tmp_path, capsys, command):

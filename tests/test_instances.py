@@ -146,6 +146,20 @@ class TestParseInstance:
         with pytest.raises(InstanceError, match="not valid JSON"):
             parse_instance("{nope")
 
+    def test_table_above_certification_cap_loads_unchecked(self):
+        # b and c have no join, but 513 elements are past the 512-element
+        # cap of the axiom scan, so the table loads as it is
+        names = [f"x{i}" for i in range(511)]
+        covers = [[a, b] for a, b in zip(names, names[1:])] + [[names[-1], "b"], [names[-1], "c"]]
+        data = {
+            "lattice": {"kind": "explicit", "elements": [*names, "b", "c"], "covers": covers},
+            "vertices": ["s", "t"],
+            "source": "s",
+            "sink": "t",
+            "edges": [{"from": "s", "to": "t", "capacity": "b"}],
+        }
+        assert parse_instance(data).lattice.size() == 513
+
     def test_serialize_parse_identity_on_gallery(self):
         for name in gallery_names():
             inst = gallery_instance(name)

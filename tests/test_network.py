@@ -3,13 +3,19 @@ import random
 import pytest
 
 from latticeflow import (
+    CapacityAssignment,
     CapExceeded,
+    ChainLattice,
     Cut,
     FlowNetwork,
+    Lattice,
+    NoBottomError,
+    beta_bruteforce,
     crossing_edges,
     enumerate_cuts,
     enumerate_paths,
     gallery_instance,
+    is_distributive,
     minimal_cuts,
     validate_network,
     verify_duality,
@@ -18,8 +24,11 @@ from latticeflow.generators import (
     add_dead_ends,
     random_any_lattice,
     random_capacities,
+    random_distributive_lattice,
+    random_explicit_lattice,
     random_instance,
     random_network,
+    random_weighted_poset,
 )
 from latticeflow.network import crossing_masks
 
@@ -244,9 +253,19 @@ def reference_cut_side(net, cap, mode):
     return len(cuts), witness, beta
 
 
+def layered_network(width, layers):
+    """Source, ``layers`` layers of ``width`` vertices, sink; every layer
+    fully joined to the next."""
+    rows = [["s"], *([f"v{i}_{j}" for j in range(width)] for i in range(layers)), ["t"]]
+    edges = [(u, v) for a, b in zip(rows, rows[1:]) for u in a for v in b]
+    return FlowNetwork([v for row in rows for v in row], edges, "s", "t")
+
+
 def differential_instances(seed, count):
     """Seeded networks of 2-10 vertices over distributive and other
-    lattices, each also with two dead ends added."""
+    lattices, each also with two dead ends added; then layered networks
+    of 24 and 40 edges (the first over a 3-element chain, so capacities
+    repeat), and networks over explicit tables of both verdicts."""
     rng = random.Random(seed)
     for i in range(count):
         factory = {"lattice_factory": random_any_lattice} if i % 2 else {}
@@ -254,6 +273,40 @@ def differential_instances(seed, count):
         yield net, cap
         dead = add_dead_ends(rng, net)
         yield dead, random_capacities(rng, dead, cap.lattice)
+    for net, lattice in ((layered_network(3, 3), ChainLattice(3)), (layered_network(4, 3), random_distributive_lattice(rng))):
+        yield net, random_capacities(rng, net, lattice)
+    verdicts = set()
+    while len(verdicts) < 2:
+        lattice = random_explicit_lattice(rng)
+        verdict = is_distributive(lattice) is True
+        if verdict not in verdicts:
+            verdicts.add(verdict)
+            net = add_dead_ends(rng, random_network(rng, max_vertices=10))
+            yield net, random_capacities(rng, net, lattice)
+
+
+class Integers(Lattice):
+    """All integers in their usual order: a lattice with no bottom."""
+
+    kind = "integers"
+
+    def __contains__(self, x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    def _leq(self, a, b):
+        return a <= b
+
+    def _join(self, a, b):
+        return max(a, b)
+
+    def _meet(self, a, b):
+        return min(a, b)
+
+    def bottom(self):
+        return None
+
+    def top(self):
+        return None
 
 
 class TestEnumerationContract:
@@ -267,10 +320,40 @@ class TestEnumerationContract:
 
     @pytest.mark.parametrize("mode", ["strict", "lenient"])
     def test_cut_side_matches_reference(self, mode):
-        for net, cap in differential_instances(47, 40):
+        # no source-to-sink path, so some cut crosses no edge: its empty
+        # join needs the bottom that the integers lack
+        no_path = FlowNetwork(["s", "u", "v", "t"], [("s", "u"), ("v", "t")], "s", "t")
+        no_bottom = CapacityAssignment(Integers(), {("s", "u"): 3, ("v", "t"): -1})
+        for net, cap in [*differential_instances(47, 40), (no_path, no_bottom)]:
+            try:
+                expected = reference_cut_side(net, cap, mode)
+            except NoBottomError:
+                with pytest.raises(NoBottomError):
+                    beta_bruteforce(net, cap, mode)
+                continue
             report = verify_duality(net, cap, mode=mode, method="bruteforce")
-            n_cuts, witness, beta = reference_cut_side(net, cap, mode)
-            assert (report.beta, report.n_cuts, report.optimal_cut) == (beta, n_cuts, witness)
+            assert (report.n_cuts, report.optimal_cut, report.beta) == expected
+
+    def test_cut_side_folds_each_capacity_set_once(self, monkeypatch):
+        # every out-edge of a poset element carries its weight, so the
+        # auxiliary network's crossing sets share few sets of values
+        rng = random.Random(12)
+        poset = random_weighted_poset(rng, random_distributive_lattice(rng), max_elements=12)
+        while len(poset.elements) != 12:
+            poset = random_weighted_poset(rng, random_distributive_lattice(rng), max_elements=12)
+        net, cap = poset.network
+        crossings = {frozenset(crossing_edges(net, c)) for c in reference_enumerate_cuts(net)}
+        value_sets = {frozenset(cap[e] for e in c) for c in crossings}
+        assert len(value_sets) < len(crossings)
+        lat, calls = cap.lattice, []
+
+        def counted_join_all(items):
+            calls.append(1)
+            return type(lat).join_all(lat, items)
+
+        monkeypatch.setattr(lat, "join_all", counted_join_all)
+        beta_bruteforce(net, cap, "strict")
+        assert len(calls) == len(value_sets)
 
     @pytest.mark.parametrize("method", ["bruteforce", "auto"])
     def test_path_witness_is_first_attaining_path(self, method):
