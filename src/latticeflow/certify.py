@@ -3,18 +3,18 @@
 Certification is honest about its method: parametric kinds whose
 distributivity is structural (chains, set lattices, products of such)
 short-circuit with a "structural" certificate, and every other universe
-within the size cap is checked on every triple. The cubic scans run over
-the lattice's index tables (:meth:`Lattice.tables`) one (a, b) row at a
-time: a row compares whole lists over c, or ANDs up-set and down-set
-bitmasks, instead of making per-triple calls. The distributivity scan
-takes the first c where a row differs, so its failing triple and law are
-those of the triple-by-triple order. The axiom scan replays only the rows
-that fail through the per-triple checks on the native operations, which
-keeps its violation order, messages and truncation. Non-distributive
-verdicts carry a failing triple and a five-element pentagon/diamond
-sublattice witness, searched on indices in the sublattice the triple
-generates. :func:`find_forbidden_sublattice` stays an independent oracle:
-its five-subset scan uses the native ``_join``/``_meet``, not the tables.
+within the size cap is checked on every triple. Both cubic scans read
+each law once off the lattice's index tables (:meth:`Lattice.tables`),
+one (a, b) row at a time: a triple law is a bitmask of its failing c,
+from ANDed up-set and down-set bitmasks or from the positions where two
+gathered rows differ. No native operation is called after the tables
+are built. The axiom scan yields its violations in triple-by-triple
+order and stops after the first 25; the distributivity scan takes the
+lowest failing c of the first failing row. Non-distributive verdicts
+carry a failing triple and a five-element pentagon/diamond sublattice
+witness, searched on indices in the sublattice the triple generates.
+:func:`find_forbidden_sublattice` stays an independent oracle: its
+five-subset scan uses the native ``_join``/``_meet``, not the tables.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Any
 
 from .errors import UniverseTooLarge
 from .lattices import Element, Lattice
+from .orderutils import set_bits
 
 DEFAULT_MAX_UNIVERSE = 512
 _SUBSET_SCAN_MAX = 24
@@ -119,122 +120,94 @@ def _gatherers(rows) -> list:
     return [itemgetter(*r) for r in rows]
 
 
+def _axiom_violations(lattice: Lattice):
+    """Every violated law as (law, witness indices, message), in report
+    order: the element laws, antisymmetry on unordered pairs, the pair
+    laws on ordered pairs, then each (a, b) row over c, where a failing
+    transitivity passes over the other triple laws at that c."""
+    elems, J, M, up, down = lattice.tables()
+
+    def fmt(i: int) -> str:
+        return lattice.format(elems[i])
+
+    n = len(elems)
+    for a in range(n):
+        if not up[a] >> a & 1:
+            yield "reflexivity", (a,), f"{fmt(a)} <= {fmt(a)} fails"
+        if J[a][a] != a:
+            yield "join-idempotence", (a,), f"{fmt(a)} v {fmt(a)} != {fmt(a)}"
+        if M[a][a] != a:
+            yield "meet-idempotence", (a,), f"{fmt(a)} ^ {fmt(a)} != {fmt(a)}"
+
+    for a, b in itertools.combinations(range(n), 2):
+        if up[a] >> b & 1 and up[b] >> a & 1:
+            yield "antisymmetry", (a, b), f"{fmt(a)} and {fmt(b)} are mutually <= but distinct"
+
+    for a, b in itertools.product(range(n), repeat=2):
+        jab, mab = J[a][b], M[a][b]
+        if jab != J[b][a]:
+            yield "join-commutativity", (a, b), f"{fmt(a)} v {fmt(b)} != {fmt(b)} v {fmt(a)}"
+        if mab != M[b][a]:
+            yield "meet-commutativity", (a, b), f"{fmt(a)} ^ {fmt(b)} != {fmt(b)} ^ {fmt(a)}"
+        if J[a][mab] != a:
+            yield "absorption", (a, b), f"{fmt(a)} v ({fmt(a)} ^ {fmt(b)}) != {fmt(a)}"
+        if M[a][jab] != a:
+            yield "absorption", (a, b), f"{fmt(a)} ^ ({fmt(a)} v {fmt(b)}) != {fmt(a)}"
+        le = bool(up[a] >> b & 1)
+        if (jab == b) is not le or (mab == a) is not le:
+            yield "order-consistency", (a, b), f"leq({fmt(a)},{fmt(b)}), join={fmt(jab)}, meet={fmt(mab)} disagree"
+        if not (up[a] >> jab & 1 and up[b] >> jab & 1):
+            yield "join-upper-bound", (a, b), f"{fmt(jab)} is not an upper bound"
+        if not (down[a] >> mab & 1 and down[b] >> mab & 1):
+            yield "meet-lower-bound", (a, b), f"{fmt(mab)} is not a lower bound"
+
+    # Each triple law of an (a, b) row is a bitmask of its failing c.
+    by_join, by_meet = _gatherers(J), _gatherers(M)
+    for a in range(n):
+        Ja, Ma, up_a, down_a = J[a], M[a], up[a], down[a]
+        for b in range(n):
+            jab, mab = Ja[b], Ma[b]
+            transitivity = up[b] & ~up_a if up_a >> b & 1 else 0
+            least = up_a & up[b] & ~up[jab]
+            greatest = down_a & down[b] & ~down[mab]
+            # join(a, join(b, c)) and meet(a, meet(b, c)) over every c
+            j_row, m_row = by_join[b](Ja), by_meet[b](Ma)
+            if not (transitivity or least or greatest) and j_row == J[jab] and m_row == M[mab]:
+                continue
+            j_assoc, m_assoc = _diff_mask(j_row, J[jab]), _diff_mask(m_row, M[mab])
+            for c in set_bits(transitivity | j_assoc | m_assoc | least | greatest):
+                if transitivity >> c & 1:
+                    yield "transitivity", (a, b, c), (
+                        f"{fmt(a)} <= {fmt(b)} <= {fmt(c)} but not {fmt(a)} <= {fmt(c)}"
+                    )
+                    continue
+                if j_assoc >> c & 1:
+                    yield "join-associativity", (a, b, c), "join associativity fails"
+                if m_assoc >> c & 1:
+                    yield "meet-associativity", (a, b, c), "meet associativity fails"
+                if least >> c & 1:
+                    yield "join-least-upper-bound", (a, b, c), f"{fmt(jab)} not least among upper bounds"
+                if greatest >> c & 1:
+                    yield "meet-greatest-lower-bound", (a, b, c), f"{fmt(mab)} not greatest among lower bounds"
+
+
 def check_lattice_axioms(lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE) -> AxiomReport:
     """Exhaustively verify the lattice axioms and order consistency.
 
     Covers commutativity, associativity, absorption and idempotence of
     join and meet, partial-order axioms for leq, the equivalence
     leq(a,b) <=> join(a,b)=b <=> meet(a,b)=a, and that join/meet really
-    are least upper / greatest lower bounds.
+    are least upper / greatest lower bounds. The report keeps the first
+    25 violations and is truncated when there are more.
     """
     size = _guard_size(lattice, max_size)
     elems = lattice.element_list()
-    violations: list[AxiomViolation] = []
-    truncated = False
-
-    def report(law, witness, message) -> bool:
-        nonlocal truncated
-        if len(violations) >= _MAX_VIOLATIONS:
-            truncated = True
-            return True
-        violations.append(AxiomViolation(law, witness, message))
-        return False
-
-    leq, join, meet = lattice._leq, lattice._join, lattice._meet
-    fmt = lattice.format
-
-    for a in elems:
-        if not leq(a, a):
-            if report("reflexivity", (a,), f"{fmt(a)} <= {fmt(a)} fails"):
-                break
-        if join(a, a) != a:
-            if report("join-idempotence", (a,), f"{fmt(a)} v {fmt(a)} != {fmt(a)}"):
-                break
-        if meet(a, a) != a:
-            if report("meet-idempotence", (a,), f"{fmt(a)} ^ {fmt(a)} != {fmt(a)}"):
-                break
-
-    for a, b in itertools.combinations(elems, 2):
-        if truncated:
-            break
-        if leq(a, b) and leq(b, a):
-            report("antisymmetry", (a, b), f"{fmt(a)} and {fmt(b)} are mutually <= but distinct")
-
-    # The pair laws and then the triple laws, checked on the index tables;
-    # a pair or an (a, b) row over every c that breaks a law is replayed
-    # on the native operations, which word and order the violations.
-    _, J, M, up, down = lattice.tables()
-    for (ia, a), (ib, b) in itertools.product(enumerate(elems), repeat=2):
-        if truncated:
-            break
-        jab, mab = J[ia][ib], M[ia][ib]
-        le = bool(up[ia] >> ib & 1)
-        if (
-            jab == J[ib][ia]  # join-commutativity
-            and mab == M[ib][ia]  # meet-commutativity
-            and J[ia][mab] == ia  # absorption
-            and M[ia][jab] == ia  # absorption
-            and (jab == ib) is le  # order-consistency
-            and (mab == ia) is le
-            and up[ia] >> jab & 1  # join-upper-bound
-            and up[ib] >> jab & 1
-            and down[ia] >> mab & 1  # meet-lower-bound
-            and down[ib] >> mab & 1
-        ):
-            continue
-        jab, mab = join(a, b), meet(a, b)
-        if jab != join(b, a):
-            report("join-commutativity", (a, b), f"{fmt(a)} v {fmt(b)} != {fmt(b)} v {fmt(a)}")
-        if mab != meet(b, a):
-            report("meet-commutativity", (a, b), f"{fmt(a)} ^ {fmt(b)} != {fmt(b)} ^ {fmt(a)}")
-        if join(a, mab) != a:
-            report("absorption", (a, b), f"{fmt(a)} v ({fmt(a)} ^ {fmt(b)}) != {fmt(a)}")
-        if meet(a, jab) != a:
-            report("absorption", (a, b), f"{fmt(a)} ^ ({fmt(a)} v {fmt(b)}) != {fmt(a)}")
-        if leq(a, b) != (jab == b) or leq(a, b) != (mab == a):
-            report(
-                "order-consistency",
-                (a, b),
-                f"leq({fmt(a)},{fmt(b)}), join={fmt(jab)}, meet={fmt(mab)} disagree",
-            )
-        if not (leq(a, jab) and leq(b, jab)):
-            report("join-upper-bound", (a, b), f"{fmt(jab)} is not an upper bound")
-        if not (leq(mab, a) and leq(mab, b)):
-            report("meet-lower-bound", (a, b), f"{fmt(mab)} is not a lower bound")
-
-    by_join, by_meet = _gatherers(J), _gatherers(M)
-    for ia, a in enumerate(elems):
-        if truncated:
-            break
-        Ja, Ma, up_a, down_a = J[ia], M[ia], up[ia], down[ia]
-        for ib, b in enumerate(elems):
-            if truncated:
-                break
-            jab, mab = Ja[ib], Ma[ib]
-            if (
-                not (up_a >> ib & 1 and up[ib] & ~up_a)  # transitivity
-                and by_join[ib](Ja) == J[jab]  # join-associativity
-                and by_meet[ib](Ma) == M[mab]  # meet-associativity
-                and not up_a & up[ib] & ~up[jab]  # join-least-upper-bound
-                and not down_a & down[ib] & ~down[mab]  # meet-greatest-lower-bound
-            ):
-                continue
-            for c in elems:
-                if truncated:
-                    break
-                if leq(a, b) and leq(b, c) and not leq(a, c):
-                    report("transitivity", (a, b, c), f"{fmt(a)} <= {fmt(b)} <= {fmt(c)} but not {fmt(a)} <= {fmt(c)}")
-                    continue
-                if join(a, join(b, c)) != join(join(a, b), c):
-                    report("join-associativity", (a, b, c), "join associativity fails")
-                if meet(a, meet(b, c)) != meet(meet(a, b), c):
-                    report("meet-associativity", (a, b, c), "meet associativity fails")
-                if leq(a, c) and leq(b, c) and not leq(join(a, b), c):
-                    report("join-least-upper-bound", (a, b, c), f"{fmt(join(a,b))} not least among upper bounds")
-                if leq(c, a) and leq(c, b) and not leq(c, meet(a, b)):
-                    report("meet-greatest-lower-bound", (a, b, c), f"{fmt(meet(a,b))} not greatest among lower bounds")
-
-    return AxiomReport(ok=not violations, size=size, violations=tuple(violations), truncated=truncated)
+    found = [
+        AxiomViolation(law, tuple(elems[i] for i in witness), message)
+        for law, witness, message in itertools.islice(_axiom_violations(lattice), _MAX_VIOLATIONS + 1)
+    ]
+    violations = tuple(found[:_MAX_VIOLATIONS])
+    return AxiomReport(ok=not violations, size=size, violations=violations, truncated=len(found) > _MAX_VIOLATIONS)
 
 
 def _sublattice_closure(join: tuple, meet: tuple, seeds) -> list[int]:
@@ -306,28 +279,28 @@ def _witness_from_triple(lattice: Lattice, triple: tuple[int, int, int]) -> Subl
     return None
 
 
-def _first_difference(xs: tuple, ys: tuple) -> int:
-    """The first position where xs and ys differ, or their length."""
+def _diff_mask(xs: tuple, ys: tuple) -> int:
+    """Bitmask of the positions where the rows xs and ys differ."""
     if xs == ys:
-        return len(xs)
-    return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
+        return 0
+    return sum(1 << i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
 
 
 def _first_distributive_failure(lattice: Lattice) -> tuple[tuple[int, int, int], str] | None:
     """Indices of the first triple, in product order, where a distributive
     law fails, and the law; meet-over-join is checked first on a triple.
     Each (a, b) row compares both laws over every c at once."""
-    elems, J, M, _, _ = lattice.tables()
-    n = len(elems)
+    _, J, M, _, _ = lattice.tables()
     by_join, by_meet = _gatherers(J), _gatherers(M)
     for ia, (Ja, Ma) in enumerate(zip(J, M)):
-        for ib in range(n):
+        for ib in range(len(J)):
             # meet(a, join(b, c)) against join(meet(a, b), meet(a, c))
-            c1 = _first_difference(by_join[ib](Ma), by_meet[ia](J[Ma[ib]]))
+            over_join = _diff_mask(by_join[ib](Ma), by_meet[ia](J[Ma[ib]]))
             # join(a, meet(b, c)) against meet(join(a, b), join(a, c))
-            c2 = _first_difference(by_meet[ib](Ja), by_join[ia](M[Ja[ib]]))
-            if c1 < n or c2 < n:
-                return ((ia, ib, c1), "meet-over-join") if c1 <= c2 else ((ia, ib, c2), "join-over-meet")
+            over_meet = _diff_mask(by_meet[ib](Ja), by_join[ia](M[Ja[ib]]))
+            if over_join or over_meet:
+                c = next(set_bits(over_join | over_meet))
+                return (ia, ib, c), "meet-over-join" if over_join >> c & 1 else "join-over-meet"
     return None
 
 

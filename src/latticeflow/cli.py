@@ -52,12 +52,17 @@ class _UsageError(Exception):
     pass
 
 
-def _vertex_count(text: str) -> int:
-    """A network size of at least two vertices (source and sink)."""
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
-    return n
+def _at_least(low: int):
+    """An argparse type for an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-lattice", help="axiom check and distributivity certificate")
     p.add_argument("file", help="lattice spec file, or instance file with a lattice")
-    p.add_argument("--max-size", type=int, default=512, help="cap for exhaustive checks")
+    p.add_argument("--max-size", type=_at_least(0), default=512, help="cap for exhaustive checks")
     add_format(p)
 
     p = sub.add_parser("bottleneck", help="both sides of path-cut duality")
@@ -86,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unsafe-dp", action="store_true", help="allow the DP on uncertified lattices")
     p.add_argument("--mode", choices=("strict", "lenient"), default="strict")
     p.add_argument("--witness", action="store_true", help="show optimal path/cut in text output")
-    p.add_argument("--max-paths", type=int, default=DEFAULT_MAX_PATHS)
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_CUT_VERTICES)
+    p.add_argument("--max-paths", type=_at_least(0), default=DEFAULT_MAX_PATHS)
+    p.add_argument("--max-vertices", type=_at_least(0), default=DEFAULT_MAX_CUT_VERTICES)
     p.add_argument("--dot", metavar="FILE", help="write a DOT rendering with witnesses")
     add_format(p)
 
@@ -112,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random-check", help="fuzz duality on random distributive instances")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (or RANDOM_CHECK_SEED)")
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--max-vertices", type=_vertex_count, default=10)
+    p.add_argument("--instances", type=_at_least(0), default=100)
+    p.add_argument("--max-vertices", type=_at_least(2), default=10)
     add_format(p)
 
     return parser

@@ -9,8 +9,11 @@ from .instances import Instance
 from .network import CapacityAssignment, Cut, FlowNetwork, crossing_edges
 
 
-def _q(name: str) -> str:
-    return '"' + name.replace('"', '\\"') + '"'
+def _q(*lines: str) -> str:
+    """A DOT quoted string of the lines, joined by DOT's ``\\n`` line
+    break. Backslashes are doubled before quotes are escaped, so a name
+    ending in a backslash cannot escape the closing quote."""
+    return '"' + "\\n".join(x.replace("\\", "\\\\").replace('"', '\\"') for x in lines) + '"'
 
 
 def network_dot(
@@ -54,8 +57,7 @@ def poset_dot(
     chain_edges = set(zip(highlight_chain, highlight_chain[1:])) if highlight_chain else set()
     lines = [f"digraph {_q(name)} {{", "  rankdir=BT;"]
     for x in poset.elements:
-        label = f"{x}\\n{poset.lattice.format(poset.weights[x])}"
-        attrs = [f"label={_q(label)}", "shape=box"]
+        attrs = [f"label={_q(x, poset.lattice.format(poset.weights[x]))}", "shape=box"]
         if x in chain:
             attrs.append("color=blue")
         if x in antichain:

@@ -212,8 +212,10 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
         raise InstanceError(f"instance must be a JSON object, got {type(data).__name__}")
     lattice = lattice_from_spec(_need(data, "lattice", "instance"), base_dir)
     _require_lattice(lattice)
-    name = data.get("name")
-    description = data.get("description")
+    for key in ("name", "description"):
+        if not isinstance(data.get(key), (str, type(None))):
+            _fail(key, f"must be a string or null, got {data[key]!r}")
+    name, description = data.get("name"), data.get("description")
 
     if "vertices" in data:
         vertices = _names(data["vertices"], "vertices")

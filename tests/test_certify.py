@@ -390,3 +390,33 @@ class TestReportContract:
         assert report.truncated and len(report.violations) == 25
         assert report == reference_axioms(L)
         assert check_distributive(L) == reference_distributive(L)
+
+    @pytest.mark.parametrize(
+        "dropped, truncated",
+        [
+            # 25 violations: every one is reported and none is cut
+            ([("0", "0"), ("0", "2")], False),
+            # 26 violations: the 26th is cut
+            ([("0", "0"), ("1", "1")], True),
+        ],
+    )
+    def test_report_at_the_cap(self, dropped, truncated):
+        elems = ["0", "1", "2"]
+        pairs = [(a, b) for a, b in itertools.combinations_with_replacement(elems, 2) if (a, b) not in dropped]
+        L = ExplicitLattice.from_relation(elems, pairs)
+        report = check_lattice_axioms(L)
+        assert len(report.violations) == 25 and report.truncated is truncated
+        assert report == reference_axioms(L)
+
+    def test_no_native_call_after_tables(self):
+        lattices = list(corrupted_tables(37, 60))
+        expected = [reference_axioms(L) for L in lattices]
+        calls = []
+        for L in lattices:
+            L.tables()
+            for op in ("_leq", "_join", "_meet"):
+                native = getattr(L, op)
+                setattr(L, op, lambda *xs, native=native, op=op: calls.append(op) or native(*xs))
+        assert [check_lattice_axioms(L) for L in lattices] == expected
+        assert calls == []
+        assert sum(not r.ok for r in expected) > 30

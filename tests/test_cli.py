@@ -299,6 +299,9 @@ class TestErrors:
             ("check-lattice", {"kind": "survival", "time_points": 3, "levels": 3.0}),
             ("check-lattice", {"kind": "survival", "time_points": 3.0, "levels": 3}),
             ("check-lattice", {"kind": "survival", "time_points": True, "levels": 3}),
+            # a name or description is a string or null, never rendered from another value
+            ("bottleneck", {**NETWORK, "name": 5}),
+            ("bottleneck", {**NETWORK, "name": {"a": 1}}),
         ],
     )
     def test_malformed_file_exits_one(self, tmp_path, capsys, command, data):
@@ -331,6 +334,8 @@ class TestErrors:
              "survival lattice needs an integer count of time points, got float"),
             ("check-lattice", {"kind": "survival", "time_points": True, "levels": 3},
              "survival lattice needs an integer count of time points, got bool"),
+            ("bottleneck", {**NETWORK, "name": 5}, "name: must be a string or null, got 5"),
+            ("dilworth", {**POSET, "description": ["x"]}, "description: must be a string or null, got ['x']"),
         ],
     )
     def test_malformed_file_names_the_fault(self, tmp_path, capsys, command, data, message):
@@ -372,6 +377,27 @@ class TestErrors:
         report, code = run_command(["random-check", "--max-vertices", "1"])
         assert code == 1
         assert "--max-vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["random-check", "--instances", "-3"], "argument --instances: must be at least 0, got -3"),
+            (["check-lattice", "lattice.json", "--max-size", "-1"], "argument --max-size: must be at least 0, got -1"),
+            (["random-check", "--instances", "many"], "argument --instances: invalid int value: 'many'"),
+            (["bottleneck", "net.json", "--max-paths", "-1"], "argument --max-paths: must be at least 0, got -1"),
+            (["bottleneck", "net.json", "--max-vertices", "-2"], "argument --max-vertices: must be at least 0, got -2"),
+        ],
+    )
+    def test_bad_count_is_a_usage_error(self, capsys, argv, message):
+        report, code = run_command(argv)
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_null_name_and_description_are_accepted(self, tmp_path, capsys):
+        f = tmp_path / "net.json"
+        f.write_text(json.dumps({**NETWORK, "name": None, "description": None}))
+        report, code = run_command(["bottleneck", str(f)])
+        assert code == 0
 
     def test_internal_value_error_is_not_an_input_error(self, monkeypatch):
         def broken(args):
