@@ -13,12 +13,16 @@ order and stops after the first 25; the distributivity scan takes the
 lowest failing c of the first failing row. Non-distributive verdicts
 carry a failing triple and a five-element pentagon/diamond sublattice
 witness, searched on indices in the sublattice the triple generates.
-:func:`find_forbidden_sublattice` stays an independent oracle: its
-five-subset scan uses the native ``_join``/``_meet``, not the tables.
+:func:`find_forbidden_sublattice` stays an independent oracle on the
+native ``_join``/``_meet``, not the tables: it classifies only the
+five-subsets that three middle elements and the joins and meets of their
+pairs form, and returns the witness a scan of every five-subset would
+find first.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -338,20 +342,56 @@ def check_distributive(
     return cert
 
 
+def _five_candidates(lattice: Lattice) -> list[tuple]:
+    """Every five-subset that :func:`_classify_five` can accept, in
+    ``combinations`` order, from native ``_join``/``_meet`` calls only.
+
+    An accepted set is its three middle elements x < y < z (by index)
+    plus their bottom and top. Closure puts the join and meet of each
+    pair (x, y), (x, z), (y, z) in it; the N5/M3 checks make the bottom
+    and the top the meet and the join of such a pair, or of (z, x) when
+    z is the lone middle of an N5 and the operations do not commute.
+    Each ordered pair's results are computed once.
+    """
+    elems = lattice.element_list()
+    index = {x: i for i, x in enumerate(elems)}
+
+    @functools.cache
+    def bounds(i: int, j: int) -> tuple:
+        """Indices of the join and the meet of elements i and j, None
+        for a result outside the universe."""
+        a, b = elems[i], elems[j]
+        return index.get(lattice._join(a, b)), index.get(lattice._meet(a, b))
+
+    found = set()
+    for x, y, z in itertools.combinations(range(len(elems)), 3):
+        five = {x, y, z, *bounds(x, y), *bounds(x, z), *bounds(y, z)}
+        if None in five:
+            continue  # no set holding x, y and z is closed
+        if len(five) < 5:
+            five.update(bounds(z, x))
+        if len(five) == 5 and None not in five:
+            found.add(tuple(sorted(five)))
+    return [tuple(elems[i] for i in five) for five in sorted(found)]
+
+
 def find_forbidden_sublattice(
     lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE
 ) -> SublatticeWitness | None:
     """Pentagon or diamond sublattice embedding, or None if there is none.
 
-    For small universes this scans every five-element subset, which keeps
-    it an oracle independent of :func:`check_distributive`; larger
+    For small universes this classifies every five-element subset that
+    three middle elements and their joins and meets can form, on native
+    operations, which keeps it an oracle independent of
+    :func:`check_distributive`; the first witness is the one a scan of
+    all five-subsets in ``combinations`` order would give. Larger
     universes fall back to the failing-triple closure search.
     """
     if lattice.known_distributive:
         return None
     size = _guard_size(lattice, max_size)
     if size <= _SUBSET_SCAN_MAX:
-        for five in itertools.combinations(lattice.element_list(), 5):
+        for five in _five_candidates(lattice):
             wit = _classify_five(lattice, five)
             if wit is not None:
                 return wit

@@ -9,13 +9,14 @@ bug, which is what makes fuzzing in CI meaningful.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
 from pathlib import Path
 
-from .bottleneck import verify_duality
+from .bottleneck import alpha_bruteforce, alpha_dp, beta_bruteforce, verify_duality
 from .certify import check_distributive, check_lattice_axioms, find_forbidden_sublattice, is_distributive
 from .dilworth import check_correspondences, dilworth_direct, dilworth_via_network
 from .dot import emit_dot
@@ -52,13 +53,16 @@ class _UsageError(Exception):
     pass
 
 
-def _at_least(low: int):
-    """An argparse type for an integer of at least ``low``."""
+def _at_least(low: int, high: int | None = None):
+    """An argparse type for an integer of at least ``low`` and, when
+    ``high`` is given, at most ``high``."""
 
     def parse(text: str) -> int:
         n = int(text)
         if n < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        if high is not None and n > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {n}")
         return n
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -71,7 +75,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later call,
+    so callers parse with it and never change it."""
     parser = _Parser(prog="latticeflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -118,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random-check", help="fuzz duality on random distributive instances")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (or RANDOM_CHECK_SEED)")
     p.add_argument("--instances", type=_at_least(0), default=100)
-    p.add_argument("--max-vertices", type=_at_least(2), default=10)
+    p.add_argument("--max-vertices", type=_at_least(2, DEFAULT_MAX_CUT_VERTICES), default=10)
     add_format(p)
 
     return parser
@@ -227,8 +234,6 @@ def _cmd_maxflow(args) -> tuple[dict, int]:
         raise InstanceError("maxflow needs a network instance, got a poset")
     net, cap, lat = inst.network, inst.capacities, inst.lattice
     value = max_flow_value(net, cap, allow_non_distributive=args.unsafe_dp)
-    from .bottleneck import beta_bruteforce
-
     beta = beta_bruteforce(net, cap, mode=args.mode)
     result = {
         "instance": inst.name,
@@ -354,18 +359,19 @@ def _cmd_gallery(args) -> tuple[dict, int]:
 def _cmd_random_check(args) -> tuple[dict, int]:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("RANDOM_CHECK_SEED", "0"))
+        text = os.environ.get("RANDOM_CHECK_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise _UsageError(f"RANDOM_CHECK_SEED must be an integer, got {text!r}") from None
     rng = random.Random(seed)
-    from .bottleneck import alpha_bruteforce, alpha_dp, beta_bruteforce
-    from .flows import max_flow_value as mfv
-
     failures = []
     for i in range(args.instances):
         net, cap = random_instance(rng, max_vertices=args.max_vertices)
         alpha = alpha_bruteforce(net, cap)
         beta = beta_bruteforce(net, cap)
         dp = alpha_dp(net, cap)
-        flow = mfv(net, cap)
+        flow = max_flow_value(net, cap)
         if not (alpha == beta == dp == flow):
             failures.append(
                 {
@@ -408,18 +414,12 @@ _HANDLERS = {
 def run_command(argv) -> tuple[dict, int]:
     """Parse and run one command; returns (report, exit code) and prints
     the formatted report to stdout."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        args = build_parser().parse_args(argv)
+        return _HANDLERS[args.command](args)
+    except (_UsageError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {"error": str(exc)}, EXIT_INPUT
-    try:
-        report, code = _HANDLERS[args.command](args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return {"error": str(exc)}, EXIT_INPUT
-    return report, code
 
 
 def main(argv=None) -> int:

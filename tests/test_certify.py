@@ -7,6 +7,7 @@ from latticeflow import (
     ChainLattice,
     DiamondLattice,
     ExplicitLattice,
+    Lattice,
     PentagonLattice,
     PowersetLattice,
     ProductLattice,
@@ -15,7 +16,13 @@ from latticeflow import (
     check_lattice_axioms,
     find_forbidden_sublattice,
 )
-from latticeflow.certify import AxiomReport, AxiomViolation, DistributivityCertificate, _classify_five
+from latticeflow.certify import (
+    _SUBSET_SCAN_MAX,
+    AxiomReport,
+    AxiomViolation,
+    DistributivityCertificate,
+    _classify_five,
+)
 from latticeflow.generators import random_any_lattice, random_explicit_lattice
 
 
@@ -420,3 +427,157 @@ class TestReportContract:
         assert [check_lattice_axioms(L) for L in lattices] == expected
         assert calls == []
         assert sum(not r.ok for r in expected) > 30
+
+
+# -- the middle-triple scan against the scan of every five-subset --------------
+
+
+def reference_forbidden(lattice):
+    """``find_forbidden_sublattice`` as a scan of every five-subset in
+    ``combinations`` order."""
+    if lattice.known_distributive:
+        return None
+    if lattice.size() > _SUBSET_SCAN_MAX:
+        return check_distributive(lattice).sublattice
+    for five in itertools.combinations(lattice.element_list(), 5):
+        wit = _classify_five(lattice, five)
+        if wit is not None:
+            return wit
+    return None
+
+
+class OpTables(Lattice):
+    """Elements 0 .. n-1 with arbitrary tables for the order, the join and
+    the meet: the operations need not commute, and a result may lie
+    outside the universe. That result is n, and any operation on it
+    gives n again."""
+
+    kind = "op-tables"
+
+    def __init__(self, up, join, meet):
+        self.up, self.join_table, self.meet_table = up, join, meet
+
+    def __contains__(self, x):
+        return x in range(len(self.up))
+
+    def size(self):
+        return len(self.up)
+
+    def elements(self):
+        return iter(range(len(self.up)))
+
+    def _leq(self, a, b):
+        return bool(self.up[a] >> b & 1)
+
+    def _join(self, a, b):
+        return self.join_table[a][b] if a in self and b in self else self.size()
+
+    def _meet(self, a, b):
+        return self.meet_table[a][b] if a in self and b in self else self.size()
+
+
+def lone_last_pentagon() -> OpTables:
+    """An N5 that ``_classify_five`` accepts, 0 < 1 < 2 < 4 and 0 < 3 < 4,
+    whose lone middle 3 reaches the bottom and the top only as the first
+    argument: meet(1, 3) and join(1, 3) give 1 and 3, meet(3, 1) and
+    join(3, 1) give 0 and 4."""
+    up = [0b11111, 0b10110, 0b10100, 0b11000, 0b10000]
+    join = [[max(a, b) for b in range(5)] for a in range(5)]
+    meet = [[min(a, b) for b in range(5)] for a in range(5)]
+    for m in (1, 2):
+        join[3][m], meet[3][m] = 4, 0
+    return OpTables(up, join, meet)
+
+
+def perturbed_op_tables(seed: int, count: int):
+    """Tables of random lattices of at most 8 elements with a few join,
+    meet or order entries changed on one ordered pair only, some of them
+    to a value outside the universe."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        L = random_explicit_lattice(rng, max_size=8)
+        _, J, M, up, _ = L.tables()
+        n = len(up)
+        join, meet, up = [list(r) for r in J], [list(r) for r in M], list(up)
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            change = rng.choice(("join", "meet", "leq"))
+            if change == "leq":
+                up[a] ^= 1 << b
+            else:
+                table = join if change == "join" else meet
+                table[a][b] = rng.randrange(n) if rng.random() < 0.9 else n
+        yield OpTables(up, join, meet)
+
+
+def native_op_counter(L) -> list[int]:
+    """Count ``_join``/``_meet`` calls on L from now on."""
+    calls = [0]
+    for op in ("_join", "_meet"):
+        native = getattr(L, op)
+        setattr(L, op, lambda *xs, native=native: calls.__setitem__(0, calls[0] + 1) or native(*xs))
+    return calls
+
+
+def small_products():
+    """Products of up to 24 elements, as explicit tables."""
+    for factors in (
+        [ChainLattice(4), ChainLattice(5)],
+        [ChainLattice(2), ChainLattice(3), ChainLattice(4)],
+        [PentagonLattice(), ChainLattice(4)],
+        [DiamondLattice(), ChainLattice(2), ChainLattice(2)],
+        [PentagonLattice(), ChainLattice(2), ChainLattice(2)],
+        [PowersetLattice("xyz"), ChainLattice(3)],
+    ):
+        yield explicit_copy(ProductLattice(factors))
+
+
+def forbidden_contract_lattices():
+    from test_acceptance import _builtin_lattices
+
+    yield from _builtin_lattices()
+    yield from rigged_lattices()
+    yield from small_products()
+
+
+class TestForbiddenScanContract:
+    @pytest.mark.parametrize("L", list(forbidden_contract_lattices()), ids=lambda L: L.describe())
+    def test_same_witness_as_every_five_subset(self, L):
+        assert find_forbidden_sublattice(L) == reference_forbidden(L)
+
+    def test_corrupted_tables(self):
+        found = 0
+        for L in corrupted_tables(41, 1200):
+            wit = reference_forbidden(L)
+            assert find_forbidden_sublattice(L) == wit, L.spec()
+            found += wit is not None
+        assert found > 100
+
+    def test_lattice_draws(self):
+        rng = random.Random(43)
+        found = 0
+        for _ in range(400):
+            L = random_explicit_lattice(rng)
+            wit = reference_forbidden(L)
+            assert find_forbidden_sublattice(L) == wit, L.spec()
+            found += wit is not None
+        assert found > 80
+
+    def test_operations_that_do_not_commute(self):
+        lone_last = lone_last_pentagon()
+        assert reference_forbidden(lone_last) == find_forbidden_sublattice(lone_last)
+        assert find_forbidden_sublattice(lone_last).embedding == {"0": 0, "a": 3, "b": 2, "c": 1, "1": 4}
+        found = 0
+        for L in perturbed_op_tables(47, 1500):
+            wit = reference_forbidden(L)
+            assert find_forbidden_sublattice(L) == wit, (L.up, L.join_table, L.meet_table)
+            found += wit is not None
+        assert found > 100
+
+    def test_native_calls_on_a_distributive_product(self):
+        L = explicit_copy(ProductLattice([ChainLattice(4), ChainLattice(5)]))
+        calls = native_op_counter(L)
+        assert find_forbidden_sublattice(L) is None
+        # a scan of all 15,504 five-subsets makes 127,333 calls here
+        assert calls[0] <= 20_000
+        assert getattr(L, "_tables_cache", None) is None

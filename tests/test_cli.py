@@ -373,6 +373,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "self-loops" in err and "cycle" in err
 
+    def test_non_integer_env_seed_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setenv("RANDOM_CHECK_SEED", "abc")
+        report, code = run_command(["random-check", "--instances", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: RANDOM_CHECK_SEED must be an integer, got 'abc'\n"
+        assert report == {"error": "RANDOM_CHECK_SEED must be an integer, got 'abc'"}
+
     def test_random_check_needs_two_vertices(self, capsys):
         report, code = run_command(["random-check", "--max-vertices", "1"])
         assert code == 1
@@ -386,6 +393,9 @@ class TestErrors:
             (["random-check", "--instances", "many"], "argument --instances: invalid int value: 'many'"),
             (["bottleneck", "net.json", "--max-paths", "-1"], "argument --max-paths: must be at least 0, got -1"),
             (["bottleneck", "net.json", "--max-vertices", "-2"], "argument --max-vertices: must be at least 0, got -2"),
+            # past the cut side's vertex cap a draw could only end in an input error
+            (["random-check", "--seed", "1", "--instances", "3", "--max-vertices", "40"],
+             "argument --max-vertices: must be at most 22, got 40"),
         ],
     )
     def test_bad_count_is_a_usage_error(self, capsys, argv, message):
