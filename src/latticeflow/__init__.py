@@ -11,6 +11,7 @@ from .bottleneck import (
     alpha_bruteforce,
     alpha_dp,
     beta_bruteforce,
+    beta_threshold,
     counterexample_for,
     cut_capacity,
     path_throughput,

@@ -22,6 +22,7 @@ from .network import (
     Cut,
     FlowNetwork,
     _or_table,
+    _reachable,
     crossing_edges,
     crossing_masks,
     enumerate_paths,
@@ -53,16 +54,19 @@ def cut_capacity(net: FlowNetwork, cap: CapacityAssignment, cut: Cut) -> Element
     return cap.lattice.join_all(cap[e] for e in crossing_edges(net, cut))
 
 
-def require_distributive(lattice: Lattice, allow_non_distributive: bool, what: str) -> None:
+def require_distributive(
+    lattice: Lattice, allow_non_distributive: bool, what: str, overridable: bool = True
+) -> None:
     """The gate in front of every route that is exact only on distributive
     lattices: DistributivityRequired unless the lattice is certified
-    distributive or the caller overrides."""
+    distributive or the caller overrides. Routes that are not
+    ``overridable`` leave the override out of the message."""
     dist = is_distributive(lattice)
     if dist is not True and not allow_non_distributive:
+        hint = " (pass allow_non_distributive=True to force it)" if overridable else ""
         raise DistributivityRequired(
             f"{lattice.describe()} is not certified distributive; {what} is only "
-            "exact on distributive lattices (pass allow_non_distributive=True to "
-            "force it)"
+            f"exact on distributive lattices{hint}"
         )
 
 
@@ -142,6 +146,51 @@ def _cut_side(
     return n_cuts, None if witness is None else partition_cut(net, witness), beta
 
 
+def beta_threshold(net: FlowNetwork, cap: CapacityAssignment) -> Element:
+    """Strict-mode cut side from the join-irreducibles, with no cut
+    enumeration and no vertex cap. Certified-distributive lattices only,
+    with no override: elsewhere a join-irreducible need not be join-prime
+    and the result can miss beta."""
+    require_distributive(cap.lattice, False, "the threshold cut side", overridable=False)
+    return _threshold_side(net, cap)[1]
+
+
+def _threshold_side(net: FlowNetwork, cap: CapacityAssignment) -> tuple[Cut | None, Element]:
+    """The strict cut side's optimal cut and value on a distributive
+    lattice.
+
+    There every join-irreducible j is join-prime, so j <= beta exactly
+    when every cut crosses an edge of capacity >= j, that is, when those
+    edges connect the source to the sink. Bit i of an edge's mask is set
+    when the i-th join-irreducible lies below its capacity; one pass in
+    topological order finds the bits each vertex is reached with, and
+    beta is the join of the sink's bits. A cut attains beta exactly when
+    no crossing edge has a bit outside the sink's, so the smallest such
+    source side is the closure of the source along those edges: the first
+    partition of :func:`crossing_masks`' walk that attains beta. When that
+    closure holds the sink, no cut attains beta.
+    """
+    lat = cap.lattice
+    joins = lat.join_irreducibles()
+    value_mask = {
+        v: sum(1 << i for i, j in enumerate(joins) if lat._leq(j, v)) for v in {cap[e] for e in net.edges}
+    }
+    edge_mask = {e: value_mask[cap[e]] for e in net.edges}
+    reach = {net.source: (1 << len(joins)) - 1}
+    for v in net.topological_order():
+        if v != net.source:
+            bits = 0
+            for e in net.in_edges(v):
+                bits |= reach[e[0]] & edge_mask[e]
+            reach[v] = bits
+    at_sink = reach[net.sink]
+    beta = lat.join_all(joins[i] for i in set_bits(at_sink))
+    side = _reachable(net, net.source, True, {e for e, m in edge_mask.items() if m & ~at_sink})
+    if net.sink in side:
+        return None, beta
+    return Cut(frozenset(side), frozenset(v for v in net.vertices if v not in side)), beta
+
+
 def alpha_dp(
     net: FlowNetwork,
     cap: CapacityAssignment,
@@ -211,24 +260,33 @@ def verify_duality(
 ) -> DualityReport:
     """Compute both duality sides and attach achieving witnesses.
 
-    ``method`` picks how the path side is computed: "bruteforce" folds
-    over enumerated paths, "dp" runs the dynamic program (distributive
-    lattices only unless overridden), "auto" uses the dynamic program
-    exactly when the lattice is certified distributive. The cut side is
-    always brute force. A path or cut witness is attached only when some
+    ``method`` picks the routes: "bruteforce" folds over enumerated paths,
+    "dp" runs the dynamic program (distributive lattices only unless
+    overridden), both next to the brute-force cut side. "auto" takes the
+    dynamic program exactly when the lattice is certified distributive,
+    and then, in strict mode, the threshold cut side of
+    :func:`beta_threshold`, which has no vertex cap. Otherwise the cut side
+    is brute force; lenient mode always is, since it counts the minimal
+    crossing sets. A path or cut witness is attached only when some
     path/cut actually attains the reported value; either may be absent.
     """
     if method not in ("auto", "bruteforce", "dp"):
         raise ValueError(f"method must be auto, bruteforce or dp, got {method!r}")
+    threshold = False
     if method == "auto":
         method = "dp" if is_distributive(cap.lattice) is True else "bruteforce"
+        threshold = method == "dp" and mode == "strict"
     if method == "dp":
         paths = enumerate_paths(net, max_paths)
         alpha = alpha_dp(net, cap, allow_non_distributive=allow_non_distributive)
         throughputs = (path_throughput(net, cap, p) for p in paths)
     else:
         paths, throughputs, alpha = _path_side(net, cap, max_paths)
-    n_cuts, optimal_cut, beta = _cut_side(net, cap, mode, max_vertices)
+    if threshold:
+        n_cuts = 2 ** (len(net.vertices) - 2)
+        optimal_cut, beta = _threshold_side(net, cap)
+    else:
+        n_cuts, optimal_cut, beta = _cut_side(net, cap, mode, max_vertices)
     optimal_path = next((p for p, value in zip(paths, throughputs) if value == alpha), None)
 
     return DualityReport(
@@ -238,7 +296,7 @@ def verify_duality(
         optimal_path=optimal_path,
         optimal_cut=optimal_cut,
         alpha_method=method,
-        beta_method="bruteforce",
+        beta_method="threshold" if threshold else "bruteforce",
         n_paths=len(paths),
         n_cuts=n_cuts,
     )

@@ -16,7 +16,7 @@ import random
 import sys
 from pathlib import Path
 
-from .bottleneck import alpha_bruteforce, alpha_dp, beta_bruteforce, verify_duality
+from .bottleneck import alpha_bruteforce, alpha_dp, beta_bruteforce, beta_threshold, verify_duality
 from .certify import check_distributive, check_lattice_axioms, find_forbidden_sublattice, is_distributive
 from .dilworth import check_correspondences, dilworth_direct, dilworth_via_network
 from .dot import emit_dot
@@ -36,7 +36,7 @@ from .network import DEFAULT_MAX_CUT_VERTICES, DEFAULT_MAX_PATHS
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_VIOLATION = 2
+EXIT_VIOLATION = 2  # also when check-lattice's certificate and oracle disagree
 
 _INPUT_ERRORS = (
     InstanceError,
@@ -141,17 +141,24 @@ def _emit(report: dict, fmt: str, text_renderer) -> None:
 def _cmd_check_lattice(args) -> tuple[dict, int]:
     lattice = load_lattice(args.file)
     result: dict = {"lattice": lattice.describe(), "size": lattice.size()}
+    code = EXIT_OK
     try:
         axioms = check_lattice_axioms(lattice, args.max_size)
         result["axioms"] = axioms.to_dict(lattice)
     except UniverseTooLarge as exc:
+        axioms = None
         result["axioms"] = {"skipped": str(exc)}
     try:
         cert = check_distributive(lattice, args.max_size)
-        result["distributivity"] = cert.to_dict(lattice)
+        dist = result["distributivity"] = cert.to_dict(lattice)
         wit = find_forbidden_sublattice(lattice, args.max_size)
-        if wit is not None and "forbidden_sublattice" not in result["distributivity"]:
-            result["distributivity"]["forbidden_sublattice"] = wit.to_dict(lattice)
+        if wit is not None and "forbidden_sublattice" not in dist:
+            dist["forbidden_sublattice"] = wit.to_dict(lattice)
+        # on a table that breaks the axioms the two verdicts may differ
+        if axioms is not None and axioms.ok and (wit is None) != cert.distributive:
+            found = "no forbidden sublattice" if wit is None else f"an {wit.label} sublattice"
+            dist["oracle_disagreement"] = f"the five-subset scan found {found}"
+            code = EXIT_VIOLATION
     except UniverseTooLarge as exc:
         result["distributivity"] = {"skipped": str(exc)}
 
@@ -176,10 +183,12 @@ def _cmd_check_lattice(args) -> tuple[dict, int]:
             if "forbidden_sublattice" in dist:
                 sub = dist["forbidden_sublattice"]
                 lines.append(f"  forbidden sublattice: {sub['label']} via {sub['embedding']}")
+            if "oracle_disagreement" in dist:
+                lines.append(f"  DISAGREEMENT: {dist['oracle_disagreement']}")
         return "\n".join(lines)
 
     _emit(result, args.format, render)
-    return result, EXIT_OK
+    return result, code
 
 
 def _cmd_bottleneck(args) -> tuple[dict, int]:
@@ -234,11 +243,16 @@ def _cmd_maxflow(args) -> tuple[dict, int]:
         raise InstanceError("maxflow needs a network instance, got a poset")
     net, cap, lat = inst.network, inst.capacities, inst.lattice
     value = max_flow_value(net, cap, allow_non_distributive=args.unsafe_dp)
-    beta = beta_bruteforce(net, cap, mode=args.mode)
+    distributive = is_distributive(lat)
+    if distributive is True and args.mode == "strict":
+        beta, cut_method = beta_threshold(net, cap), "threshold"
+    else:
+        beta, cut_method = beta_bruteforce(net, cap, mode=args.mode), "bruteforce"
     result = {
         "instance": inst.name,
         "max_flow_value": lat.literal(value),
         "min_cut_value": lat.literal(beta),
+        "min_cut_method": cut_method,
         "equal": value == beta,
     }
     if args.check_flow:
@@ -250,13 +264,12 @@ def _cmd_maxflow(args) -> tuple[dict, int]:
         )
         if not check.ok:
             result["checked_flow"]["warning"] = "flow is infeasible; value computed anyway"
-    distributive = is_distributive(lat)
 
     def render(r: dict) -> str:
         lines = [
             f"instance: {r['instance'] or args.file}",
             f"max flow value: {lat.format(value)}",
-            f"min cut value:  {lat.format(beta)}",
+            f"min cut value:  {lat.format(beta)}  [{cut_method}]",
             f"equal: {r['equal']}",
         ]
         if "checked_flow" in r:
@@ -372,7 +385,8 @@ def _cmd_random_check(args) -> tuple[dict, int]:
         beta = beta_bruteforce(net, cap)
         dp = alpha_dp(net, cap)
         flow = max_flow_value(net, cap)
-        if not (alpha == beta == dp == flow):
+        threshold = beta_threshold(net, cap)
+        if not (alpha == beta == dp == flow == threshold):
             failures.append(
                 {
                     "index": i,
@@ -381,6 +395,7 @@ def _cmd_random_check(args) -> tuple[dict, int]:
                     "beta": cap.lattice.literal(beta),
                     "alpha_dp": cap.lattice.literal(dp),
                     "max_flow": cap.lattice.literal(flow),
+                    "beta_threshold": cap.lattice.literal(threshold),
                 }
             )
     result = {

@@ -21,7 +21,7 @@ from functools import reduce
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MismatchError, NoBottomError, UniverseTooLarge
-from .orderutils import cover_pairs, partial_order, relation_masks, set_bits, transpose
+from .orderutils import cover_masks, cover_pairs, partial_order, relation_masks, set_bits, transpose
 
 Element = Any
 
@@ -56,6 +56,7 @@ class Lattice:
 
     kind = "abstract"
     known_distributive = False
+    _bottom_first = False  # True where element order always starts at the bottom
 
     # -- order and algebra -------------------------------------------------
 
@@ -146,6 +147,33 @@ class Lattice:
         self._tables_cache = cached
         return cached
 
+    def join_irreducibles(self) -> tuple:
+        """The join-irreducible elements (those with exactly one lower
+        cover), in element order, found on first use and kept.
+
+        Kinds whose structure names them override
+        :meth:`_join_irreducibles`; the default reads the lower covers
+        off :meth:`tables`, so it needs an enumerable universe.
+        """
+        cached = getattr(self, "_join_irreducibles_cache", None)
+        if cached is None:
+            cached = self._join_irreducibles()
+            self._join_irreducibles_cache = cached
+        return cached
+
+    def _join_irreducibles(self) -> tuple:
+        t = self.tables()  # the covers of the reversed order are the lower covers
+        return tuple(x for x, lower in zip(t.elements, cover_masks(t.down)) if lower.bit_count() == 1)
+
+    def _joins_before_bottom(self) -> int:
+        """How many join-irreducibles precede the bottom in element order;
+        a product needs it to list its own in element order."""
+        if self._bottom_first:
+            return 0
+        elems = self.element_list()
+        bottom = elems.index(self.bottom())
+        return sum(elems.index(j) < bottom for j in self.join_irreducibles())
+
     def bottom(self) -> Element | None:
         """Global minimum, or None if there is none.
 
@@ -225,6 +253,7 @@ class ChainLattice(Lattice):
 
     kind = "chain"
     known_distributive = True
+    _bottom_first = True
 
     def __init__(self, levels: int):
         if not isinstance(levels, int) or isinstance(levels, bool) or levels < 1:
@@ -255,6 +284,9 @@ class ChainLattice(Lattice):
     def top(self):
         return self.levels - 1
 
+    def _join_irreducibles(self):
+        return tuple(range(1, self.levels))
+
     def parse(self, literal):
         if not isinstance(literal, int) or isinstance(literal, bool):
             raise MismatchError(f"chain element must be an integer, got {literal!r}")
@@ -276,9 +308,11 @@ class ChainLattice(Lattice):
 
 class _SetLattice(Lattice):
     """A family of frozensets of names ordered by inclusion, closed under
-    union (join) and intersection (meet), hence distributive."""
+    union (join) and intersection (meet), hence distributive. Every kind
+    lists the bottom first."""
 
     known_distributive = True
+    _bottom_first = True
 
     def _leq(self, a, b):
         return a <= b
@@ -326,6 +360,9 @@ class PowersetLattice(_SetLattice):
 
     def top(self):
         return self._atomset
+
+    def _join_irreducibles(self):
+        return tuple(frozenset((a,)) for a in self.atoms)
 
     def parse(self, literal):
         if not isinstance(literal, (list, tuple)):
@@ -384,6 +421,24 @@ class ProductLattice(Lattice):
         parts = [f.top() for f in self.factors]
         return None if any(p is None for p in parts) else tuple(parts)
 
+    def _join_irreducibles(self):
+        """Each factor's join-irreducibles over the other factors' bottoms.
+        In the lexicographic element order those that precede their
+        factor's bottom come first, factor by factor; then those that
+        follow it, last factor first."""
+        bottom = self.bottom()
+        before, after = [], []
+        for k, f in enumerate(self.factors):
+            js = f.join_irreducibles()
+            cut = f._joins_before_bottom()
+            lifted = [bottom[:k] + (j,) + bottom[k + 1:] for j in js]
+            before += lifted[:cut]
+            after[:0] = lifted[cut:]
+        return tuple(before + after)
+
+    def _joins_before_bottom(self):
+        return sum(f._joins_before_bottom() for f in self.factors)
+
     def parse(self, literal):
         if not isinstance(literal, (list, tuple)) or len(literal) != len(self.factors):
             raise MismatchError(
@@ -414,6 +469,7 @@ class IntervalGridLattice(Lattice):
 
     kind = "intervals"
     known_distributive = True
+    _bottom_first = True
 
     def __init__(self, step: float = 0.01):
         if isinstance(step, bool):
@@ -463,6 +519,10 @@ class IntervalGridLattice(Lattice):
 
     def top(self):
         return (1.0, 1.0)
+
+    def _join_irreducibles(self):
+        vals = [round(i * self.step, 12) for i in range(1, self._n + 1)]
+        return tuple((0.0, h) for h in vals) + tuple((v, v) for v in vals)
 
     def parse(self, literal):
         if not isinstance(literal, (list, tuple)) or len(literal) != 2:
@@ -520,6 +580,8 @@ class DownsetLattice(_SetLattice):
             if not any(down[i] & ~mask for i in set_bits(mask))
         )
         self._uset = frozenset(self._universe)
+        # the principal down-sets, ordered by mask like the universe
+        self._principal = tuple(frozenset(base[i] for i in set_bits(m)) for m in sorted(down))
 
     def __contains__(self, x):
         return x in self._uset
@@ -535,6 +597,9 @@ class DownsetLattice(_SetLattice):
 
     def top(self):
         return frozenset(self.base)
+
+    def _join_irreducibles(self):
+        return self._principal
 
     def parse(self, literal):
         if not isinstance(literal, (list, tuple)) or not all(isinstance(x, Hashable) for x in literal):
@@ -592,6 +657,14 @@ class RingOfSetsLattice(_SetLattice):
 
     def top(self):
         return reduce(frozenset.__or__, self._family)
+
+    def _join_irreducibles(self):
+        """For each atom of top less bottom, the smallest member holding it."""
+        found = {
+            reduce(frozenset.__and__, (s for s in self._family if a in s))
+            for a in self.top() - self.bottom()
+        }
+        return tuple(s for s in self._family if s in found)
 
     def parse(self, literal):
         if not isinstance(literal, (list, tuple)) or not all(isinstance(x, Hashable) for x in literal):
@@ -926,6 +999,20 @@ class SurvivalLattice(Lattice):
 
     def top(self):
         return (1.0,) * (self.time_points - 1) + (0.0,)
+
+    def _join_irreducibles(self):
+        """The steps grid(k) on times 1..i and 0 after i, for each middle
+        time i and level k >= 1. Elements come in descending
+        lexicographic order, so higher steps first, then longer ones."""
+        mid = self.time_points - 2
+        return tuple(
+            (1.0,) + (self._grid(k),) * i + (0.0,) * (mid - i + 1)
+            for k in range(self.levels - 1, 0, -1)
+            for i in range(mid, 0, -1)
+        )
+
+    def _joins_before_bottom(self):
+        return len(self.join_irreducibles())  # the bottom is the last element
 
     def parse(self, literal):
         if not isinstance(literal, (list, tuple)) or len(literal) != self.time_points:

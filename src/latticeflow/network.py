@@ -66,8 +66,14 @@ class FlowNetwork:
     def internal_vertices(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if v not in (self.source, self.sink))
 
-    def topological_order(self) -> list[str]:
-        return topological_order(self.vertices, self.edges)
+    def topological_order(self) -> tuple[str, ...]:
+        """The vertices in :func:`orderutils.topological_order`'s order,
+        computed on the first call and kept; a cycle raises ValueError on
+        every call."""
+        order = getattr(self, "_topological_order", None)
+        if order is None:
+            order = self._topological_order = tuple(topological_order(self.vertices, self.edges))
+        return order
 
     def __repr__(self):
         return (
@@ -167,7 +173,9 @@ def validate_network(net: FlowNetwork, mode: str = "strict") -> ValidationReport
     return ValidationReport(ok=not violations, mode=mode, violations=tuple(violations))
 
 
-def _reachable(net: FlowNetwork, start: str, forward: bool) -> set:
+def _reachable(net: FlowNetwork, start: str, forward: bool, through=None) -> set:
+    """The vertices reachable from ``start`` (reaching it, when not
+    ``forward``), along the edges in ``through`` if it is given."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -175,7 +183,7 @@ def _reachable(net: FlowNetwork, start: str, forward: bool) -> set:
         edges = net.out_edges(v) if forward else net.in_edges(v)
         for e in edges:
             w = e[1] if forward else e[0]
-            if w not in seen:
+            if w not in seen and (through is None or e in through):
                 seen.add(w)
                 frontier.append(w)
     return seen

@@ -25,6 +25,7 @@ from latticeflow import (
     alpha_bruteforce,
     alpha_dp,
     beta_bruteforce,
+    beta_threshold,
     check_correspondences,
     check_distributive,
     counterexample_for,
@@ -128,11 +129,12 @@ def test_criterion_4_distributive_fuzz(fuzz_corpus):
         beta = beta_bruteforce(net, cap)
         dp = alpha_dp(net, cap)
         flow = max_flow_value(net, cap)
-        if not (alpha == beta == dp == flow):
-            failures.append((i, cap.lattice.describe(), alpha, beta, dp, flow))
+        threshold = beta_threshold(net, cap)
+        if not (alpha == beta == dp == flow == threshold):
+            failures.append((i, cap.lattice.describe(), alpha, beta, dp, flow, threshold))
     elapsed = time.perf_counter() - started + gen_seconds
     ok = not failures and len(instances) >= 1000 and elapsed < 60
-    report(4, ok, elapsed, 60, f"{len(instances) - len(failures)}/{len(instances)} instances satisfied all four equalities")
+    report(4, ok, elapsed, 60, f"{len(instances) - len(failures)}/{len(instances)} instances satisfied all five equalities")
     assert len(instances) >= 1000
     assert not failures, failures[:3]
     assert elapsed < 60

@@ -14,6 +14,7 @@ from latticeflow import (
     alpha_bruteforce,
     alpha_dp,
     beta_bruteforce,
+    beta_threshold,
     counterexample_for,
     cut_capacity,
     enumerate_cuts,
@@ -21,8 +22,10 @@ from latticeflow import (
     path_throughput,
     verify_duality,
 )
+from latticeflow.bottleneck import _cut_side, _threshold_side
 from latticeflow.network import Cut
-from latticeflow.generators import random_instance, random_any_lattice
+from latticeflow.generators import add_dead_ends, random_capacities, random_instance, random_any_lattice, random_network
+from test_lattices import certified_lattice
 
 
 def pentagon_instance():
@@ -169,6 +172,64 @@ class TestVerifyDuality:
         assert report.alpha_method == "dp"
         oracle = verify_duality(inst.network, inst.capacities, method="bruteforce")
         assert report.alpha == oracle.alpha
+
+
+class TestThresholdSide:
+    def instances(self, seed, count):
+        """Networks of 2-10 vertices over every certified kind; every third
+        one gains dead ends, and every tenth loses its edges into the sink."""
+        rng = random.Random(seed)
+        for i in range(count):
+            net, cap = random_instance(rng, lattice_factory=certified_lattice)
+            if i % 3 == 1:
+                net = add_dead_ends(rng, net)
+            if i % 10 == 2:
+                net = FlowNetwork(net.vertices, [e for e in net.edges if e[1] != net.sink], net.source, net.sink)
+            yield net, random_capacities(rng, net, cap.lattice)
+
+    def test_matches_the_partition_walk(self):
+        kinds, no_path = set(), 0
+        for net, cap in self.instances(83, 2100):
+            n_cuts, cut, beta = _cut_side(net, cap, "strict", 22)
+            assert _threshold_side(net, cap) == (cut, beta), (net, cap.lattice.describe())
+            kinds.add(cap.lattice.kind)
+            no_path += not net.in_edges(net.sink)
+        assert kinds == {"chain", "powerset", "downset", "ring", "intervals", "survival", "explicit", "product"}
+        assert no_path >= 200
+
+    def test_witness_and_value_on_a_chain(self):
+        # s -> u -> t and s -> t: beta is max(min(3, 1), 2) = 2, and the
+        # cut {s, u} crosses u -> t (1) and s -> t (2), both <= 2
+        net = FlowNetwork(["s", "u", "t"], [("s", "u"), ("u", "t"), ("s", "t")], "s", "t")
+        cap = CapacityAssignment(ChainLattice(4), {("s", "u"): 3, ("u", "t"): 1, ("s", "t"): 2})
+        assert _threshold_side(net, cap) == (Cut(frozenset("su"), frozenset("t")), 2)
+        assert beta_threshold(net, cap) == 2
+
+    def test_refuses_the_pentagon(self):
+        net, cap = pentagon_instance()
+        with pytest.raises(DistributivityRequired, match="threshold cut side") as info:
+            beta_threshold(net, cap)
+        assert "allow_non_distributive" not in str(info.value)
+
+    def test_only_strict_auto_takes_it(self):
+        inst = gallery_instance("supply-chain")
+        net, cap = inst.network, inst.capacities
+        auto = verify_duality(net, cap)
+        assert (auto.alpha_method, auto.beta_method) == ("dp", "threshold")
+        assert auto.n_cuts == 2 ** (len(net.vertices) - 2)
+        for mode, method in (("lenient", "auto"), ("strict", "dp"), ("strict", "bruteforce")):
+            report = verify_duality(net, cap, mode=mode, method=method)
+            assert report.beta_method == "bruteforce"
+            assert (report.beta, report.optimal_cut) == (auto.beta, auto.optimal_cut)
+
+    def test_no_vertex_cap(self):
+        from test_network import layered_network
+
+        net = layered_network(7, 4)
+        cap = random_capacities(random.Random(89), net, ChainLattice(5))
+        report = verify_duality(net, cap, max_vertices=22)
+        assert len(net.vertices) == 30 and report.beta_method == "threshold"
+        assert report.equal and report.n_cuts == 2**28
 
 
 class TestCounterexampleFor:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from latticeflow import cli
+from latticeflow import CapacityAssignment, ChainLattice, Instance, SublatticeWitness, cli
 from latticeflow.cli import run_command
+from latticeflow.instances import instance_to_dict
 from latticeflow.gallery import gallery_names, gallery_source
 
 
@@ -92,6 +93,33 @@ class TestCheckLattice:
         assert "axioms: all pass" in out
         assert "distributive" in out
 
+    @pytest.mark.parametrize(
+        "spec, oracle, found",
+        [
+            ({"kind": "chain", "levels": 3}, SublatticeWitness("N5", {"0": 0, "a": 1, "b": 1, "c": 1, "1": 2}), "an N5"),
+            ({"kind": "pentagon"}, None, "no forbidden"),
+        ],
+    )
+    def test_oracle_disagreement_exits_two(self, tmp_path, capsys, monkeypatch, spec, oracle, found):
+        monkeypatch.setattr(cli, "find_forbidden_sublattice", lambda lattice, max_size: oracle)
+        f = tmp_path / "lattice.json"
+        f.write_text(json.dumps(spec))
+        report, code = run_command(["check-lattice", str(f), "--format", "json"])
+        assert code == 2
+        assert found in report["distributivity"]["oracle_disagreement"]
+        capsys.readouterr()
+        _, code = run_command(["check-lattice", str(f)])
+        assert code == 2 and "DISAGREEMENT: the five-subset scan found" in capsys.readouterr().out
+
+    def test_failed_axioms_do_not_trip_the_disagreement_rule(self, tmp_path, monkeypatch):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(NOT_A_LATTICE))
+        for oracle in (None, SublatticeWitness("M3", {r: "a" for r in "0abc1"})):
+            monkeypatch.setattr(cli, "find_forbidden_sublattice", lambda lattice, max_size: oracle)
+            report, code = run_command(["check-lattice", str(f), "--format", "json"])
+            assert code == 0 and not report["axioms"]["ok"]
+            assert "oracle_disagreement" not in report["distributivity"]
+
 
 class TestBottleneck:
     def test_pentagon_json_report(self, pentagon_file, capsys):
@@ -118,6 +146,20 @@ class TestBottleneck:
         assert code == 0
         assert report["alpha_method"] == "dp"
 
+    def test_past_the_vertex_cap_only_the_threshold_route_runs(self, tmp_path, capsys):
+        from test_network import layered_network
+
+        net = layered_network(7, 4)
+        cap = CapacityAssignment(ChainLattice(4), {e: i % 4 for i, e in enumerate(net.edges)})
+        f = tmp_path / "layered.json"
+        f.write_text(json.dumps(instance_to_dict(Instance(cap.lattice, "layered", network=net, capacities=cap))))
+        report, code = run_command(["bottleneck", str(f), "--format", "json"])
+        assert code == 0 and len(net.vertices) == 30
+        assert (report["alpha_method"], report["beta_method"], report["equal"]) == ("dp", "threshold", True)
+        report, code = run_command(["bottleneck", str(f), "--oracle"])
+        assert code == 1
+        assert "cap is 22 vertices" in capsys.readouterr().err
+
     def test_distributive_instance_exit_zero(self, supply_file):
         report, code = run_command(["bottleneck", supply_file, "--format", "json"])
         assert code == 0
@@ -136,6 +178,16 @@ class TestMaxflow:
         assert code == 0
         assert report["equal"] is True
         assert sorted(report["max_flow_value"]) == ["grain", "iron"]
+        assert report["min_cut_method"] == "threshold"
+
+    def test_min_cut_method_named(self, supply_file, diamond_file, capsys):
+        report, _ = run_command(["maxflow", supply_file, "--mode", "lenient", "--format", "json"])
+        assert report["min_cut_method"] == "bruteforce"
+        report, _ = run_command(["maxflow", diamond_file, "--unsafe-dp", "--format", "json"])
+        assert report["min_cut_method"] == "bruteforce"
+        capsys.readouterr()
+        run_command(["maxflow", supply_file])
+        assert "  [threshold]\n" in capsys.readouterr().out
 
     def test_check_flow(self, diamond_file, tmp_path):
         flow = {
@@ -248,6 +300,12 @@ class TestRandomCheck:
         )
         assert code == 0
         assert report["passed"] == 25 and report["failed"] == 0
+
+    def test_wrong_threshold_side_turns_it_red(self, monkeypatch):
+        monkeypatch.setattr(cli, "beta_threshold", lambda net, cap: cap.lattice.top())
+        report, code = run_command(["random-check", "--seed", "7", "--instances", "20", "--format", "json"])
+        assert code == 2 and report["failed"] > 0
+        assert all(f["beta_threshold"] != f["beta"] for f in report["failures"])
 
     def test_env_seed(self, monkeypatch):
         monkeypatch.setenv("RANDOM_CHECK_SEED", "13")

@@ -5,6 +5,7 @@ import pytest
 
 from latticeflow import (
     ChainLattice,
+    Lattice,
     DiamondLattice,
     DownsetLattice,
     IntervalGridLattice,
@@ -15,8 +16,10 @@ from latticeflow import (
     RingOfSetsLattice,
     SurvivalLattice,
     bounds,
+    is_distributive,
     ring_of_sets_closure,
 )
+from latticeflow.generators import random_explicit_lattice
 
 
 def small_lattices():
@@ -285,3 +288,113 @@ class TestDownset:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
             DownsetLattice(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+# -- join-irreducibles ------------------------------------------------------------
+
+
+def random_downset_lattice(rng):
+    n = rng.randint(1, 5)
+    names = [f"p{i}" for i in range(n)]
+    return DownsetLattice(names, [(a, b) for a, b in itertools.combinations(names, 2) if rng.random() < 0.4])
+
+
+def random_ring(rng):
+    gens = [rng.sample("abcd", rng.randint(0, 4)) for _ in range(rng.randint(1, 3))]
+    return ring_of_sets_closure(gens, universe="abcd", adjoin_bounds=rng.random() < 0.5)
+
+
+def random_explicit_distributive(rng):
+    while True:
+        lattice = random_explicit_lattice(rng)
+        if is_distributive(lattice) is True:
+            return lattice
+
+
+def certified_lattice(rng):
+    """A random lattice of one of the kinds the threshold cut side takes:
+    every structural kind, and explicit tables certified exhaustively;
+    products mix them, explicit factors included."""
+    pick = rng.randrange(9)
+    if pick == 0:
+        return ChainLattice(rng.randint(1, 8))
+    if pick == 1:
+        return PowersetLattice("abcde"[: rng.randint(0, 5)])
+    if pick == 2:
+        return random_downset_lattice(rng)
+    if pick == 3:
+        return random_ring(rng)
+    if pick == 4:
+        return IntervalGridLattice(rng.choice((1, 0.5, 0.25)))
+    if pick == 5:
+        return SurvivalLattice(rng.randint(2, 5), rng.randint(2, 4))
+    if pick == 6:
+        return random_explicit_distributive(rng)
+    factors = [
+        rng.choice((
+            lambda: ChainLattice(rng.randint(1, 3)),
+            lambda: PowersetLattice("ab"[: rng.randint(0, 2)]),
+            lambda: SurvivalLattice(4, 3),
+            lambda: IntervalGridLattice(1),
+            lambda: random_ring(rng),
+        ))()
+        for _ in range(rng.randint(1, 2))
+    ]
+    if pick == 7:
+        factors.insert(rng.randint(0, len(factors)), random_explicit_distributive(rng))
+    return ProductLattice(factors)
+
+
+def generic_join_irreducibles(lattice):
+    return Lattice._join_irreducibles(lattice)
+
+
+def enumerable_lattices():
+    yield from (ChainLattice(n) for n in range(1, 9))
+    yield from (PowersetLattice("abcde"[:k]) for k in range(6))
+    yield from (IntervalGridLattice(step) for step in (1, 0.5, 0.25))
+    yield from (SurvivalLattice(t, k) for t in range(2, 6) for k in range(2, 5))
+    yield PentagonLattice()
+    yield DiamondLattice()
+    yield ProductLattice([SurvivalLattice(4, 3), ChainLattice(3)])
+    yield ProductLattice([ChainLattice(2), PentagonLattice(), SurvivalLattice(5, 2)])
+    yield ProductLattice([DiamondLattice(), PowersetLattice("a")])
+    rng = random.Random(71)
+    for _ in range(30):
+        yield random_downset_lattice(rng)
+        yield random_ring(rng)
+        yield certified_lattice(rng)
+    for _ in range(10):
+        yield random_explicit_distributive(rng)
+
+
+class TestJoinIrreducibles:
+    def test_structural_matches_generic_finder(self):
+        kinds = set()
+        for lattice in enumerable_lattices():
+            kinds.add(lattice.kind)
+            assert lattice.join_irreducibles() == generic_join_irreducibles(lattice), lattice.describe()
+        assert kinds >= {"chain", "powerset", "intervals", "survival", "downset", "ring", "product", "explicit"}
+
+    def test_generic_finder_on_the_forbidden_lattices(self):
+        assert PentagonLattice().join_irreducibles() == ("a", "b", "c")
+        assert DiamondLattice().join_irreducibles() == ("a", "b", "c")
+
+    def test_every_element_is_the_join_of_those_below_it(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            lattice = certified_lattice(rng)
+            joins = lattice.join_irreducibles()
+            for x in lattice.element_list():
+                assert lattice.join_all(j for j in joins if lattice.leq(j, x)) == x
+
+    def test_kept_on_the_lattice(self):
+        lattice = ProductLattice([ChainLattice(3), PowersetLattice("ab")])
+        assert lattice.join_irreducibles() is lattice.join_irreducibles()
+
+    def test_large_parametric_kinds_do_not_enumerate(self):
+        survival = SurvivalLattice(40, 40)
+        product = ProductLattice([ChainLattice(3), survival, PowersetLattice("abcdefghijklmnopqrst")])
+        assert len(product.join_irreducibles()) == 2 + 38 * 39 + 20
+        assert not hasattr(survival, "_element_cache")
+        assert IntervalGridLattice(0.001).join_irreducibles()[-1] == (1.0, 1.0)

@@ -31,6 +31,7 @@ from latticeflow.generators import (
     random_weighted_poset,
 )
 from latticeflow.network import crossing_masks
+from latticeflow.orderutils import topological_order
 
 
 def single_edge():
@@ -175,6 +176,29 @@ class TestPartitionWalk:
         crossing_masks(net)
         with pytest.raises(CapExceeded):
             crossing_masks(net, max_vertices=len(net.vertices) - 1)
+
+
+class TestTopologicalOrderKept:
+    def test_kept_order_matches_orderutils(self):
+        from test_orderutils import TestTopologicalOrder, topological_result
+
+        cyclic = 0
+        for vertices, edges in TestTopologicalOrder().graphs(11, 500):
+            if len(vertices) < 2:
+                continue
+            net = FlowNetwork(vertices, edges, vertices[0], vertices[1])
+            expected = topological_result(topological_order, vertices, edges)
+            if isinstance(expected, str):
+                cyclic += 1
+                for _ in range(2):
+                    with pytest.raises(ValueError) as info:
+                        net.topological_order()
+                    assert str(info.value) == expected
+            else:
+                first = net.topological_order()
+                assert list(first) == expected
+                assert net.topological_order() is first
+        assert cyclic > 50
 
 
 class TestPathCutInteraction:
