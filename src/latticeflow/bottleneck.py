@@ -29,6 +29,7 @@ from .network import (
     minimal_masks,
     partition_cut,
     set_bits,
+    source_side_cut,
 )
 from .network import enumerate_cuts, minimal_cuts  # noqa: F401  (unused here; perfbench/spans.py wraps these bindings)
 
@@ -70,15 +71,13 @@ def require_distributive(
         )
 
 
-def alpha_bruteforce(
-    net: FlowNetwork, cap: CapacityAssignment, max_paths: int = DEFAULT_MAX_PATHS
-) -> Element:
+def alpha_bruteforce(net: FlowNetwork, cap: CapacityAssignment) -> Element:
     """Join over all paths of the path throughput, by full enumeration.
 
     With no source-to-sink path at all the value is the empty join, the
     lattice bottom (the duality statement degenerates to bottom = bottom).
     """
-    return _path_side(net, cap, max_paths)[2]
+    return _path_side(net, cap, DEFAULT_MAX_PATHS)[2]
 
 
 def _path_side(
@@ -90,12 +89,7 @@ def _path_side(
     return paths, throughputs, cap.lattice.join_all(throughputs)
 
 
-def beta_bruteforce(
-    net: FlowNetwork,
-    cap: CapacityAssignment,
-    mode: str = "strict",
-    max_vertices: int = DEFAULT_MAX_CUT_VERTICES,
-) -> Element:
+def beta_bruteforce(net: FlowNetwork, cap: CapacityAssignment, mode: str = "strict") -> Element:
     """Meet over cuts of the cut capacity, by full enumeration.
 
     Strict mode folds over all cuts. Lenient mode folds over minimal cuts
@@ -104,7 +98,7 @@ def beta_bruteforce(
     keeps the duality intact (the two folds agree whenever every empty
     join involved is defined, since every crossing set contains a minimal
     one)."""
-    return _cut_side(net, cap, mode, max_vertices)[2]
+    return _cut_side(net, cap, mode, DEFAULT_MAX_CUT_VERTICES)[2]
 
 
 def _cut_side(
@@ -188,7 +182,7 @@ def _threshold_side(net: FlowNetwork, cap: CapacityAssignment) -> tuple[Cut | No
     side = _reachable(net, net.source, True, {e for e, m in edge_mask.items() if m & ~at_sink})
     if net.sink in side:
         return None, beta
-    return Cut(frozenset(side), frozenset(v for v in net.vertices if v not in side)), beta
+    return source_side_cut(net, side), beta
 
 
 def alpha_dp(

@@ -315,19 +315,18 @@ def check_distributive(
     structural guarantee for parametric kinds too large to enumerate.
 
     A non-distributive verdict carries the first failing triple in
-    enumeration order plus an N5/M3 sublattice witness.
+    enumeration order plus an N5/M3 sublattice witness. The certificate
+    is kept on ``lattice``; the cap is checked on every call.
     """
+    structural = lattice.known_distributive
+    if not structural:
+        _guard_size(lattice, max_size)
     cached = getattr(lattice, "_distributivity_cert", None)
     if cached is not None:
         return cached
-    if lattice.known_distributive:
-        cert = DistributivityCertificate(True, "structural")
-        lattice._distributivity_cert = cert
-        return cert
-    _guard_size(lattice, max_size)
-    failure = _first_distributive_failure(lattice)
+    failure = None if structural else _first_distributive_failure(lattice)
     if failure is None:
-        cert = DistributivityCertificate(True, "exhaustive")
+        cert = DistributivityCertificate(True, "structural" if structural else "exhaustive")
     else:
         triple, law = failure
         elems = lattice.element_list()
@@ -400,10 +399,10 @@ def find_forbidden_sublattice(
     return cert.sublattice
 
 
-def is_distributive(lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE) -> bool | None:
+def is_distributive(lattice: Lattice) -> bool | None:
     """True/False when certifiable, None when the universe is too large
     and no structural guarantee applies."""
     try:
-        return check_distributive(lattice, max_size).distributive
+        return check_distributive(lattice).distributive
     except UniverseTooLarge:
         return None

@@ -36,12 +36,14 @@ from .lattices import Element, Lattice
 from .network import (
     CapacityAssignment,
     FlowNetwork,
+    crossing_edges,
     crossing_masks,
     enumerate_paths,
     minimal_masks,
     set_bits,
+    source_side_cut,
 )
-from .network import crossing_edges, minimal_cuts  # noqa: F401  (unused here; perfbench/spans.py wraps these bindings)
+from .network import minimal_cuts  # noqa: F401  (unused here; perfbench/spans.py wraps this binding)
 from .orderutils import cover_pairs, partial_order
 
 DEFAULT_MAX_CHAINS = 1_000_000
@@ -145,9 +147,7 @@ def maximal_chains(poset: WeightedPoset, max_chains: int = DEFAULT_MAX_CHAINS) -
     return out
 
 
-def maximal_antichains(
-    poset: WeightedPoset, max_elements: int = DEFAULT_MAX_POSET
-) -> list[tuple[str, ...]]:
+def maximal_antichains(poset: WeightedPoset) -> list[tuple[str, ...]]:
     """All maximal antichains as element tuples in element order.
 
     They are the maximal cliques of the incomparability graph, found by
@@ -155,8 +155,8 @@ def maximal_antichains(
     element) and listed in increasing mask order.
     """
     n = len(poset.elements)
-    if n > max_elements:
-        raise CapExceeded(f"antichain enumeration capped at {max_elements} elements")
+    if n > DEFAULT_MAX_POSET:
+        raise CapExceeded(f"antichain enumeration capped at {DEFAULT_MAX_POSET} elements")
     elems = poset.elements
     apart = [((1 << n) - 1) & ~(u | d) for u, d in zip(poset._up, poset._down)]
     cliques: list[int] = []
@@ -357,11 +357,11 @@ def check_correspondences(poset: WeightedPoset) -> CorrespondenceReport:
     antichains = poset.antichains
 
     def crossing_for(antichain) -> frozenset:
-        s_side = _cut_for_antichain(poset, net, antichain)
-        return frozenset(e for e in net.edges if e[0] in s_side and e[1] not in s_side)
+        cut = source_side_cut(net, _cut_for_antichain(poset, net, antichain))
+        return frozenset(crossing_edges(net, cut))
 
     def tails(crossing) -> tuple[str, ...]:
-        return tuple(sorted({e[0] for e in crossing}, key=poset.elements.index))
+        return tuple(sorted({e[0] for e in crossing}, key=poset._index.__getitem__))
 
     def antichain_problem(a) -> str | None:
         crossing = crossing_for(a)

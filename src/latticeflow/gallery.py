@@ -55,29 +55,17 @@ GALLERY_EXPECTED: dict[str, dict] = {
     },
 }
 
-_FILES = {
-    "pentagon": "pentagon.json",
-    "diamond": "diamond.json",
-    "no-optimal-cut": "no_optimal_cut.json",
-    "no-optimal-path": "no_optimal_path.json",
-    "supply-chain": "supply_chain.json",
-    "packaging": "packaging.json",
-    "compliance": "compliance.json",
-    "security-levels": "security_levels.json",
-    "survival": "survival.json",
-    "competencies": "competencies.json",
-}
-
 
 def gallery_names() -> list[str]:
-    return list(_FILES)
+    return list(GALLERY_EXPECTED)
 
 
 def gallery_source(name: str) -> str:
-    """Raw JSON text of a gallery entry."""
-    if name not in _FILES:
-        raise KeyError(f"unknown gallery entry {name!r}; known: {', '.join(_FILES)}")
-    return resources.files("latticeflow.data").joinpath(_FILES[name]).read_text()
+    """Raw JSON text of a gallery entry: ``data/<name>.json``, hyphens in
+    the name written as underscores."""
+    if name not in GALLERY_EXPECTED:
+        raise KeyError(f"unknown gallery entry {name!r}; known: {', '.join(GALLERY_EXPECTED)}")
+    return resources.files("latticeflow.data").joinpath(name.replace("-", "_") + ".json").read_text()
 
 
 def gallery_instance(name: str) -> Instance:
@@ -109,20 +97,18 @@ def run_gallery_entry(name: str) -> tuple[dict, bool]:
                 mismatches.append(key)
         if expected["equal"] != report.equal:
             mismatches.append("equal")
-        if "optimal_path" in expected and expected["optimal_path"] != (report.optimal_path is not None):
-            mismatches.append("optimal_path")
-        if "optimal_cut" in expected and expected["optimal_cut"] != (report.optimal_cut is not None):
-            mismatches.append("optimal_cut")
+        for key in ("optimal_path", "optimal_cut"):
+            if key in expected and expected[key] != (getattr(report, key) is not None):
+                mismatches.append(key)
     else:
         direct = dilworth_direct(inst.poset)
         via = dilworth_via_network(inst.poset)
         got = direct.to_dict(lat)
         got["network_lhs"] = lat.literal(via.lhs)
         got["network_rhs"] = lat.literal(via.rhs)
-        if lat.parse(expected["lhs"]) != direct.lhs:
-            mismatches.append("lhs")
-        if lat.parse(expected["rhs"]) != direct.rhs:
-            mismatches.append("rhs")
+        for key in ("lhs", "rhs"):
+            if lat.parse(expected[key]) != getattr(direct, key):
+                mismatches.append(key)
         if expected["equal"] != direct.equal:
             mismatches.append("equal")
         if (via.lhs, via.rhs) != (direct.lhs, direct.rhs):

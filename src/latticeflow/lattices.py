@@ -92,7 +92,8 @@ class Lattice:
                 raise MismatchError(f"{x!r} is not an element of {self.describe()}")
 
     def size(self) -> int:
-        raise NotImplementedError
+        """Element count; parametric kinds override with a structural count."""
+        return len(self.element_list())
 
     def elements(self) -> Iterator[Element]:
         """Deterministic enumeration of the universe."""
@@ -586,9 +587,6 @@ class DownsetLattice(_SetLattice):
     def __contains__(self, x):
         return x in self._uset
 
-    def size(self):
-        return len(self._universe)
-
     def elements(self):
         return iter(self._universe)
 
@@ -646,17 +644,8 @@ class RingOfSetsLattice(_SetLattice):
     def __contains__(self, x):
         return x in self._fset
 
-    def size(self):
-        return len(self._family)
-
     def elements(self):
         return iter(self._family)
-
-    def bottom(self):
-        return reduce(frozenset.__and__, self._family)
-
-    def top(self):
-        return reduce(frozenset.__or__, self._family)
 
     def _join_irreducibles(self):
         """For each atom of top less bottom, the smallest member holding it."""
@@ -843,9 +832,6 @@ class ExplicitLattice(Lattice):
 
     def _meet(self, a, b):
         return self._bound(a, b, upper=False)
-
-    def size(self):
-        return len(self._elements)
 
     def elements(self):
         return iter(self._elements)

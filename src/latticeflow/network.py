@@ -10,6 +10,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import CapExceeded
@@ -75,6 +76,11 @@ class FlowNetwork:
             order = self._topological_order = tuple(topological_order(self.vertices, self.edges))
         return order
 
+    @cached_property
+    def partition_order(self) -> tuple[str, ...]:
+        """Name-sorted internal vertices; bit i of a partition mask is the i-th."""
+        return tuple(sorted(self.internal_vertices()))
+
     def __repr__(self):
         return (
             f"FlowNetwork({len(self.vertices)} vertices, {len(self.edges)} edges, "
@@ -95,6 +101,11 @@ class Cut:
             "sink_side": [v for v in net.vertices if v in self.sink_side],
             "crossing": [list(e) for e in crossing_edges(net, self)],
         }
+
+
+def source_side_cut(net: FlowNetwork, side) -> Cut:
+    """The cut with source side ``side`` and every other vertex opposite."""
+    return Cut(frozenset(side), frozenset(v for v in net.vertices if v not in side))
 
 
 def crossing_edges(net: FlowNetwork, cut: Cut) -> tuple[Edge, ...]:
@@ -139,8 +150,12 @@ def validate_network(net: FlowNetwork, mode: str = "strict") -> ValidationReport
     if loops:
         violations.append(Violation("self-loops", "self-loops are not allowed", loops))
 
+    # loops are reported above, not again as a cycle; loop-free, reuse the kept order
     try:
-        topological_order(net.vertices, (e for e in net.edges if e[0] != e[1]))
+        if loops:
+            topological_order(net.vertices, (e for e in net.edges if e[0] != e[1]))
+        else:
+            net.topological_order()
     except ValueError as exc:
         violations.append(Violation("acyclic", str(exc), ()))
 
@@ -228,9 +243,8 @@ def _check_cut_cap(net: FlowNetwork, max_vertices: int) -> None:
 def partition_cut(net: FlowNetwork, mask: int) -> Cut:
     """The cut of partition mask ``mask``: bit i puts the i-th name-sorted
     internal vertex on the source side."""
-    internal = sorted(net.internal_vertices())
-    s_side = {net.source} | {v for i, v in enumerate(internal) if mask >> i & 1}
-    return Cut(frozenset(s_side), frozenset(v for v in net.vertices if v not in s_side))
+    side = {net.source, *(v for i, v in enumerate(net.partition_order) if mask >> i & 1)}
+    return source_side_cut(net, side)
 
 
 def enumerate_cuts(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICES) -> list[Cut]:
@@ -273,7 +287,7 @@ def crossing_masks(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICE
     def edge_mask(edges) -> int:
         return sum(bit[e] for e in edges)
 
-    internal = sorted(net.internal_vertices())
+    internal = net.partition_order
     outs = [edge_mask(net.out_edges(v)) for v in internal]
     ins = [edge_mask(net.in_edges(v)) for v in internal]
     lo_bits = (len(internal) + 1) // 2

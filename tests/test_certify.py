@@ -107,6 +107,24 @@ class TestDistributivity:
         with pytest.raises(UniverseTooLarge):
             check_distributive(big)
 
+    def test_kept_certificate_does_not_skip_a_smaller_cap(self):
+        def chain(n):
+            names = [f"c{i}" for i in range(n)]
+            return ExplicitLattice.from_covers(names, list(zip(names, names[1:])))
+
+        fresh = ProductLattice([chain(3), chain(4)])
+        with pytest.raises(UniverseTooLarge):
+            check_distributive(fresh, 5)
+        kept = ProductLattice([chain(3), chain(4)])
+        cert = check_distributive(kept)
+        assert cert.distributive and cert.method == "exhaustive"
+        with pytest.raises(UniverseTooLarge):
+            check_distributive(kept, 5)
+        assert check_distributive(kept) is cert
+        # structural certificates have no cap to check
+        big = ProductLattice([ChainLattice(30), ChainLattice(30)])
+        assert check_distributive(big, 5) is check_distributive(big, 5)
+
 
 class TestForbiddenSublattice:
     def test_diamond_embeds_itself(self):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latticeflow import CapacityAssignment, ChainLattice, Instance, SublatticeWitness, cli
+from latticeflow import CapacityAssignment, ChainLattice, Instance, SublatticeWitness, cli, gallery
 from latticeflow.cli import run_command
 from latticeflow.instances import instance_to_dict
 from latticeflow.gallery import gallery_names, gallery_source
@@ -222,6 +222,30 @@ class TestMaxflow:
         assert report["checked_flow"]["ok"] is False
         assert "warning" in report["checked_flow"]
 
+    def test_check_flow_text_names_each_violation(self, diamond_file, tmp_path, capsys):
+        # s->t carries 1 over its capacity a; u takes in b and passes on 0
+        flow = {
+            "edges": [
+                {"from": "s", "to": "t", "value": "1"},
+                {"from": "s", "to": "u", "value": "b"},
+                {"from": "u", "to": "t", "value": "0"},
+            ]
+        }
+        flow_file = tmp_path / "flow.json"
+        flow_file.write_text(json.dumps(flow))
+        _, code = run_command(["maxflow", diamond_file, "--check-flow", str(flow_file), "--unsafe-dp"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "checked flow: feasible=False  value=1",
+            "  capacity violated on ['s', 't']: 1 > a",
+            "  conservation violated at u: in=b out=0",
+        ]
+
+    def test_poset_instance_exits_one(self, competencies_file, capsys):
+        report, code = run_command(["maxflow", competencies_file])
+        assert code == 1
+        assert capsys.readouterr().err == "error: maxflow needs a network instance, got a poset\n"
+
 
 class TestDilworth:
     def test_competencies_both_methods(self, competencies_file):
@@ -261,6 +285,11 @@ class TestDilworth:
         assert "direct: chain side = {p}, antichain side = {}, equal = False" in out
         assert "network: chain side = {p}, cut side = {p}, equal = True" in out
 
+    def test_network_instance_exits_one(self, supply_file, capsys):
+        report, code = run_command(["dilworth", supply_file])
+        assert code == 1
+        assert capsys.readouterr().err == "error: dilworth needs a poset instance, got a network\n"
+
     def test_dot_export(self, competencies_file, tmp_path):
         out = tmp_path / "poset.dot"
         _, code = run_command(["dilworth", competencies_file, "--dot", str(out)])
@@ -292,6 +321,29 @@ class TestGallery:
         report, code = run_command(["gallery", "nonesuch"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "name, wrong, fields",
+        [
+            ("pentagon", {"alpha": "b"}, ["alpha"]),
+            ("diamond", {"beta": "a", "equal": True}, ["beta", "equal"]),
+            ("no-optimal-cut", {"optimal_cut": True}, ["optimal_cut"]),
+            ("no-optimal-path", {"optimal_path": True}, ["optimal_path"]),
+            ("competencies", {"lhs": [], "chain_values": [[], [], [], [], []]}, ["lhs", "chain_values"]),
+            ("survival", {"rhs": [1.0, 0.5, 0.5, 0.0], "equal": False}, ["rhs", "equal"]),
+        ],
+    )
+    def test_wrong_expectation_exits_two_and_names_the_field(self, monkeypatch, capsys, name, wrong, fields):
+        monkeypatch.setitem(gallery.GALLERY_EXPECTED, name, {**gallery.GALLERY_EXPECTED[name], **wrong})
+        report, code = run_command(["gallery", name, "--format", "json"])
+        assert code == 2 and report["ok"] is False
+        assert report["entries"][0]["mismatches"] == fields
+        capsys.readouterr()
+        _, code = run_command(["gallery"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert f"{name}: MISMATCH on {', '.join(fields)}\n" in out
+        assert out.count("MISMATCH") == 1
+
 
 class TestRandomCheck:
     def test_seeded_run_passes(self):
@@ -306,6 +358,16 @@ class TestRandomCheck:
         report, code = run_command(["random-check", "--seed", "7", "--instances", "20", "--format", "json"])
         assert code == 2 and report["failed"] > 0
         assert all(f["beta_threshold"] != f["beta"] for f in report["failures"])
+
+    def test_failures_line_in_text_output(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "beta_threshold", lambda net, cap: cap.lattice.top())
+        report, code = run_command(["random-check", "--seed", "7", "--instances", "20"])
+        assert code == 2
+        failed = report["failed"]
+        assert capsys.readouterr().out == (
+            f"random-check: {20 - failed}/20 instances satisfied duality (seed 7)\n"
+            f"FAILURES: {failed} (first {min(failed, 10)} shown in JSON output)\n"
+        )
 
     def test_env_seed(self, monkeypatch):
         monkeypatch.setenv("RANDOM_CHECK_SEED", "13")
