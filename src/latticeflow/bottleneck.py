@@ -28,10 +28,10 @@ from .network import (
     enumerate_paths,
     minimal_masks,
     partition_cut,
-    set_bits,
     source_side_cut,
 )
 from .network import enumerate_cuts, minimal_cuts  # noqa: F401  (unused here; perfbench/spans.py wraps these bindings)
+from .orderutils import set_bits
 
 
 def path_throughput(net: FlowNetwork, cap: CapacityAssignment, path: tuple[str, ...]) -> Element:
@@ -136,8 +136,19 @@ def _cut_side(
     }
     beta = lat.meet_all(capacity.values())
     witness = next((first[m] for m, v in value_masks.items() if capacity[v] == beta), None)
-    n_cuts = 2 ** (len(net.vertices) - 2) if mode == "strict" else len(keys)
+    n_cuts = net.n_partitions if mode == "strict" else len(keys)
     return n_cuts, None if witness is None else partition_cut(net, witness), beta
+
+
+def cut_side(
+    net: FlowNetwork, cap: CapacityAssignment, mode: str, max_vertices: int
+) -> tuple[str, int, Cut | None, Element]:
+    """The route's name, cut count, first optimal cut and beta by the one
+    route rule: strict mode on a certified-distributive lattice takes the
+    threshold cut side, with no vertex cap; the rest enumerates cuts."""
+    if mode == "strict" and is_distributive(cap.lattice) is True:
+        return "threshold", net.n_partitions, *_threshold_side(net, cap)
+    return "bruteforce", *_cut_side(net, cap, mode, max_vertices)
 
 
 def beta_threshold(net: FlowNetwork, cap: CapacityAssignment) -> Element:
@@ -258,28 +269,26 @@ def verify_duality(
     "dp" runs the dynamic program (distributive lattices only unless
     overridden), both next to the brute-force cut side. "auto" takes the
     dynamic program exactly when the lattice is certified distributive,
-    and then, in strict mode, the threshold cut side of
-    :func:`beta_threshold`, which has no vertex cap. Otherwise the cut side
-    is brute force; lenient mode always is, since it counts the minimal
-    crossing sets. A path or cut witness is attached only when some
-    path/cut actually attains the reported value; either may be absent.
+    and the cut side by :func:`cut_side`'s route rule. Lenient mode is
+    always brute force, since it counts the minimal crossing sets. A
+    path or cut witness is attached only when some path/cut actually
+    attains the reported value; either may be absent.
     """
     if method not in ("auto", "bruteforce", "dp"):
         raise ValueError(f"method must be auto, bruteforce or dp, got {method!r}")
-    threshold = False
-    if method == "auto":
+    route = method == "auto"
+    if route:
         method = "dp" if is_distributive(cap.lattice) is True else "bruteforce"
-        threshold = method == "dp" and mode == "strict"
     if method == "dp":
         paths = enumerate_paths(net, max_paths)
         alpha = alpha_dp(net, cap, allow_non_distributive=allow_non_distributive)
         throughputs = (path_throughput(net, cap, p) for p in paths)
     else:
         paths, throughputs, alpha = _path_side(net, cap, max_paths)
-    if threshold:
-        n_cuts = 2 ** (len(net.vertices) - 2)
-        optimal_cut, beta = _threshold_side(net, cap)
+    if route:
+        beta_method, n_cuts, optimal_cut, beta = cut_side(net, cap, mode, max_vertices)
     else:
+        beta_method = "bruteforce"
         n_cuts, optimal_cut, beta = _cut_side(net, cap, mode, max_vertices)
     optimal_path = next((p for p, value in zip(paths, throughputs) if value == alpha), None)
 
@@ -290,7 +299,7 @@ def verify_duality(
         optimal_path=optimal_path,
         optimal_cut=optimal_cut,
         alpha_method=method,
-        beta_method="threshold" if threshold else "bruteforce",
+        beta_method=beta_method,
         n_paths=len(paths),
         n_cuts=n_cuts,
     )

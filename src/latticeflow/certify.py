@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Any
 
 from .errors import UniverseTooLarge
-from .lattices import Element, Lattice
+from .lattices import Element, Lattice, pairwise_closure
 from .orderutils import set_bits
 
 DEFAULT_MAX_UNIVERSE = 512
@@ -214,21 +214,6 @@ def check_lattice_axioms(lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE)
     return AxiomReport(ok=not violations, size=size, violations=violations, truncated=len(found) > _MAX_VIOLATIONS)
 
 
-def _sublattice_closure(join: tuple, meet: tuple, seeds) -> list[int]:
-    """Indices of the sublattice the seed indices generate, in element order."""
-    current = set(seeds)
-    while True:
-        new = set()
-        for a, b in itertools.combinations(current, 2):
-            for x in (join[a][b], meet[a][b]):
-                if x not in current:
-                    new.add(x)
-        if not new:
-            break
-        current |= new
-    return sorted(current)
-
-
 def _classify_five(lattice: Lattice, five: tuple) -> SublatticeWitness | None:
     """N5/M3 witness if the five elements are op-closed and isomorphic."""
     fs = frozenset(five)
@@ -275,7 +260,8 @@ def _witness_from_triple(lattice: Lattice, triple: tuple[int, int, int]) -> Subl
     sublattice the triple of indices generates. Subsets not closed under
     the tables' join and meet are passed over before classification."""
     elems, J, M, _, _ = lattice.tables()
-    for five in itertools.combinations(_sublattice_closure(J, M, triple), 5):
+    closure = pairwise_closure(triple, lambda a, b: J[a][b], lambda a, b: M[a][b])
+    for five in itertools.combinations(sorted(closure), 5):
         if all(J[x][y] in five and M[x][y] in five for x, y in itertools.combinations(five, 2)):
             wit = _classify_five(lattice, tuple(elems[i] for i in five))
             if wit is not None:

@@ -16,8 +16,8 @@ import random
 import sys
 from pathlib import Path
 
-from .bottleneck import alpha_bruteforce, alpha_dp, beta_bruteforce, beta_threshold, verify_duality
-from .certify import check_distributive, check_lattice_axioms, find_forbidden_sublattice, is_distributive
+from .bottleneck import alpha_bruteforce, alpha_dp, beta_bruteforce, beta_threshold, cut_side, verify_duality
+from .certify import DEFAULT_MAX_UNIVERSE, check_distributive, check_lattice_axioms, find_forbidden_sublattice, is_distributive
 from .dilworth import check_correspondences, dilworth_direct, dilworth_via_network
 from .dot import emit_dot
 from .errors import (
@@ -29,9 +29,9 @@ from .errors import (
     UniverseTooLarge,
 )
 from .flows import flow_value, is_feasible_flow, max_flow_value
-from .gallery import gallery_names, gallery_source, run_gallery_entry
+from .gallery import gallery_expected, gallery_names, gallery_source, run_gallery_entry
 from .generators import random_instance
-from .instances import load_instance, load_lattice, parse_flow, read_json
+from .instances import Instance, load_instance, load_lattice, parse_flow, read_json
 from .network import DEFAULT_MAX_CUT_VERTICES, DEFAULT_MAX_PATHS
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-lattice", help="axiom check and distributivity certificate")
     p.add_argument("file", help="lattice spec file, or instance file with a lattice")
-    p.add_argument("--max-size", type=_at_least(0), default=512, help="cap for exhaustive checks")
+    p.add_argument("--max-size", type=_at_least(0), default=DEFAULT_MAX_UNIVERSE, help="cap for exhaustive checks")
     add_format(p)
 
     p = sub.add_parser("bottleneck", help="both sides of path-cut duality")
@@ -129,6 +129,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     return parser
+
+
+def _load(args, payload: str) -> Instance:
+    """The instance in ``args.file``, which must hold a ``payload`` ("network" or "poset")."""
+    inst = load_instance(args.file)
+    if inst.payload != payload:
+        raise InstanceError(f"{args.command} needs a {payload} instance, got a {inst.payload}")
+    return inst
+
+
+def _verdict(distributive: bool | None, failed: bool) -> int:
+    """Exit 2 exactly when an identity failed on a certified-distributive lattice."""
+    return EXIT_VIOLATION if distributive is True and failed else EXIT_OK
 
 
 def _emit(report: dict, fmt: str, text_renderer) -> None:
@@ -192,9 +205,7 @@ def _cmd_check_lattice(args) -> tuple[dict, int]:
 
 
 def _cmd_bottleneck(args) -> tuple[dict, int]:
-    inst = load_instance(args.file)
-    if inst.network is None:
-        raise InstanceError("bottleneck needs a network instance, got a poset")
+    inst = _load(args, "network")
     method = "bruteforce" if args.oracle else "dp" if args.dp else "auto"
     report = verify_duality(
         inst.network,
@@ -233,21 +244,14 @@ def _cmd_bottleneck(args) -> tuple[dict, int]:
         return "\n".join(lines)
 
     _emit(result, args.format, render)
-    code = EXIT_VIOLATION if (distributive is True and not report.equal) else EXIT_OK
-    return result, code
+    return result, _verdict(distributive, not report.equal)
 
 
 def _cmd_maxflow(args) -> tuple[dict, int]:
-    inst = load_instance(args.file)
-    if inst.network is None:
-        raise InstanceError("maxflow needs a network instance, got a poset")
+    inst = _load(args, "network")
     net, cap, lat = inst.network, inst.capacities, inst.lattice
     value = max_flow_value(net, cap, allow_non_distributive=args.unsafe_dp)
-    distributive = is_distributive(lat)
-    if distributive is True and args.mode == "strict":
-        beta, cut_method = beta_threshold(net, cap), "threshold"
-    else:
-        beta, cut_method = beta_bruteforce(net, cap, mode=args.mode), "bruteforce"
+    cut_method, _, _, beta = cut_side(net, cap, args.mode, DEFAULT_MAX_CUT_VERTICES)
     result = {
         "instance": inst.name,
         "max_flow_value": lat.literal(value),
@@ -282,14 +286,11 @@ def _cmd_maxflow(args) -> tuple[dict, int]:
         return "\n".join(lines)
 
     _emit(result, args.format, render)
-    code = EXIT_VIOLATION if (distributive is True and not result["equal"]) else EXIT_OK
-    return result, code
+    return result, _verdict(is_distributive(lat), not result["equal"])
 
 
 def _cmd_dilworth(args) -> tuple[dict, int]:
-    inst = load_instance(args.file)
-    if inst.poset is None:
-        raise InstanceError("dilworth needs a poset instance, got a network")
+    inst = _load(args, "poset")
     lat = inst.lattice
     result: dict = {"instance": inst.name}
     direct = via = None
@@ -333,18 +334,17 @@ def _cmd_dilworth(args) -> tuple[dict, int]:
         return "\n".join(lines)
 
     _emit(result, args.format, render)
-    reports = [r for r in (direct, via) if r is not None]
-    violation = is_distributive(lat) is True and (
-        any(not r.equal for r in reports) or agree is False
-    )
-    return result, EXIT_VIOLATION if violation else EXIT_OK
+    failed = any(r is not None and not r.equal for r in (direct, via)) or agree is False
+    return result, _verdict(is_distributive(lat), failed)
 
 
 def _cmd_gallery(args) -> tuple[dict, int]:
+    if args.name:
+        try:
+            gallery_expected(args.name)
+        except KeyError as exc:
+            raise InstanceError(exc.args[0]) from None
     names = [args.name] if args.name else gallery_names()
-    for n in names:
-        if n not in gallery_names():
-            raise InstanceError(f"unknown gallery entry {n!r}; known: {', '.join(gallery_names())}")
     if args.export:
         out = Path(args.export)
         out.mkdir(parents=True, exist_ok=True)

@@ -40,11 +40,10 @@ from .network import (
     crossing_masks,
     enumerate_paths,
     minimal_masks,
-    set_bits,
     source_side_cut,
 )
 from .network import minimal_cuts  # noqa: F401  (unused here; perfbench/spans.py wraps this binding)
-from .orderutils import cover_pairs, partial_order
+from .orderutils import cover_pairs, partial_order, set_bits
 
 DEFAULT_MAX_CHAINS = 1_000_000
 DEFAULT_MAX_POSET = 20
@@ -125,25 +124,29 @@ def maximal_chains(poset: WeightedPoset, max_chains: int = DEFAULT_MAX_CHAINS) -
 
     A maximal chain is exactly a cover-walk from a minimal element to a
     maximal element, so this is a DFS over the cover relation, minimal
-    elements and successors taken in element order.
+    elements and successors taken in element order, on a stack of its
+    own (one iterator per chain element), so depth costs no recursion.
     """
     out: list[tuple[str, ...]] = []
     chain: list[str] = []
-
-    def walk(x: str):
+    stack = [iter(poset.minimal_elements())]
+    while stack:
+        for x in stack[-1]:
+            break
+        else:  # chain[-1]'s successors, or the minimal elements, are done
+            stack.pop()
+            if chain:
+                chain.pop()
+            continue
         chain.append(x)
         succ = poset.cover_successors(x)
-        if not succ:
-            if len(out) >= max_chains:
-                raise CapExceeded(f"more than {max_chains} maximal chains")
-            out.append(tuple(chain))
-        else:
-            for y in succ:
-                walk(y)
+        if succ:
+            stack.append(iter(succ))
+            continue
+        if len(out) >= max_chains:
+            raise CapExceeded(f"more than {max_chains} maximal chains")
+        out.append(tuple(chain))
         chain.pop()
-
-    for m in poset.minimal_elements():
-        walk(m)
     return out
 
 

@@ -63,8 +63,7 @@ def gallery_names() -> list[str]:
 def gallery_source(name: str) -> str:
     """Raw JSON text of a gallery entry: ``data/<name>.json``, hyphens in
     the name written as underscores."""
-    if name not in GALLERY_EXPECTED:
-        raise KeyError(f"unknown gallery entry {name!r}; known: {', '.join(GALLERY_EXPECTED)}")
+    gallery_expected(name)  # KeyError for an unknown name
     return resources.files("latticeflow.data").joinpath(name.replace("-", "_") + ".json").read_text()
 
 
@@ -73,8 +72,10 @@ def gallery_instance(name: str) -> Instance:
 
 
 def gallery_expected(name: str) -> dict:
+    """The values an entry must reproduce. This is the one check of an
+    entry name: KeyError, naming the known entries, if there is none."""
     if name not in GALLERY_EXPECTED:
-        raise KeyError(f"unknown gallery entry {name!r}")
+        raise KeyError(f"unknown gallery entry {name!r}; known: {', '.join(GALLERY_EXPECTED)}")
     return dict(GALLERY_EXPECTED[name])
 
 

@@ -23,6 +23,7 @@ from .lattices import (
     PentagonLattice,
     PowersetLattice,
     ProductLattice,
+    pairwise_closure,
 )
 from .network import CapacityAssignment, FlowNetwork
 
@@ -159,18 +160,8 @@ def random_explicit_lattice(rng: random.Random, max_size: int = 12) -> ExplicitL
         ambient = rng.choice(_AMBIENT_POOL)()
         elems = ambient.element_list()
         seeds = rng.sample(range(len(elems)), k=min(rng.randint(3, 6), len(elems)))
-        current = {elems[i] for i in seeds}
-        while True:
-            new = set()
-            for a, b in itertools.combinations(list(current), 2):
-                for x in (ambient._join(a, b), ambient._meet(a, b)):
-                    if x not in current:
-                        new.add(x)
-            if not new or len(current) + len(new) > max_size + 8:
-                current |= new
-                break
-            current |= new
-        if not (2 <= len(current) <= max_size):
+        current = pairwise_closure((elems[i] for i in seeds), ambient._join, ambient._meet, max_size + 8)
+        if current is None or not 2 <= len(current) <= max_size:
             continue
         index = {x: i for i, x in enumerate(elems)}
         members = sorted(current, key=index.__getitem__)

@@ -84,7 +84,7 @@ def _names(value, path: str) -> list[str]:
 def _decode(text, where: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # also nesting past the recursion limit
         _fail(where, f"not valid JSON: {exc}")
 
 

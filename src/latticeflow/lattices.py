@@ -18,7 +18,7 @@ import itertools
 import math
 from collections.abc import Hashable
 from functools import reduce
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MismatchError, NoBottomError, UniverseTooLarge
 from .orderutils import cover_masks, cover_pairs, partial_order, relation_masks, set_bits, transpose
@@ -590,12 +590,6 @@ class DownsetLattice(_SetLattice):
     def elements(self):
         return iter(self._universe)
 
-    def bottom(self):
-        return frozenset()
-
-    def top(self):
-        return frozenset(self.base)
-
     def _join_irreducibles(self):
         return self._principal
 
@@ -678,6 +672,25 @@ class RingOfSetsLattice(_SetLattice):
         return f"ring-of-sets({len(self._family)} sets)"
 
 
+def pairwise_closure(seeds: Iterable, join: Callable, meet: Callable, limit: int | None = None) -> set | None:
+    """The seeds closed under ``join`` and ``meet`` of every unordered pair.
+
+    Each round applies both operations to each pair that
+    ``itertools.combinations`` gives over the current set, in that order
+    only (so tables that do not commute keep their witnesses), and adds
+    the results. With a ``limit``, None after the first round that
+    leaves more than ``limit`` elements.
+    """
+    current = set(seeds)
+    while True:
+        new = {x for a, b in itertools.combinations(current, 2) for x in (join(a, b), meet(a, b)) if x not in current}
+        if not new:
+            return current
+        current |= new
+        if limit is not None and len(current) > limit:
+            return None
+
+
 _MAX_RING_SETS = 4096
 
 
@@ -702,23 +715,10 @@ def ring_of_sets_closure(
         stray = frozenset().union(*gens) - universe_set
         if stray:
             raise ValueError(f"generators mention atoms outside the universe: {sorted(stray)}")
-    family = set(gens)
-    if adjoin_bounds:
-        family.add(frozenset())
-        family.add(universe_set)
-    while True:
-        new = set()
-        for a, b in itertools.combinations(sorted(family, key=lambda s: (len(s), sorted(s))), 2):
-            u, i = a | b, a & b
-            if u not in family:
-                new.add(u)
-            if i not in family:
-                new.add(i)
-        if not new:
-            break
-        family |= new
-        if len(family) > _MAX_RING_SETS:
-            raise UniverseTooLarge(f"ring-of-sets closure exceeded {_MAX_RING_SETS} sets")
+    seeds = [*gens, frozenset(), universe_set] if adjoin_bounds else gens
+    family = pairwise_closure(seeds, frozenset.__or__, frozenset.__and__, _MAX_RING_SETS)
+    if family is None:
+        raise UniverseTooLarge(f"ring-of-sets closure exceeded {_MAX_RING_SETS} sets")
     lat = RingOfSetsLattice(sorted(universe_set), family)
     lat._spec_generators = tuple(gens)
     lat._spec_adjoin = adjoin_bounds

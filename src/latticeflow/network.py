@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 from .errors import CapExceeded
 from .lattices import Element, Lattice
-from .orderutils import set_bits, topological_order  # noqa: F401  (set_bits is re-exported)
+from .orderutils import topological_order
 
 Edge = tuple[str, str]
 
@@ -49,20 +49,22 @@ class FlowNetwork:
             raise ValueError("source and sink must be distinct")
         if len(self.edge_set) != len(self.edges):
             raise ValueError("duplicate (parallel) edges are not representable")
-        self._out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        self._in: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        into: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
             u, v = e
             if u not in vset or v not in vset:
                 raise ValueError(f"edge {e} mentions unknown vertices")
-            self._out[u].append(e)
-            self._in[v].append(e)
+            out[u].append(e)
+            into[v].append(e)
+        self._out = {v: tuple(es) for v, es in out.items()}
+        self._in = {v: tuple(es) for v, es in into.items()}
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
-        return tuple(self._out[v])
+        return self._out[v]
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
-        return tuple(self._in[v])
+        return self._in[v]
 
     def internal_vertices(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if v not in (self.source, self.sink))
@@ -80,6 +82,11 @@ class FlowNetwork:
     def partition_order(self) -> tuple[str, ...]:
         """Name-sorted internal vertices; bit i of a partition mask is the i-th."""
         return tuple(sorted(self.internal_vertices()))
+
+    @property
+    def n_partitions(self) -> int:
+        """How many cuts separate source from sink: 2^(internal vertices)."""
+        return 2 ** len(self.partition_order)
 
     def __repr__(self):
         return (
@@ -206,36 +213,36 @@ def _reachable(net: FlowNetwork, start: str, forward: bool, through=None) -> set
 
 def enumerate_paths(net: FlowNetwork, max_paths: int = DEFAULT_MAX_PATHS) -> list[tuple[str, ...]]:
     """Every simple directed source-to-sink path, in lexicographic order
-    of the vertex sequence. On a DAG all paths are simple, so this is all
-    of them."""
+    of the vertex sequence, by a depth-first walk on a stack of its own.
+    On a DAG all paths are simple, so this is all of them."""
     succ = {v: sorted(e[1] for e in net.out_edges(v)) for v in net.vertices}
     out: list[tuple[str, ...]] = []
     path = [net.source]
     on_path = {net.source}
-
-    def walk(v: str):
-        if v == net.sink:
+    stack = [iter(succ[net.source])]  # one successor iterator per path vertex
+    while stack:
+        for w in stack[-1]:
+            if w not in on_path:
+                break
+        else:
+            stack.pop()
+            on_path.remove(path.pop())
+            continue
+        if w == net.sink:
             if len(out) >= max_paths:
                 raise CapExceeded(f"more than {max_paths} source-to-sink paths")
-            out.append(tuple(path))
-            return
-        for w in succ[v]:
-            if w in on_path:
-                continue
+            out.append((*path, w))
+        else:
             path.append(w)
             on_path.add(w)
-            walk(w)
-            path.pop()
-            on_path.remove(w)
-
-    walk(net.source)
+            stack.append(iter(succ[w]))
     return out
 
 
 def _check_cut_cap(net: FlowNetwork, max_vertices: int) -> None:
     if len(net.vertices) > max_vertices:
         raise CapExceeded(
-            f"cut enumeration needs 2^{len(net.vertices) - 2} partitions; "
+            f"cut enumeration needs 2^{len(net.partition_order)} partitions; "
             f"cap is {max_vertices} vertices"
         )
 
@@ -251,7 +258,7 @@ def enumerate_cuts(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICE
     """All 2^(|V|-2) vertex partitions separating source from sink, in
     binary-counter order over the name-sorted internal vertices."""
     _check_cut_cap(net, max_vertices)
-    return [partition_cut(net, mask) for mask in range(2 ** (len(net.vertices) - 2))]
+    return [partition_cut(net, mask) for mask in range(net.n_partitions)]
 
 
 def _or_table(base: int, masks: list[int]) -> list[int]:
