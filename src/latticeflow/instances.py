@@ -58,6 +58,8 @@ LATTICE_KINDS = (
     "survival",
 )
 
+_MAX_PRODUCT_NESTING = 300
+
 
 def _fail(path: str, message: str):
     raise InstanceError(f"{path}: {message}")
@@ -125,6 +127,8 @@ def lattice_from_spec(spec, base_dir: Path | None = None, path: str = "lattice")
         if kind == "powerset":
             return PowersetLattice(_names(_need(spec, "universe", path), f"{path}.universe"))
         if kind == "product":
+            if path.count(".factors[") >= _MAX_PRODUCT_NESTING:  # the per-factor walks recurse
+                _fail(path, f"products nested deeper than {_MAX_PRODUCT_NESTING} levels")
             factors = _need(spec, "factors", path)
             if not isinstance(factors, list) or not factors:
                 _fail(f"{path}.factors", "must be a non-empty list of lattice specs")

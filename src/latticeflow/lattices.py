@@ -18,7 +18,7 @@ import itertools
 import math
 from collections.abc import Hashable
 from functools import reduce
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MismatchError, NoBottomError, UniverseTooLarge
 from .orderutils import cover_masks, cover_pairs, partial_order, relation_masks, set_bits, transpose
@@ -550,15 +550,64 @@ class IntervalGridLattice(Lattice):
         return f"intervals(step={self.step})"
 
 
-class DownsetLattice(_SetLattice):
-    """Down-closed subsets of a finite poset, ordered by inclusion.
+def _unions(bottom, joins: Iterable, limit: int | None = None) -> set | None:
+    """``bottom`` joined with every subset of ``joins`` (int masks or
+    frozensets), one pass per join; None once more than ``limit`` are found.
+    From a ring's bottom and join-irreducibles, all its members (Birkhoff)."""
+    found = {bottom}
+    for j in joins:
+        found |= {x | j for x in found}
+        if limit is not None and len(found) > limit:
+            return None
+    return found
 
-    Union and intersection of down-sets are down-sets, so this is a
-    distributive lattice (it is Birkhoff's representation of one).
-    """
+
+def _holders_meets(sets: Collection[frozenset]) -> tuple[frozenset, set]:
+    """The meet of ``sets`` and, for each atom x of their union, the meet
+    m(x) of those that hold x."""
+    meets = {frozenset.intersection(*[s for s in sets if x in s]) for x in frozenset().union(*sets)}
+    return frozenset.intersection(*sets), meets
+
+
+class _RingLattice(_SetLattice):
+    """A ring of sets, its universe stored in element order. Its
+    join-irreducibles are the smallest members holding each atom outside
+    the bottom. A kind names its parse errors: wrong shape, non-member."""
+
+    _messages: tuple[str, str]
+
+    def __init__(self, members: Iterable[frozenset], joins: Iterable[frozenset]):
+        self._universe = dict.fromkeys(members)  # an ordered set
+        self._joins = frozenset(joins)
+
+    def __contains__(self, x):
+        return x in self._universe
+
+    def elements(self):
+        return iter(self._universe)
+
+    def _join_irreducibles(self):
+        return tuple(s for s in self._universe if s in self._joins)
+
+    def parse(self, literal):
+        shape, outside = self._messages
+        if not isinstance(literal, (list, tuple)) or not all(isinstance(x, Hashable) for x in literal):
+            raise MismatchError(f"{shape}, got {literal!r}")
+        s = frozenset(literal)
+        if s not in self._universe:
+            raise MismatchError(f"{literal!r} {outside}")
+        return s
+
+
+class DownsetLattice(_RingLattice):
+    """Down-closed subsets of a finite poset, ordered by inclusion and
+    listed in mask order. They are the unions of the principal down-sets,
+    closed under union and intersection: a distributive lattice, and
+    Birkhoff's representation of one."""
 
     kind = "downset"
     _MAX_BASE = 16
+    _messages = ("downset element must be a list of names", "is not a down-set of the base poset")
 
     def __init__(self, elements: Sequence[str], relations: Iterable[tuple[str, str]]):
         base = tuple(elements)
@@ -575,31 +624,8 @@ class DownsetLattice(_SetLattice):
         up, down = partial_order(base, relations)
         self.base = base
         self._covers = tuple(cover_pairs(base, up))
-        self._universe = tuple(
-            frozenset(base[i] for i in set_bits(mask))
-            for mask in range(2 ** len(base))
-            if not any(down[i] & ~mask for i in set_bits(mask))
-        )
-        self._uset = frozenset(self._universe)
-        # the principal down-sets, ordered by mask like the universe
-        self._principal = tuple(frozenset(base[i] for i in set_bits(m)) for m in sorted(down))
-
-    def __contains__(self, x):
-        return x in self._uset
-
-    def elements(self):
-        return iter(self._universe)
-
-    def _join_irreducibles(self):
-        return self._principal
-
-    def parse(self, literal):
-        if not isinstance(literal, (list, tuple)) or not all(isinstance(x, Hashable) for x in literal):
-            raise MismatchError(f"downset element must be a list of names, got {literal!r}")
-        s = frozenset(literal)
-        if s not in self._uset:
-            raise MismatchError(f"{literal!r} is not a down-set of the base poset")
-        return s
+        sets = {m: frozenset(base[i] for i in set_bits(m)) for m in _unions(0, down)}
+        super().__init__((sets[m] for m in sorted(sets)), (sets[m] for m in down))
 
     def spec(self):
         return {
@@ -612,64 +638,34 @@ class DownsetLattice(_SetLattice):
         return f"downset({len(self.base)}-element poset)"
 
 
-class RingOfSetsLattice(_SetLattice):
+class RingOfSetsLattice(_RingLattice):
     """A family of sets closed under pairwise union and intersection."""
 
     kind = "ring"
+    _messages = ("ring element must be a list of atoms", "is not in the generated ring of sets")
 
     def __init__(self, universe: Iterable[str], family: Iterable[frozenset]):
         self.universe = tuple(universe)
-        fam = []
-        seen = set()
-        for s in family:
-            s = frozenset(s)
-            if s not in seen:
-                seen.add(s)
-                fam.append(s)
-        fam.sort(key=lambda s: (len(s), sorted(s)))
-        self._family = tuple(fam)
-        self._fset = frozenset(fam)
-        for a, b in itertools.combinations(self._family, 2):
-            if a | b not in self._fset or a & b not in self._fset:
-                raise ValueError("family is not closed under union and intersection")
-        self._spec_generators: tuple | None = None
+        fam = {frozenset(s) for s in family}
+        if not fam:
+            raise ValueError("ring of sets needs at least one set")
+        bottom, meets = _holders_meets(fam)
+        if _unions(bottom, meets, len(fam)) != fam:  # a ring is the unions of its own m(x)
+            raise ValueError("family is not closed under union and intersection")
+        super().__init__(sorted(fam, key=lambda s: (len(s), sorted(s))), meets - {bottom})
+        self._spec_generators: Iterable[frozenset] = self._universe  # a closure names its seeds instead
         self._spec_adjoin = False
 
-    def __contains__(self, x):
-        return x in self._fset
-
-    def elements(self):
-        return iter(self._family)
-
-    def _join_irreducibles(self):
-        """For each atom of top less bottom, the smallest member holding it."""
-        found = {
-            reduce(frozenset.__and__, (s for s in self._family if a in s))
-            for a in self.top() - self.bottom()
-        }
-        return tuple(s for s in self._family if s in found)
-
-    def parse(self, literal):
-        if not isinstance(literal, (list, tuple)) or not all(isinstance(x, Hashable) for x in literal):
-            raise MismatchError(f"ring element must be a list of atoms, got {literal!r}")
-        s = frozenset(literal)
-        if s not in self._fset:
-            raise MismatchError(f"{literal!r} is not in the generated ring of sets")
-        return s
-
     def spec(self):
-        gens = self._spec_generators
-        if gens is None:
-            gens = self._family
         return {
             "kind": "ring",
             "universe": list(self.universe),
-            "generators": [sorted(g) for g in gens],
+            "generators": [sorted(g) for g in self._spec_generators],
             "adjoin_bounds": self._spec_adjoin,
         }
 
     def describe(self):
-        return f"ring-of-sets({len(self._family)} sets)"
+        return f"ring-of-sets({len(self._universe)} sets)"
 
 
 def pairwise_closure(seeds: Iterable, join: Callable, meet: Callable, limit: int | None = None) -> set | None:
@@ -700,7 +696,9 @@ def ring_of_sets_closure(
     adjoin_bounds: bool = False,
 ) -> RingOfSetsLattice:
     """Smallest family containing the generators and closed under pairwise
-    union and intersection.
+    union and intersection: the meet of the seeds joined with every union
+    of the m(x), the meets of the seeds holding each atom x. More than
+    4,096 sets is refused unless the seeds are closed already.
 
     The closure does not adjoin the empty set or the full universe on its
     own; ``adjoin_bounds`` forces both in when a bounded lattice is needed.
@@ -708,15 +706,12 @@ def ring_of_sets_closure(
     gens = [frozenset(g) for g in generators]
     if not gens:
         raise ValueError("ring of sets needs at least one generator")
-    if universe is None:
-        universe_set = frozenset().union(*gens)
-    else:
-        universe_set = frozenset(universe)
-        stray = frozenset().union(*gens) - universe_set
-        if stray:
-            raise ValueError(f"generators mention atoms outside the universe: {sorted(stray)}")
-    seeds = [*gens, frozenset(), universe_set] if adjoin_bounds else gens
-    family = pairwise_closure(seeds, frozenset.__or__, frozenset.__and__, _MAX_RING_SETS)
+    atoms = frozenset().union(*gens)
+    universe_set = atoms if universe is None else frozenset(universe)
+    if atoms - universe_set:
+        raise ValueError(f"generators mention atoms outside the universe: {sorted(atoms - universe_set)}")
+    seeds = {*gens, frozenset(), universe_set} if adjoin_bounds else set(gens)
+    family = _unions(*_holders_meets(seeds), max(_MAX_RING_SETS, len(seeds)))
     if family is None:
         raise UniverseTooLarge(f"ring-of-sets closure exceeded {_MAX_RING_SETS} sets")
     lat = RingOfSetsLattice(sorted(universe_set), family)

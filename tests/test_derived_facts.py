@@ -169,7 +169,7 @@ def test_ring_size_and_bounds_match_the_folded_family():
         atoms = "abcdef"[: rng.randint(1, 6)]
         gens = [set(rng.sample(atoms, rng.randint(0, len(atoms)))) for _ in range(rng.randint(1, 4))]
         lat = ring_of_sets_closure(gens, universe=atoms, adjoin_bounds=i % 2 == 0)
-        family = lat._family
+        family = lat.element_list()
         assert lat.size() == len(family)
         for _ in range(2):  # the kept bounds stay the same
             assert lat.bottom() == reduce(frozenset.__and__, family)

@@ -19,6 +19,7 @@ from latticeflow import (
     parse_instance,
     verify_duality,
 )
+from latticeflow.cli import run_command
 from latticeflow.gallery import gallery_source
 from latticeflow.instances import parse_flow
 
@@ -252,3 +253,40 @@ class TestDot:
         report = dilworth_direct(inst.poset)
         dot = emit_dot(inst, report)
         assert "color=blue" in dot
+
+
+# -- product nesting ----------------------------------------------------------------
+
+
+def nested_calls(tmp_path, depth: int) -> list[list[str]]:
+    """CLI calls on a network file and a poset file whose lattice is a
+    chain wrapped in ``depth`` products."""
+    lattice, value = {"kind": "chain", "levels": 3}, 1
+    for _ in range(depth):
+        lattice, value = {"kind": "product", "factors": [lattice]}, [value]
+    net, poset = tmp_path / "net.json", tmp_path / "poset.json"
+    net.write_text(json.dumps({
+        "lattice": lattice, "vertices": ["s", "u", "t"], "source": "s", "sink": "t",
+        "edges": [{"from": "s", "to": "u", "capacity": value}, {"from": "u", "to": "t", "capacity": value}],
+    }))
+    poset.write_text(json.dumps({
+        "lattice": lattice, "elements": ["a", "b", "c"], "covers": [["a", "b"]],
+        "weights": {"a": value, "b": value, "c": value},
+    }))
+    net, poset = str(net), str(poset)
+    return [["bottleneck", net], ["maxflow", net], ["check-lattice", net], ["dilworth", poset], ["check-lattice", poset]]
+
+
+def test_products_nested_three_hundred_deep_load(tmp_path, capsys):
+    for argv in nested_calls(tmp_path, 300):
+        _, code = run_command(argv)
+        assert (code, capsys.readouterr().err) == (0, ""), argv
+
+
+@pytest.mark.parametrize("depth", [301, 450])
+def test_products_nested_deeper_are_an_input_error(tmp_path, capsys, depth):
+    where = "lattice" + ".factors[0]" * 300
+    for argv in nested_calls(tmp_path, depth):
+        _, code = run_command(argv)
+        assert code == 1, argv
+        assert capsys.readouterr().err == f"error: {where}: products nested deeper than 300 levels\n"
