@@ -311,38 +311,21 @@ def counterexample_for(
     """A concrete instance over a non-distributive lattice on which the
     two duality sides differ.
 
-    Uses the lattice's pentagon/diamond sublattice witness: an N5 witness
-    fills the five-edge two-path template, an M3 witness the three-edge
-    template. verify_duality on the result reports equal == False.
+    Every non-distributive lattice embeds N5 or M3 (the M3-N5 theorem),
+    so the failing instance is the gallery's ``pentagon`` or ``diamond``
+    network with each capacity, a role name of the witness, carried along
+    the lattice's sublattice embedding. verify_duality on the result
+    reports equal == False.
     """
+    from .gallery import gallery_instance  # deferred: the gallery imports this module
+
     cert = certificate if certificate is not None else check_distributive(lattice)
     if cert.distributive:
         raise ValueError(f"{lattice.describe()} is distributive; no counterexample exists")
     wit = cert.sublattice
     if wit is None:
         raise ValueError("certificate carries no sublattice witness")
-    emb = wit.embedding
-    if wit.label == "N5":
-        net = FlowNetwork(
-            ["s", "u", "v", "w", "t"],
-            [("s", "u"), ("s", "v"), ("u", "w"), ("v", "w"), ("w", "t")],
-            "s",
-            "t",
-        )
-        cap = CapacityAssignment(
-            lattice,
-            {
-                ("s", "u"): emb["a"],
-                ("s", "v"): emb["c"],
-                ("u", "w"): emb["1"],
-                ("v", "w"): emb["1"],
-                ("w", "t"): emb["b"],
-            },
-        )
-    else:  # M3
-        net = FlowNetwork(["s", "u", "t"], [("s", "t"), ("s", "u"), ("u", "t")], "s", "t")
-        cap = CapacityAssignment(
-            lattice,
-            {("s", "t"): emb["a"], ("s", "u"): emb["b"], ("u", "t"): emb["c"]},
-        )
-    return net, cap
+    inst = gallery_instance("pentagon" if wit.label == "N5" else "diamond")
+    return inst.network, CapacityAssignment(
+        lattice, {e: wit.embedding[role] for e, role in inst.capacities.items()}
+    )

@@ -28,7 +28,7 @@ from .errors import (
     NoBottomError,
     UniverseTooLarge,
 )
-from .flows import flow_value, is_feasible_flow, max_flow_value
+from .flows import is_feasible_flow, max_flow_value
 from .gallery import gallery_expected, gallery_names, gallery_source, run_gallery_entry
 from .generators import random_instance
 from .instances import Instance, load_instance, load_lattice, parse_flow, read_json
@@ -263,9 +263,6 @@ def _cmd_maxflow(args) -> tuple[dict, int]:
         phi = parse_flow(read_json(args.check_flow), net, lat)
         check = is_feasible_flow(net, cap, phi)
         result["checked_flow"] = check.to_dict(cap)
-        result["checked_flow"]["value"] = lat.literal(
-            flow_value(net, cap, phi, require_feasible=False)
-        )
         if not check.ok:
             result["checked_flow"]["warning"] = "flow is infeasible; value computed anyway"
 

@@ -25,6 +25,7 @@ class FlowCheck:
     ok: bool
     capacity_violations: tuple  # (edge, value, capacity)
     conservation_violations: tuple  # (vertex, in_value, out_value)
+    value: Element  # join over the source's outgoing edges, feasible or not
 
     def to_dict(self, cap: CapacityAssignment) -> dict:
         fmt = cap.lattice.format
@@ -38,6 +39,7 @@ class FlowCheck:
                 {"vertex": v, "in": fmt(i), "out": fmt(o)}
                 for v, i, o in self.conservation_violations
             ],
+            "value": cap.lattice.literal(self.value),
         }
 
 
@@ -46,11 +48,12 @@ def is_feasible_flow(
     cap: CapacityAssignment,
     phi: Mapping[Edge, Element],
 ) -> FlowCheck:
-    """Report whether phi is capacity-dominated and join-conserved.
+    """Report whether phi is capacity-dominated and join-conserved, and
+    its value: the join over the source's outgoing edges.
 
     Every value of phi is checked for membership first (MismatchError).
     Dead-end vertices (possible in lenient mode) compare against the
-    empty join, the lattice bottom.
+    empty join, the lattice bottom, as does a source without out-edges.
     """
     lat = cap.lattice
     missing = [e for e in net.edges if e not in phi]
@@ -79,6 +82,7 @@ def is_feasible_flow(
         ok=not cap_bad and not cons_bad,
         capacity_violations=tuple(cap_bad),
         conservation_violations=tuple(cons_bad),
+        value=lat.join_all(phi[e] for e in net.out_edges(net.source)),
     )
 
 
@@ -86,26 +90,16 @@ def flow_value(
     net: FlowNetwork,
     cap: CapacityAssignment,
     phi: Mapping[Edge, Element],
-    require_feasible: bool = True,
 ) -> Element:
-    """Join of the flow over the source's outgoing edges.
-
-    By default the flow is feasibility-checked first; with
-    ``require_feasible=False`` the value is computed regardless, for
-    exploratory use; the values it joins are still checked for membership.
-    """
-    lat = cap.lattice
-    out = net.out_edges(net.source)
-    if require_feasible:
-        check = is_feasible_flow(net, cap, phi)
-        if not check.ok:
-            raise ValueError(
-                f"flow is infeasible: {len(check.capacity_violations)} capacity and "
-                f"{len(check.conservation_violations)} conservation violations"
-            )
-    else:
-        lat.check(*(phi[e] for e in out))
-    return lat.join_all(phi[e] for e in out)
+    """The value of a feasible flow; ValueError if phi is infeasible.
+    ``is_feasible_flow(...).value`` reads the value of any flow."""
+    check = is_feasible_flow(net, cap, phi)
+    if not check.ok:
+        raise ValueError(
+            f"flow is infeasible: {len(check.capacity_violations)} capacity and "
+            f"{len(check.conservation_violations)} conservation violations"
+        )
+    return check.value
 
 
 def path_flow(

@@ -24,6 +24,7 @@ path of the offending field.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,6 +84,13 @@ def _names(value, path: str) -> list[str]:
     return [_name(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
+def _element(lattice: Lattice, literal, path: str):
+    try:
+        return lattice.parse(literal)
+    except MismatchError as exc:
+        _fail(path, str(exc))
+
+
 def _decode(text, where: str):
     try:
         return json.loads(text)
@@ -113,11 +121,21 @@ def _pairs(value, path: str) -> list[tuple[str, str]]:
 
 def lattice_from_spec(spec, base_dir: Path | None = None, path: str = "lattice") -> Lattice:
     """Build a lattice from a spec dict or a file-reference string."""
+    return _lattice(spec, base_dir, path, ())
+
+
+def _lattice(spec, base_dir: Path | None, path: str, reading: tuple[str, ...]) -> Lattice:
+    """:func:`lattice_from_spec`. ``reading`` holds the resolved paths of
+    the spec files still being read on the way to ``spec``; a reference
+    back into one of them is a cycle."""
     if isinstance(spec, str):
         ref = Path(spec)
         if base_dir is not None and not ref.is_absolute():
             ref = base_dir / ref
-        return lattice_from_spec(read_json(ref), base_dir=ref.parent, path=path)
+        resolved = os.path.realpath(ref)  # unlike Path.resolve, no error on a symlink loop
+        if resolved in reading:
+            _fail(path, f"lattice file reference cycle: {ref} is already being read")
+        return _lattice(read_json(ref), ref.parent, path, (*reading, resolved))
     if not isinstance(spec, dict):
         _fail(path, f"must be an object or a file reference, got {type(spec).__name__}")
     kind = _need(spec, "kind", path)
@@ -133,7 +151,7 @@ def lattice_from_spec(spec, base_dir: Path | None = None, path: str = "lattice")
             if not isinstance(factors, list) or not factors:
                 _fail(f"{path}.factors", "must be a non-empty list of lattice specs")
             return ProductLattice(
-                [lattice_from_spec(f, base_dir, f"{path}.factors[{i}]") for i, f in enumerate(factors)]
+                [_lattice(f, base_dir, f"{path}.factors[{i}]", reading) for i, f in enumerate(factors)]
             )
         if kind == "intervals":
             return IntervalGridLattice(spec.get("step", 0.01))
@@ -236,13 +254,8 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
                 _fail(where, "must be an object with from/to/capacity")
             u = _name(_need(e, "from", where), f"{where}.from")
             v = _name(_need(e, "to", where), f"{where}.to")
-            lit = _need(e, "capacity", where)
-            try:
-                value = lattice.parse(lit)
-            except MismatchError as exc:
-                _fail(f"{where}.capacity", str(exc))
+            caps[(u, v)] = _element(lattice, _need(e, "capacity", where), f"{where}.capacity")
             edges.append((u, v))
-            caps[(u, v)] = value
         try:
             net = FlowNetwork(vertices, edges, source, sink)
         except ValueError as exc:
@@ -269,12 +282,7 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
         unknown = [x for x in raw_weights if x not in known]
         if unknown:
             _fail("weights", f"weights for unknown elements {unknown}")
-        weights = {}
-        for x, lit in raw_weights.items():
-            try:
-                weights[x] = lattice.parse(lit)
-            except MismatchError as exc:
-                _fail(f"weights.{x}", str(exc))
+        weights = {x: _element(lattice, lit, f"weights.{x}") for x, lit in raw_weights.items()}
         try:
             poset = WeightedPoset(elements, covers, weights, lattice)
         except ValueError as exc:
@@ -296,7 +304,7 @@ def load_lattice(file) -> Lattice:
     path = Path(file)
     data = read_json(path)
     if isinstance(data, dict) and "kind" in data:
-        return lattice_from_spec(data, base_dir=path.parent)
+        return _lattice(data, path.parent, "lattice", (os.path.realpath(path),))
     if isinstance(data, dict) and "lattice" in data:
         return lattice_from_spec(data["lattice"], base_dir=path.parent)
     raise InstanceError("file holds neither a lattice spec nor an instance with one")
@@ -343,10 +351,7 @@ def parse_flow(data, net: FlowNetwork, lattice: Lattice) -> dict:
         edge = (_name(_need(e, "from", where), f"{where}.from"), _name(_need(e, "to", where), f"{where}.to"))
         if edge not in net.edge_set:
             _fail(where, f"{edge} is not an edge of the network")
-        try:
-            phi[edge] = lattice.parse(_need(e, "value", where))
-        except MismatchError as exc:
-            _fail(f"{where}.value", str(exc))
+        phi[edge] = _element(lattice, _need(e, "value", where), f"{where}.value")
     missing = [e for e in net.edges if e not in phi]
     if missing:
         raise InstanceError(f"flow file is missing edges: {missing}")

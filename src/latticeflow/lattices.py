@@ -964,16 +964,11 @@ class SurvivalLattice(Lattice):
         return math.comb(k + self.levels - 1, k)
 
     def elements(self):
-        mid = self.time_points - 2
-
-        def rec(prefix, floor_idx):
-            if len(prefix) == mid:
-                yield (1.0, *prefix, 0.0)
-                return
-            for i in range(floor_idx, -1, -1):
-                yield from rec(prefix + (self._grid(i),), i)
-
-        yield from rec((), self.levels - 1)
+        # the weakly decreasing middles size() counts, highest levels first
+        for mid in itertools.combinations_with_replacement(
+            range(self.levels - 1, -1, -1), self.time_points - 2
+        ):
+            yield (1.0, *map(self._grid, mid), 0.0)
 
     def bottom(self):
         return (1.0,) + (0.0,) * (self.time_points - 1)

@@ -15,6 +15,7 @@ from latticeflow import (
     alpha_dp,
     beta_bruteforce,
     beta_threshold,
+    check_distributive,
     counterexample_for,
     cut_capacity,
     enumerate_cuts,
@@ -24,7 +25,14 @@ from latticeflow import (
 )
 from latticeflow.bottleneck import _cut_side, _threshold_side
 from latticeflow.network import Cut
-from latticeflow.generators import add_dead_ends, random_capacities, random_instance, random_any_lattice, random_network
+from latticeflow.generators import (
+    add_dead_ends,
+    random_any_lattice,
+    random_capacities,
+    random_explicit_lattice,
+    random_instance,
+    random_network,
+)
 from test_lattices import certified_lattice
 
 
@@ -232,7 +240,56 @@ class TestThresholdSide:
         assert report.equal and report.n_cuts == 2**28
 
 
+def reference_counterexample(lattice):
+    """Both counterexample templates built by hand: an N5 witness fills
+    the five-edge two-path network, an M3 witness the three-edge one."""
+    witness = check_distributive(lattice).sublattice
+    if witness.label == "N5":
+        net = FlowNetwork(
+            ["s", "u", "v", "w", "t"],
+            [("s", "u"), ("s", "v"), ("u", "w"), ("v", "w"), ("w", "t")],
+            "s",
+            "t",
+        )
+        roles = {("s", "u"): "a", ("s", "v"): "c", ("u", "w"): "1", ("v", "w"): "1", ("w", "t"): "b"}
+    else:
+        net = FlowNetwork(["s", "u", "t"], [("s", "t"), ("s", "u"), ("u", "t")], "s", "t")
+        roles = {("s", "t"): "a", ("s", "u"): "b", ("u", "t"): "c"}
+    return net, CapacityAssignment(lattice, {e: witness.embedding[r] for e, r in roles.items()})
+
+
+def non_distributive_lattices():
+    fixed = [
+        PentagonLattice(),
+        DiamondLattice(),
+        ProductLattice([PentagonLattice(), ChainLattice(2)]),
+        ProductLattice([ChainLattice(3), DiamondLattice()]),
+        ProductLattice([PowersetLattice("ab"), PentagonLattice()]),
+        ProductLattice([DiamondLattice(), PentagonLattice()]),
+    ]
+    rng, drawn = random.Random(24), []
+    while len(drawn) < 30:
+        lattice = random_explicit_lattice(rng)
+        if not check_distributive(lattice).distributive:
+            drawn.append(lattice)
+    return fixed + drawn
+
+
 class TestCounterexampleFor:
+    def test_matches_the_hand_built_templates(self):
+        labels = set()
+        for lattice in non_distributive_lattices():
+            labels.add(check_distributive(lattice).sublattice.label)
+            net, cap = counterexample_for(lattice)
+            ref_net, ref_cap = reference_counterexample(lattice)
+            assert (net.vertices, net.edges, net.source, net.sink) == (
+                ref_net.vertices, ref_net.edges, ref_net.source, ref_net.sink
+            ), lattice.describe()
+            assert list(cap.items()) == list(ref_cap.items()), lattice.describe()
+            assert cap.lattice is lattice
+            assert verify_duality(net, cap, method="bruteforce").equal is False, lattice.describe()
+        assert labels == {"N5", "M3"}
+
     def test_pentagon_template(self):
         L = PentagonLattice()
         net, cap = counterexample_for(L)

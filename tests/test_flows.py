@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -81,16 +82,48 @@ class TestFlowValue:
         phi = path_flow(inst.network, inst.capacities, ("s", "v", "w", "t"))
         assert flow_value(inst.network, inst.capacities, phi) == "c"
 
-    def test_infeasible_flow_raises_unless_flagged(self):
+    def test_infeasible_flow_raises_but_its_check_carries_the_value(self):
         net, cap = single_edge_instance(value=2)
         with pytest.raises(ValueError):
             flow_value(net, cap, {("s", "t"): 4})
-        assert flow_value(net, cap, {("s", "t"): 4}, require_feasible=False) == 4
+        assert is_feasible_flow(net, cap, {("s", "t"): 4}).value == 4
 
-    def test_unchecked_flow_value_rejects_foreign_element(self):
+    def test_checked_flow_value_rejects_foreign_element(self):
         net, cap = single_edge_instance(levels=5)
         with pytest.raises(MismatchError):
-            flow_value(net, cap, {("s", "t"): 7}, require_feasible=False)
+            is_feasible_flow(net, cap, {("s", "t"): 7})
+
+
+def unchecked_join_of_source_edges(net, cap, phi):
+    """The value ``flow_value`` computed without a feasibility check: the
+    join over the source's out-edges, bottom if there are none."""
+    lat = cap.lattice
+    return functools.reduce(lat.join, (phi[e] for e in net.out_edges(net.source)), lat.bottom())
+
+
+class TestFlowCheckValue:
+    def test_value_is_the_join_over_source_edges_feasible_or_not(self):
+        rng = random.Random(24)
+        verdicts = set()
+        for _ in range(40):
+            net, cap = random_instance(rng, max_vertices=7)
+            caps = [value for _, value in cap.items()]
+            flows = sample_feasible_flows(rng, net, cap, enumerate_paths(net))
+            flows += [{e: rng.choice(caps) for e in net.edges} for _ in range(3)]
+            for phi in flows:
+                check = is_feasible_flow(net, cap, phi)
+                verdicts.add(check.ok)
+                assert check.value == unchecked_join_of_source_edges(net, cap, phi)
+                if check.ok:
+                    assert flow_value(net, cap, phi) == check.value
+        assert verdicts == {True, False}
+
+    def test_to_dict_emits_the_value_last_as_a_literal(self):
+        inst = gallery_instance("supply-chain")
+        phi = path_flow(inst.network, inst.capacities, enumerate_paths(inst.network)[0])
+        out = is_feasible_flow(inst.network, inst.capacities, phi).to_dict(inst.capacities)
+        assert list(out) == ["ok", "capacity_violations", "conservation_violations", "value"]
+        assert out["value"] == inst.lattice.literal(flow_value(inst.network, inst.capacities, phi))
 
 
 class TestPathFlow:

@@ -290,3 +290,44 @@ def test_products_nested_deeper_are_an_input_error(tmp_path, capsys, depth):
         _, code = run_command(argv)
         assert code == 1, argv
         assert capsys.readouterr().err == f"error: {where}: products nested deeper than 300 levels\n"
+
+
+# -- lattice file reference cycles ---------------------------------------------------
+
+
+def network_on(tmp_path, lattice) -> str:
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({
+        "lattice": lattice, "vertices": ["s", "t"], "source": "s", "sink": "t",
+        "edges": [{"from": "s", "to": "t", "capacity": 1}],
+    }))
+    return str(net)
+
+
+@pytest.mark.parametrize("refs", [{"a.json": "a.json"}, {"a.json": "b.json", "b.json": "a.json"}])
+def test_a_lattice_file_reference_cycle_is_an_input_error(tmp_path, capsys, refs):
+    for name, ref in refs.items():
+        (tmp_path / name).write_text(json.dumps(ref))
+    net, ref = network_on(tmp_path, "a.json"), tmp_path / "a.json"
+    for argv in (["bottleneck", net], ["maxflow", net], ["check-lattice", net]):
+        _, code = run_command(argv)
+        assert code == 1, argv
+        assert capsys.readouterr().err == f"error: lattice: lattice file reference cycle: {ref} is already being read\n"
+
+
+def test_a_product_factor_naming_its_own_file_is_an_input_error(tmp_path, capsys):
+    (tmp_path / "p.json").write_text(json.dumps({"kind": "product", "factors": [{"kind": "chain", "levels": 2}, "p.json"]}))
+    ref = tmp_path / "p.json"
+    for argv in (["bottleneck", network_on(tmp_path, "p.json")], ["check-lattice", str(ref)]):
+        _, code = run_command(argv)
+        assert code == 1, argv
+        assert capsys.readouterr().err == (
+            f"error: lattice.factors[1]: lattice file reference cycle: {ref} is already being read\n"
+        ), argv
+
+
+def test_one_file_twice_in_a_product_is_no_cycle(tmp_path):
+    (tmp_path / "c.json").write_text(json.dumps({"kind": "chain", "levels": 3}))
+    (tmp_path / "p.json").write_text(json.dumps({"kind": "product", "factors": ["c.json", "c.json"]}))
+    lattice = lattice_from_spec("p.json", base_dir=tmp_path)
+    assert lattice.size() == 9

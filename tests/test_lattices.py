@@ -247,7 +247,35 @@ class TestRingOfSets:
             RingOfSetsLattice("ab", [frozenset("a"), frozenset("b")])
 
 
+def reference_survival_elements(L):
+    """The survival element order as a recursive walk: each middle value
+    runs from the previous one down to 0."""
+    mid = L.time_points - 2
+
+    def rec(prefix, floor_idx):
+        if len(prefix) == mid:
+            yield (1.0, *prefix, 0.0)
+            return
+        for i in range(floor_idx, -1, -1):
+            yield from rec(prefix + (L._grid(i),), i)
+
+    return list(rec((), L.levels - 1))
+
+
 class TestSurvival:
+    @pytest.mark.parametrize("time_points", range(2, 8))
+    @pytest.mark.parametrize("levels", range(2, 6))
+    def test_element_order_matches_the_recursive_walk(self, time_points, levels):
+        L = SurvivalLattice(time_points, levels)
+        assert list(L.element_list()) == reference_survival_elements(L)
+        assert len(L.element_list()) == L.size()
+
+    def test_long_time_grid_lists_its_elements(self):
+        L = SurvivalLattice(1200, 2)
+        elems = L.element_list()
+        assert len(elems) == L.size() == 1199
+        assert (elems[0], elems[-1]) == (L.top(), L.bottom())
+
     def test_universe_is_closed_under_pointwise_min_max(self):
         L = SurvivalLattice(5, 4)
         elems = L.element_list()
