@@ -177,8 +177,9 @@ def _threshold_side(net: FlowNetwork, cap: CapacityAssignment) -> tuple[Cut | No
     """
     lat = cap.lattice
     joins = lat.join_irreducibles()
-    value_mask = {
-        v: sum(1 << i for i, j in enumerate(joins) if lat._leq(j, v)) for v in {cap[e] for e in net.edges}
+    value_mask = {  # built as bit strings, highest bit first: linear in the join-irreducibles
+        v: int("0" + "".join("1" if lat._leq(j, v) else "0" for j in reversed(joins)), 2)
+        for v in {cap[e] for e in net.edges}
     }
     edge_mask = {e: value_mask[cap[e]] for e in net.edges}
     reach = {net.source: (1 << len(joins)) - 1}
@@ -189,7 +190,7 @@ def _threshold_side(net: FlowNetwork, cap: CapacityAssignment) -> tuple[Cut | No
                 bits |= reach[e[0]] & edge_mask[e]
             reach[v] = bits
     at_sink = reach[net.sink]
-    beta = lat.join_all(joins[i] for i in set_bits(at_sink))
+    beta = lat.join_all(j for j, bit in zip(joins, bin(at_sink)[:1:-1]) if bit == "1")  # lowest bit first
     side = _reachable(net, net.source, True, {e for e, m in edge_mask.items() if m & ~at_sink})
     if net.sink in side:
         return None, beta

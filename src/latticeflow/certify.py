@@ -12,12 +12,12 @@ are built. The axiom scan yields its violations in triple-by-triple
 order and stops after the first 25; the distributivity scan takes the
 lowest failing c of the first failing row. Non-distributive verdicts
 carry a failing triple and a five-element pentagon/diamond sublattice
-witness, searched on indices in the sublattice the triple generates.
-:func:`find_forbidden_sublattice` stays an independent oracle on the
-native ``_join``/``_meet``, not the tables: it classifies only the
-five-subsets that three middle elements and the joins and meets of their
-pairs form, and returns the witness a scan of every five-subset would
-find first.
+witness. One search finds both witnesses: it classifies only the
+five-subsets that three middle elements and their pairs' joins and
+meets form, and returns the one a scan of every five-subset would find
+first. The certificate runs it on the tables, inside the sublattice the
+failing triple generates; :func:`find_forbidden_sublattice`, an oracle
+sharing no code with the failing-triple scan, on native calls.
 """
 
 from __future__ import annotations
@@ -257,16 +257,10 @@ def _classify_five(lattice: Lattice, five: tuple) -> SublatticeWitness | None:
 
 def _witness_from_triple(lattice: Lattice, triple: tuple[int, int, int]) -> SublatticeWitness | None:
     """The first N5/M3 five-subset, in ``combinations`` order, of the
-    sublattice the triple of indices generates. Subsets not closed under
-    the tables' join and meet are passed over before classification."""
-    elems, J, M, _, _ = lattice.tables()
-    closure = pairwise_closure(triple, lambda a, b: J[a][b], lambda a, b: M[a][b])
-    for five in itertools.combinations(sorted(closure), 5):
-        if all(J[x][y] in five and M[x][y] in five for x, y in itertools.combinations(five, 2)):
-            wit = _classify_five(lattice, tuple(elems[i] for i in five))
-            if wit is not None:
-                return wit
-    return None
+    sublattice the triple of indices generates: an accepted five-set
+    there has its middle triple and their bounds there too."""
+    _, J, M, _, _ = lattice.tables()
+    return _first_five(lattice, pairwise_closure(triple, lambda a, b: J[a][b], lambda a, b: M[a][b]))
 
 
 def _diff_mask(xs: tuple, ys: tuple) -> int:
@@ -327,9 +321,10 @@ def check_distributive(
     return cert
 
 
-def _five_candidates(lattice: Lattice) -> list[tuple]:
+def _five_candidates(lattice: Lattice, within: set[int] | None = None) -> list[tuple]:
     """Every five-subset that :func:`_classify_five` can accept, in
-    ``combinations`` order, from native ``_join``/``_meet`` calls only.
+    ``combinations`` order, from native ``_join``/``_meet`` results; with
+    ``within``, a set of indices, those inside it, read off the tables.
 
     An accepted set is its three middle elements x < y < z (by index)
     plus their bottom and top. Closure puts the join and meet of each
@@ -339,25 +334,37 @@ def _five_candidates(lattice: Lattice) -> list[tuple]:
     Each ordered pair's results are computed once.
     """
     elems = lattice.element_list()
-    index = {x: i for i, x in enumerate(elems)}
+    if within is None:
+        index = {x: i for i, x in enumerate(elems)}
 
-    @functools.cache
-    def bounds(i: int, j: int) -> tuple:
-        """Indices of the join and the meet of elements i and j, None
-        for a result outside the universe."""
-        a, b = elems[i], elems[j]
-        return index.get(lattice._join(a, b)), index.get(lattice._meet(a, b))
+        @functools.cache
+        def bounds(i: int, j: int) -> tuple:
+            """Indices of the join and the meet of elements i and j, None
+            for a result outside the universe."""
+            a, b = elems[i], elems[j]
+            return index.get(lattice._join(a, b)), index.get(lattice._meet(a, b))
+    else:
+        _, J, M, _, _ = lattice.tables()
+
+        def bounds(i: int, j: int) -> tuple:
+            return J[i][j], M[i][j]
 
     found = set()
-    for x, y, z in itertools.combinations(range(len(elems)), 3):
+    for x, y, z in itertools.combinations(range(len(elems)) if within is None else sorted(within), 3):
         five = {x, y, z, *bounds(x, y), *bounds(x, z), *bounds(y, z)}
         if None in five:
             continue  # no set holding x, y and z is closed
         if len(five) < 5:
             five.update(bounds(z, x))
-        if len(five) == 5 and None not in five:
+        if len(five) == 5 and None not in five and (within is None or five <= within):
             found.add(tuple(sorted(five)))
     return [tuple(elems[i] for i in five) for five in sorted(found)]
+
+
+def _first_five(lattice: Lattice, within: set[int] | None = None) -> SublatticeWitness | None:
+    """The witness of the first of :func:`_five_candidates` that
+    :func:`_classify_five` accepts, or None."""
+    return next(filter(None, (_classify_five(lattice, five) for five in _five_candidates(lattice, within))), None)
 
 
 def find_forbidden_sublattice(
@@ -376,13 +383,8 @@ def find_forbidden_sublattice(
         return None
     size = _guard_size(lattice, max_size)
     if size <= _SUBSET_SCAN_MAX:
-        for five in _five_candidates(lattice):
-            wit = _classify_five(lattice, five)
-            if wit is not None:
-                return wit
-        return None
-    cert = check_distributive(lattice, max_size)
-    return cert.sublattice
+        return _first_five(lattice)
+    return check_distributive(lattice, max_size).sublattice
 
 
 def is_distributive(lattice: Lattice) -> bool | None:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .certify import DEFAULT_MAX_UNIVERSE, check_lattice_axioms
 from .dilworth import WeightedPoset
-from .errors import InstanceError, MismatchError
+from .errors import InstanceError, MismatchError, UniverseTooLarge
 from .lattices import (
     ChainLattice,
     DiamondLattice,
@@ -190,7 +190,7 @@ def _lattice(spec, base_dir: Path | None, path: str, reading: tuple[str, ...]) -
             )
     except InstanceError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, UniverseTooLarge) as exc:
         _fail(path, str(exc))
     _fail(f"{path}.kind", f"unknown lattice kind {kind!r}; known kinds: {', '.join(LATTICE_KINDS)}")
 

@@ -13,7 +13,6 @@ elements validated at entry.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections.abc import Hashable
@@ -460,12 +459,32 @@ class ProductLattice(Lattice):
         return "product(" + ", ".join(f.describe() for f in self.factors) + ")"
 
 
+# Grid values are rounded to 12 places, so past 10**12 steps neighbours
+# coincide (k = 5 * 10**12 and k + 1 both give 0.5 on 10**13 steps).
+_MAX_STEPS = 10**12
+
+
+def _grid(k: int, n: int) -> float:
+    """The k-th value of the grid of n even steps over [0, 1]."""
+    return round(k / n, 12)
+
+
+def _snap(v, n: int) -> float | None:
+    """The value of the n-step grid within 1e-9 of ``v``, or None; bools
+    and non-numbers are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not -1 < v < 2:
+        return None  # far off [0, 1]; also NaN, infinities and huge ints
+    k = round(v * n)
+    canon = _grid(k, n)
+    return canon if 0 <= k <= n and abs(v - canon) <= 1e-9 else None
+
+
 class IntervalGridLattice(Lattice):
     """Closed subintervals [lo, hi] of [0, 1] with endpoints on a step grid.
 
     Order is componentwise (lo1 <= lo2 and hi1 <= hi2); join and meet take
     componentwise max and min, which preserve lo <= hi. Endpoints are
-    canonicalized to exact grid multiples so float equality is reliable.
+    canonicalized to the grid k/n, n = 1/step, so float equality is reliable.
     """
 
     kind = "intervals"
@@ -473,28 +492,22 @@ class IntervalGridLattice(Lattice):
     _bottom_first = True
 
     def __init__(self, step: float = 0.01):
-        if isinstance(step, bool):
+        if isinstance(step, bool) or not isinstance(step, (int, float)):
             raise ValueError(f"interval grid step must be a number, got {step!r}")
         if not (0 < step <= 1):
             raise ValueError("interval grid step must be in (0, 1]")
+        if 1 / step > _MAX_STEPS + 0.5:
+            raise ValueError(f"interval grid step must give at most {_MAX_STEPS:,} steps")
         n = round(1 / step)
         if abs(n * step - 1) > 1e-9:
             raise ValueError("interval grid step must divide 1 exactly")
         self.step = step
-        self._n = n  # grid has n+1 levels: 0, step, ..., 1
-
-    def _snap(self, v) -> float | None:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not -1 < v < 2:
-            return None  # far off [0, 1]; also NaN, infinities and huge ints
-        i = round(v / self.step)
-        if i < 0 or i > self._n or abs(v - i * self.step) > 1e-9:
-            return None
-        return round(i * self.step, 12)
+        self._n = n  # grid has n+1 levels: 0, 1/n, ..., 1
 
     def __contains__(self, x):
         if not (isinstance(x, tuple) and len(x) == 2):
             return False
-        lo, hi = self._snap(x[0]), self._snap(x[1])
+        lo, hi = _snap(x[0], self._n), _snap(x[1], self._n)
         return lo is not None and hi is not None and lo == x[0] and hi == x[1] and lo <= hi
 
     def _leq(self, a, b):
@@ -510,7 +523,7 @@ class IntervalGridLattice(Lattice):
         return (self._n + 1) * (self._n + 2) // 2
 
     def elements(self):
-        vals = [round(i * self.step, 12) for i in range(self._n + 1)]
+        vals = [_grid(k, self._n) for k in range(self._n + 1)]
         for i, lo in enumerate(vals):
             for hi in vals[i:]:
                 yield (lo, hi)
@@ -522,13 +535,13 @@ class IntervalGridLattice(Lattice):
         return (1.0, 1.0)
 
     def _join_irreducibles(self):
-        vals = [round(i * self.step, 12) for i in range(1, self._n + 1)]
+        vals = [_grid(k, self._n) for k in range(1, self._n + 1)]
         return tuple((0.0, h) for h in vals) + tuple((v, v) for v in vals)
 
     def parse(self, literal):
         if not isinstance(literal, (list, tuple)) or len(literal) != 2:
             raise MismatchError(f"interval element must be [lo, hi], got {literal!r}")
-        lo, hi = self._snap(literal[0]), self._snap(literal[1])
+        lo, hi = _snap(literal[0], self._n), _snap(literal[1], self._n)
         if lo is None or hi is None:
             raise MismatchError(
                 f"interval endpoints {literal!r} are not on the step-{self.step} grid"
@@ -854,38 +867,35 @@ class ExplicitLattice(Lattice):
         return {"kind": "explicit", "elements": list(elems), "relation": pairs}
 
     def describe(self):
-        if self.kind != "explicit":
-            return self.kind
         return f"explicit({len(self._elements)} elements)"
 
 
-_FIVE = ("0", "a", "b", "c", "1")
+class _FiveLattice(ExplicitLattice):
+    """A five-element lattice on ``0, a, b, c, 1`` given by its covers."""
+
+    def __init__(self):
+        five = ("0", "a", "b", "c", "1")
+        super().__init__(five, partial_order(five, self._covers)[0], covers=self._covers)
+
+    def spec(self):
+        return {"kind": self.kind}
+
+    def describe(self):
+        return self.kind
 
 
-class PentagonLattice(ExplicitLattice):
+class PentagonLattice(_FiveLattice):
     """N5: 0 < c < b < 1 and 0 < a < 1 with a incomparable to b and c."""
 
     kind = "pentagon"
-
-    def __init__(self):
-        covers = [("0", "c"), ("c", "b"), ("b", "1"), ("0", "a"), ("a", "1")]
-        super().__init__(_FIVE, partial_order(_FIVE, covers)[0], covers=covers)
-
-    def spec(self):
-        return {"kind": "pentagon"}
+    _covers = (("0", "c"), ("c", "b"), ("b", "1"), ("0", "a"), ("a", "1"))
 
 
-class DiamondLattice(ExplicitLattice):
+class DiamondLattice(_FiveLattice):
     """M3: three pairwise incomparable atoms between a bottom and a top."""
 
     kind = "diamond"
-
-    def __init__(self):
-        covers = [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")]
-        super().__init__(_FIVE, partial_order(_FIVE, covers)[0], covers=covers)
-
-    def spec(self):
-        return {"kind": "diamond"}
+    _covers = (("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1"))
 
 
 class SurvivalLattice(Lattice):
@@ -909,34 +919,23 @@ class SurvivalLattice(Lattice):
                 )
             if count < 2:
                 raise ValueError(f"survival lattice needs at least 2 {what}")
+        if levels - 1 > _MAX_STEPS:
+            raise ValueError(f"survival lattice needs at most {_MAX_STEPS + 1:,} value levels")
         self.time_points = time_points
         self.levels = levels
 
     def _grid(self, k: int) -> float:
         """The k-th of the ``levels`` grid values, computed on demand so
         that no spec can make the constructor allocate the whole grid."""
-        return round(k / (self.levels - 1), 12)
+        return _grid(k, self.levels - 1)
 
     def _on_grid(self, v) -> bool:
-        """Whether ``v`` equals a grid value. The grid rises with k, so a
-        bisection finds the only candidate."""
+        """Whether ``v`` equals a grid value; a bool counts as its int."""
         try:
             f = float(v)
         except (TypeError, ValueError, OverflowError):
             return False
-        if f != v or not 0 <= f <= 1:
-            return False
-        k = bisect.bisect_left(range(self.levels), f, key=self._grid)
-        return k < self.levels and self._grid(k) == f
-
-    def _snap(self, v) -> float | None:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not -1 < v < 2:
-            return None  # far off [0, 1]; also NaN, infinities and huge ints
-        k = round(v * (self.levels - 1))
-        if k < 0 or k >= self.levels:
-            return None
-        canon = self._grid(k)
-        return canon if abs(v - canon) <= 1e-9 else None
+        return f == v and _snap(f, self.levels - 1) == f
 
     def __contains__(self, x):
         if not (isinstance(x, tuple) and len(x) == self.time_points):
@@ -995,13 +994,9 @@ class SurvivalLattice(Lattice):
             raise MismatchError(
                 f"survival element must be a list of {self.time_points} values, got {literal!r}"
             )
-        vals = []
-        for v in literal:
-            s = self._snap(v)
-            if s is None:
-                raise MismatchError(f"value {v!r} is not on the {self.levels}-level grid")
-            vals.append(s)
-        x = tuple(vals)
+        x = tuple(_snap(v, self.levels - 1) for v in literal)
+        if None in x:
+            raise MismatchError(f"value {literal[x.index(None)]!r} is not on the {self.levels}-level grid")
         if x not in self:
             raise MismatchError(
                 f"{literal!r} is not a survival step function (must start at 1, "

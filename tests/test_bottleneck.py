@@ -8,6 +8,7 @@ from latticeflow import (
     DistributivityRequired,
     DiamondLattice,
     FlowNetwork,
+    IntervalGridLattice,
     PentagonLattice,
     PowersetLattice,
     ProductLattice,
@@ -229,6 +230,18 @@ class TestThresholdSide:
             report = verify_duality(net, cap, mode=mode, method=method)
             assert report.beta_method == "bruteforce"
             assert (report.beta, report.optimal_cut) == (auto.beta, auto.optimal_cut)
+
+    def test_a_fine_interval_grid(self):
+        L = IntervalGridLattice(0.0001)
+        assert len(L.join_irreducibles()) == 20_000
+        rng = random.Random(97)
+        for _ in range(12):
+            net = random_network(rng, 7)
+            caps = {e: L.parse(sorted(rng.randint(0, 10_000) / 10_000 for _ in "lh")) for e in net.edges}
+            cap = CapacityAssignment(L, caps)
+            _, cut, beta = _cut_side(net, cap, "strict", 22)
+            assert beta_threshold(net, cap) == beta == beta_bruteforce(net, cap) == alpha_dp(net, cap)
+            assert _threshold_side(net, cap) == (cut, beta)
 
     def test_no_vertex_cap(self):
         from test_network import layered_network

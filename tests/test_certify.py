@@ -22,8 +22,10 @@ from latticeflow.certify import (
     AxiomViolation,
     DistributivityCertificate,
     _classify_five,
+    _witness_from_triple,
 )
 from latticeflow.generators import random_any_lattice, random_explicit_lattice
+from latticeflow.lattices import pairwise_closure
 
 
 class TestAxioms:
@@ -599,3 +601,56 @@ class TestForbiddenScanContract:
         # a scan of all 15,504 five-subsets makes 127,333 calls here
         assert calls[0] <= 20_000
         assert getattr(L, "_tables_cache", None) is None
+
+
+# -- the certificate's witness against the scan of every five-subset ----------------
+
+
+def reference_table_witness(lattice, triple):
+    """The first N5/M3 five-subset, in ``combinations`` order, of the
+    sublattice the triple of indices generates, as a scan of every
+    five-subset that is closed under the index tables."""
+    elems, J, M, _, _ = lattice.tables()
+    closure = pairwise_closure(triple, lambda a, b: J[a][b], lambda a, b: M[a][b])
+    for five in itertools.combinations(sorted(closure), 5):
+        if all(J[x][y] in five and M[x][y] in five for x, y in itertools.combinations(five, 2)):
+            wit = _classify_five(lattice, tuple(elems[i] for i in five))
+            if wit is not None:
+                return wit
+    return None
+
+
+class TestWitnessScanContract:
+    def test_certificates_of_seeded_tables(self):
+        rng = random.Random(53)
+        lattices = [random_explicit_lattice(rng) for _ in range(240)] + list(corrupted_tables(59, 120))
+        verdicts = []
+        for L in lattices:
+            cert = check_distributive(L)
+            verdicts.append(cert.distributive)
+            if not cert.distributive:
+                index = {x: i for i, x in enumerate(L.element_list())}
+                triple = tuple(index[x] for x in cert.witness_triple)
+                assert cert.sublattice == reference_table_witness(L, triple), L.spec()
+        assert len(verdicts) == 360 and 100 < verdicts.count(False) < 300
+
+    def test_triples_of_perturbed_op_tables(self):
+        """The certificate's triple and four random ones of each table
+        whose operations stay in the universe."""
+        rng = random.Random(61)
+        checked = found = 0
+        for L in perturbed_op_tables(67, 1200):
+            try:
+                cert = check_distributive(L)
+            except RuntimeError:
+                continue  # a result outside the universe has no index
+            triples = [tuple(rng.sample(range(L.size()), 3)) for _ in range(4)] if L.size() >= 3 else []
+            if not cert.distributive:
+                triples.append(cert.witness_triple)  # elements 0 .. n-1 are their own indices
+                assert cert.sublattice == reference_table_witness(L, cert.witness_triple)
+            for triple in triples:
+                wit = reference_table_witness(L, triple)
+                assert _witness_from_triple(L, triple) == wit, (L.up, L.join_table, L.meet_table, triple)
+                checked += 1
+                found += wit is not None
+        assert checked > 4000 and found > 200

@@ -24,6 +24,7 @@ from latticeflow import (
     validate_network,
     verify_duality,
 )
+import latticeflow.dilworth as dilworth
 from latticeflow.cli import run_command
 from latticeflow.dilworth import CorrespondenceReport, _cut_for_antichain
 from latticeflow.gallery import gallery_source
@@ -305,6 +306,45 @@ class TestCorrespondences:
         assert not report.ok
         assert not report.cut_roundtrip_ok or not report.antichain_roundtrip_ok
         assert report.problems
+
+
+def red_problems(poset) -> tuple[str, ...]:
+    report = check_correspondences(poset)
+    assert not report.ok
+    return report.problems
+
+
+class TestCorrespondencesGoRed:
+    """Faults planted in what the check reads, on the three-element chain
+    that ``test_total_orders_roundtrip`` finds green: each problem message
+    appears and ``ok`` is False."""
+
+    def test_a_dropped_path(self, monkeypatch):
+        paths = dilworth.enumerate_paths
+        monkeypatch.setattr(dilworth, "enumerate_paths", lambda net: paths(net)[1:])
+        assert "stripped paths differ from maximal chains" in red_problems(total_order([2, 0, 1]))
+
+    def test_a_side_without_its_minimal_elements(self, monkeypatch):
+        poset = total_order([2, 0, 1])
+        monkeypatch.setattr(
+            dilworth, "_cut_for_antichain", lambda *args: _cut_for_antichain(*args) - set(poset.minimal_elements())
+        )
+        problems = red_problems(poset)
+        assert "cut for antichain ('x1',) crosses a source edge" in problems
+        assert "cut with sources ('x1',) does not round-trip" in problems
+
+    def test_a_side_without_its_middle(self, monkeypatch):
+        def without_middle(poset, net, antichain):
+            keep = {net.source, *poset.minimal_elements(), *antichain}
+            return frozenset(x for x in _cut_for_antichain(poset, net, antichain) if x in keep)
+
+        monkeypatch.setattr(dilworth, "_cut_for_antichain", without_middle)
+        assert "cut for antichain ('x2',) is not a minimal cut" in red_problems(total_order([2, 0, 1]))
+
+    def test_a_missing_antichain(self, monkeypatch):
+        poset = total_order([2, 0, 1])
+        monkeypatch.setattr(poset, "antichains", poset.antichains[1:])
+        assert "minimal cut sources ('x0',) are not a maximal antichain" in red_problems(poset)
 
 
 def reference_maximal_antichains(poset):

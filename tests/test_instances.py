@@ -331,3 +331,104 @@ def test_one_file_twice_in_a_product_is_no_cycle(tmp_path):
     (tmp_path / "p.json").write_text(json.dumps({"kind": "product", "factors": ["c.json", "c.json"]}))
     lattice = lattice_from_spec("p.json", base_dir=tmp_path)
     assert lattice.size() == 9
+
+
+# -- input errors through the CLI ----------------------------------------------------
+
+
+def net_file(lattice, capacity=1, **fields) -> dict:
+    return {
+        "lattice": lattice, "vertices": ["s", "t"], "source": "s", "sink": "t",
+        "edges": [{"from": "s", "to": "t", "capacity": capacity}], **fields,
+    }
+
+
+CHAIN2 = {"kind": "chain", "levels": 2}
+
+
+def poset_file(**fields) -> dict:
+    return {"lattice": CHAIN2, "elements": ["a"], "covers": [], "weights": {"a": 1}, **fields}
+
+
+DOWNSET = {"kind": "downset", "elements": ["a"], "covers": []}
+SURVIVAL = {"kind": "survival", "time_points": 3, "levels": 3}
+
+# (command, file content, stderr line); a flow file goes with the network net_file(CHAIN2)
+INPUT_ERRORS = {
+    "covers-not-a-list": ("bottleneck", net_file({**DOWNSET, "covers": "a"}),
+                          "lattice.covers: must be a list of [lower, upper] pairs"),
+    "cover-not-a-pair": ("bottleneck", net_file({**DOWNSET, "covers": [["a"]]}),
+                         "lattice.covers[0]: must be a two-element list"),
+    "lattice-not-an-object": ("bottleneck", net_file(5), "lattice: must be an object or a file reference, got int"),
+    "no-factors": ("bottleneck", net_file({"kind": "product", "factors": []}),
+                   "lattice.factors: must be a non-empty list of lattice specs"),
+    "explicit-without-order": ("bottleneck", net_file({"kind": "explicit", "elements": ["0"]}),
+                               "lattice: explicit lattice needs 'covers' or 'relation'"),
+    "instance-not-an-object": ("bottleneck", [], "instance must be a JSON object, got list"),
+    "edges-not-a-list": ("bottleneck", {**net_file(CHAIN2), "edges": {}}, "edges: must be a list of edge objects"),
+    "edge-not-an-object": ("bottleneck", {**net_file(CHAIN2), "edges": [5]},
+                           "edges[0]: must be an object with from/to/capacity"),
+    "duplicate-vertices": ("bottleneck", {**net_file(CHAIN2), "vertices": ["s", "t", "s"]},
+                           "instance: duplicate vertex names"),
+    "weights-not-an-object": ("dilworth", poset_file(weights=[]),
+                              "weights: must map element names to element literals"),
+    "empty-poset": ("dilworth", poset_file(elements=[], weights={}), "instance: poset needs at least one element"),
+    "duplicate-poset-elements": ("dilworth", poset_file(elements=["a", "a"]),
+                                 "instance: poset has duplicate element names"),
+    "missing-weight": ("dilworth", poset_file(elements=["a", "b"]), "instance: elements without weights: ['b']"),
+    "neither-spec-nor-instance": ("check-lattice", {"x": 1},
+                                  "file holds neither a lattice spec nor an instance with one"),
+    "flow-not-an-object": ("maxflow", [], "flow file must be an object with an 'edges' list"),
+    "flow-edge-not-an-object": ("maxflow", {"edges": [5]}, "edges[0]: must be an object with from/to/value"),
+    "chain-levels": ("bottleneck", net_file({"kind": "chain", "levels": 0}),
+                     "lattice: chain lattice needs a positive integer level count"),
+    "duplicate-atoms": ("bottleneck", net_file({"kind": "powerset", "universe": ["a", "a"]}),
+                        "lattice: powerset universe has duplicate atoms"),
+    "powerset-literal": ("bottleneck", net_file({"kind": "powerset", "universe": ["a"]}, "a"),
+                         "edges[0].capacity: powerset element must be a list of atoms, got 'a'"),
+    "product-literal": ("bottleneck", net_file({"kind": "product", "factors": [CHAIN2]}, [1, 1]),
+                        "edges[0].capacity: product element must be a list of 1 components, got [1, 1]"),
+    "step-range": ("bottleneck", net_file({"kind": "intervals", "step": 2}),
+                   "lattice: interval grid step must be in (0, 1]"),
+    "step-divides": ("bottleneck", net_file({"kind": "intervals", "step": 0.3}),
+                     "lattice: interval grid step must divide 1 exactly"),
+    "step-type": ("bottleneck", net_file({"kind": "intervals", "step": "x"}),
+                  "lattice: interval grid step must be a number, got 'x'"),
+    "step-too-fine": ("bottleneck", net_file({"kind": "intervals", "step": 1e-300}),
+                      "lattice: interval grid step must give at most 1,000,000,000,000 steps"),
+    "interval-literal": ("bottleneck", net_file({"kind": "intervals", "step": 0.5}, [0.5]),
+                         "edges[0].capacity: interval element must be [lo, hi], got [0.5]"),
+    "downset-duplicates": ("bottleneck", net_file({**DOWNSET, "elements": ["a", "a"]}),
+                           "lattice: poset has duplicate elements"),
+    "downset-unknown": ("bottleneck", net_file({**DOWNSET, "covers": [["a", "z"]]}),
+                        "lattice: relation ('a', 'z') mentions unknown elements"),
+    "downset-cap": ("bottleneck", net_file({**DOWNSET, "elements": [f"x{i}" for i in range(17)]}),
+                    "lattice: downset lattice over 17 elements is too large to enumerate"),
+    "ring-outside-universe": ("bottleneck", net_file({"kind": "ring", "universe": ["a"], "generators": [["z"]]}),
+                              "lattice: generators mention atoms outside the universe: ['z']"),
+    "ring-cap": ("bottleneck", net_file({"kind": "ring", "generators": [[a] for a in "abcdefghijklm"]}),
+                 "lattice: ring-of-sets closure exceeded 4096 sets"),
+    "survival-times": ("bottleneck", net_file({**SURVIVAL, "time_points": 1}),
+                       "lattice: survival lattice needs at least 2 time points"),
+    "survival-levels-too-fine": ("bottleneck", net_file({**SURVIVAL, "levels": 10**30}, [1, 1, 0]),
+                                 "lattice: survival lattice needs at most 1,000,000,000,001 value levels"),
+    "survival-literal": ("bottleneck", net_file(SURVIVAL, [1.0]),
+                         "edges[0].capacity: survival element must be a list of 3 values, got [1.0]"),
+    "survival-off-grid": ("bottleneck", net_file(SURVIVAL, [1, 0.3, 0]),
+                          "edges[0].capacity: value 0.3 is not on the 3-level grid"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERRORS))
+def test_an_input_error_is_one_line_naming_its_path(tmp_path, capsys, case):
+    command, content, message = INPUT_ERRORS[case]
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(content))
+    argv = [command, str(given)]
+    if command == "maxflow":
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(net_file(CHAIN2)))
+        argv = [command, str(net), "--check-flow", str(given)]
+    _, code = run_command(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {message}\n")

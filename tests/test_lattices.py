@@ -8,8 +8,10 @@ from latticeflow import (
     Lattice,
     DiamondLattice,
     DownsetLattice,
+    ExplicitLattice,
     IntervalGridLattice,
     MismatchError,
+    NoBottomError,
     PentagonLattice,
     PowersetLattice,
     ProductLattice,
@@ -143,6 +145,12 @@ class TestBounds:
 
     def test_intervals(self):
         assert bounds(IntervalGridLattice(0.25)) == ((0.0, 0.0), (1.0, 1.0))
+
+    def test_empty_meet_is_the_top(self):
+        assert PentagonLattice().meet_all(()) == "1"
+        no_top = ExplicitLattice.from_covers(["x", "y"], [])
+        with pytest.raises(NoBottomError, match=r"empty meet needs a top element and explicit\(2 elements\) has none"):
+            no_top.meet_all(())
 
     def test_bottom_top_are_extremes(self):
         for L in small_lattices():
@@ -303,6 +311,52 @@ class TestSurvival:
         assert abs(x[1] - 0.5) <= 1e-9
         assert (1.0, 0.3, 0.3, 0.0) not in L
         assert (True, x[1], x[2], False) in L  # bools compare equal to 1 and 0
+
+
+def reference_interval_grid(step: float) -> list[float]:
+    """The interval grid as multiples of the step, the rule before k/n."""
+    return [round(i * step, 12) for i in range(round(1 / step) + 1)]
+
+
+def tried_interval_steps():
+    """Every step 1/n for n <= 2,000 and four finer n, as a float and
+    rounded to 10 and to 6 places, that the constructor accepts."""
+    ns = [*range(1, 2001), 5_000, 10_000, 20_000, 100_000]
+    for step in sorted({s for n in ns for s in (1 / n, round(1 / n, 10), round(1 / n, 6))}):
+        try:
+            yield IntervalGridLattice(step)
+        except ValueError:
+            pass
+
+
+class TestIntervalGrid:
+    def test_grid_is_the_multiples_of_the_step_where_those_reach_one(self):
+        same = other = 0
+        for L in tried_interval_steps():
+            grid = [0.0, *(hi for _, hi in L.join_irreducibles()[: L._n])]
+            old = reference_interval_grid(L.step)
+            if old[-1] == 1.0:
+                assert grid == old, L.step
+                same += 1
+            else:  # the old grid missed its own top
+                assert grid[-1] == 1.0 and L.top() in L and L.join_irreducibles()[-1] == L.top(), L.step
+                if L._n <= 40:
+                    assert L.element_list()[-1] == L.top()
+                other += 1
+        assert (same, other) == (2_004, 73)
+
+    def test_an_inexact_step_reaches_one(self):
+        L = IntervalGridLattice(0.3333333333)
+        L.check(L.top())  # the multiples of the step stop at 0.9999999999
+        assert L.format(L.parse([0, 1])) == "[0.0,1.0]"
+
+    def test_grids_finer_than_a_trillion_steps_are_refused(self):
+        assert IntervalGridLattice(1e-12)._n == 10**12
+        SurvivalLattice(2, 10**12 + 1)
+        for make in (lambda: IntervalGridLattice(1e-13), lambda: IntervalGridLattice(5e-324),
+                     lambda: SurvivalLattice(2, 10**12 + 2)):
+            with pytest.raises(ValueError, match="at most"):
+                make()
 
 
 class TestDownset:
