@@ -75,7 +75,6 @@ from .lattices import (
     ProductLattice,
     RingOfSetsLattice,
     SurvivalLattice,
-    bounds,
     ring_of_sets_closure,
 )
 from .network import (

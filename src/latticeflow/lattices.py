@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Hashable
 from functools import reduce
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
@@ -55,7 +56,6 @@ class Lattice:
 
     kind = "abstract"
     known_distributive = False
-    _bottom_first = False  # True where element order always starts at the bottom
 
     # -- order and algebra -------------------------------------------------
 
@@ -149,7 +149,7 @@ class Lattice:
 
     def join_irreducibles(self) -> tuple:
         """The join-irreducible elements (those with exactly one lower
-        cover), in element order, found on first use and kept.
+        cover), in no promised order, found on first use and kept.
 
         Kinds whose structure names them override
         :meth:`_join_irreducibles`; the default reads the lower covers
@@ -164,15 +164,6 @@ class Lattice:
     def _join_irreducibles(self) -> tuple:
         t = self.tables()  # the covers of the reversed order are the lower covers
         return tuple(x for x, lower in zip(t.elements, cover_masks(t.down)) if lower.bit_count() == 1)
-
-    def _joins_before_bottom(self) -> int:
-        """How many join-irreducibles precede the bottom in element order;
-        a product needs it to list its own in element order."""
-        if self._bottom_first:
-            return 0
-        elems = self.element_list()
-        bottom = elems.index(self.bottom())
-        return sum(elems.index(j) < bottom for j in self.join_irreducibles())
 
     def bottom(self) -> Element | None:
         """Global minimum, or None if there is none.
@@ -253,7 +244,6 @@ class ChainLattice(Lattice):
 
     kind = "chain"
     known_distributive = True
-    _bottom_first = True
 
     def __init__(self, levels: int):
         if not isinstance(levels, int) or isinstance(levels, bool) or levels < 1:
@@ -308,11 +298,9 @@ class ChainLattice(Lattice):
 
 class _SetLattice(Lattice):
     """A family of frozensets of names ordered by inclusion, closed under
-    union (join) and intersection (meet), hence distributive. Every kind
-    lists the bottom first."""
+    union (join) and intersection (meet), hence distributive."""
 
     known_distributive = True
-    _bottom_first = True
 
     def _leq(self, a, b):
         return a <= b
@@ -422,22 +410,11 @@ class ProductLattice(Lattice):
         return None if any(p is None for p in parts) else tuple(parts)
 
     def _join_irreducibles(self):
-        """Each factor's join-irreducibles over the other factors' bottoms.
-        In the lexicographic element order those that precede their
-        factor's bottom come first, factor by factor; then those that
-        follow it, last factor first."""
+        """Each factor's join-irreducibles over the other factors' bottoms."""
         bottom = self.bottom()
-        before, after = [], []
-        for k, f in enumerate(self.factors):
-            js = f.join_irreducibles()
-            cut = f._joins_before_bottom()
-            lifted = [bottom[:k] + (j,) + bottom[k + 1:] for j in js]
-            before += lifted[:cut]
-            after[:0] = lifted[cut:]
-        return tuple(before + after)
-
-    def _joins_before_bottom(self):
-        return sum(f._joins_before_bottom() for f in self.factors)
+        return tuple(
+            bottom[:k] + (j,) + bottom[k + 1:] for k, f in enumerate(self.factors) for j in f.join_irreducibles()
+        )
 
     def parse(self, literal):
         if not isinstance(literal, (list, tuple)) or len(literal) != len(self.factors):
@@ -476,20 +453,117 @@ def _snap(v, n: int) -> float | None:
         return None  # far off [0, 1]; also NaN, infinities and huge ints
     k = round(v * n)
     canon = _grid(k, n)
+    if canon != v:  # near 10**12 steps, v * n can round to a neighbour's k
+        k = min((k - 1, k, k + 1), key=lambda i: abs(v - _grid(i, n)))
+        canon = _grid(k, n)
     return canon if 0 <= k <= n and abs(v - canon) <= 1e-9 else None
 
 
-class IntervalGridLattice(Lattice):
-    """Closed subintervals [lo, hi] of [0, 1] with endpoints on a step grid.
+class _GridLattice(Lattice):
+    """Weakly monotone tuples on the grid of n even steps over [0, 1],
+    ordered componentwise: ``width`` free values, ascending or
+    ``descending``, between the fixed values ``head`` and ``tail``.
+    Componentwise max and min keep a tuple monotone, so this is a
+    sublattice of a product of chains, hence distributive. Values are
+    canonical grid floats, so float equality is reliable.
 
-    Order is componentwise (lo1 <= lo2 and hi1 <= hi2); join and meet take
-    componentwise max and min, which preserve lo <= hi. Endpoints are
-    canonicalized to the grid k/n, n = 1/step, so float equality is reliable.
+    A kind names its parse errors as format templates over the
+    ``literal``, the first off-grid ``value`` and the lattice ``lat``:
+    wrong shape, off the grid, not monotone between the fixed ends.
     """
 
-    kind = "intervals"
     known_distributive = True
-    _bottom_first = True
+    _messages: tuple[str, str, str]
+
+    def __init__(self, n: int, width: int, descending: bool = False, head: tuple = (), tail: tuple = ()):
+        self._n = n  # the grid has n + 1 levels: 0, 1/n, ..., 1
+        self._width, self._descending, self._head, self._tail = width, descending, head, tail
+        self._length = len(head) + width + len(tail)
+
+    def _grid(self, k: int) -> float:
+        """The k-th grid value, computed on demand so that no spec can
+        make the constructor allocate the whole grid."""
+        return _grid(k, self._n)
+
+    def _ordered(self, x: tuple) -> bool:
+        """Whether grid values ``x`` hold the fixed ends and are monotone."""
+        return x[:len(self._head)] == self._head and x[len(x) - len(self._tail):] == self._tail and (
+            sorted(x, reverse=self._descending) == list(x)
+        )
+
+    def __contains__(self, x):
+        if not (isinstance(x, tuple) and len(x) == self._length):
+            return False
+        n = self._n
+        for v in x:  # each equals a grid value; a bool counts as its int
+            try:
+                f = float(v)
+            except (TypeError, ValueError, OverflowError):
+                return False
+            if f != v or _snap(f, n) != f:
+                return False
+        return self._ordered(x)
+
+    def _leq(self, a, b):
+        return all(map(operator.le, a, b))
+
+    def _join(self, a, b):
+        return tuple(map(max, a, b))
+
+    def _meet(self, a, b):
+        return tuple(map(min, a, b))
+
+    def size(self):
+        return math.comb(self._width + self._n, self._width)
+
+    def elements(self):
+        levels = range(self._n, -1, -1) if self._descending else range(self._n + 1)
+        pool = map(self._grid, levels) if self._width else ()  # read whole, so none when nothing is drawn
+        for free in itertools.combinations_with_replacement(pool, self._width):
+            yield self._head + free + self._tail
+
+    def bottom(self):
+        return self._head + (0.0,) * self._width + self._tail
+
+    def top(self):
+        return self._head + (1.0,) * self._width + self._tail
+
+    def _join_irreducibles(self):
+        """The steps: grid(k) on the i free places at the high end and 0
+        on the others, for each height i >= 1 and level k >= 1."""
+        steps = (
+            (0.0,) * (self._width - i) + (self._grid(k),) * i
+            for i in range(1, self._width + 1)
+            for k in range(1, self._n + 1)
+        )
+        return tuple(self._head + (s[::-1] if self._descending else s) + self._tail for s in steps)
+
+    def parse(self, literal):
+        shape, off_grid, unordered = self._messages
+        if not isinstance(literal, (list, tuple)) or len(literal) != self._length:
+            raise MismatchError(shape.format(literal=literal, lat=self))
+        n = self._n
+        x = tuple([_snap(v, n) for v in literal])
+        if None in x:
+            raise MismatchError(off_grid.format(literal=literal, value=literal[x.index(None)], lat=self))
+        if not self._ordered(x):
+            raise MismatchError(unordered.format(literal=literal, lat=self))
+        return x
+
+    def literal(self, x):
+        return list(x)
+
+
+class IntervalGridLattice(_GridLattice):
+    """Closed subintervals [lo, hi] of [0, 1] with endpoints on a step grid:
+    the ascending pairs on n = 1/step steps."""
+
+    kind = "intervals"
+    _messages = (
+        "interval element must be [lo, hi], got {literal!r}",
+        "interval endpoints {literal!r} are not on the step-{lat.step} grid",
+        "interval {literal!r} has lo > hi",
+    )
 
     def __init__(self, step: float = 0.01):
         if isinstance(step, bool) or not isinstance(step, (int, float)):
@@ -502,56 +576,7 @@ class IntervalGridLattice(Lattice):
         if abs(n * step - 1) > 1e-9:
             raise ValueError("interval grid step must divide 1 exactly")
         self.step = step
-        self._n = n  # grid has n+1 levels: 0, 1/n, ..., 1
-
-    def __contains__(self, x):
-        if not (isinstance(x, tuple) and len(x) == 2):
-            return False
-        lo, hi = _snap(x[0], self._n), _snap(x[1], self._n)
-        return lo is not None and hi is not None and lo == x[0] and hi == x[1] and lo <= hi
-
-    def _leq(self, a, b):
-        return a[0] <= b[0] and a[1] <= b[1]
-
-    def _join(self, a, b):
-        return (max(a[0], b[0]), max(a[1], b[1]))
-
-    def _meet(self, a, b):
-        return (min(a[0], b[0]), min(a[1], b[1]))
-
-    def size(self):
-        return (self._n + 1) * (self._n + 2) // 2
-
-    def elements(self):
-        vals = [_grid(k, self._n) for k in range(self._n + 1)]
-        for i, lo in enumerate(vals):
-            for hi in vals[i:]:
-                yield (lo, hi)
-
-    def bottom(self):
-        return (0.0, 0.0)
-
-    def top(self):
-        return (1.0, 1.0)
-
-    def _join_irreducibles(self):
-        vals = [_grid(k, self._n) for k in range(1, self._n + 1)]
-        return tuple((0.0, h) for h in vals) + tuple((v, v) for v in vals)
-
-    def parse(self, literal):
-        if not isinstance(literal, (list, tuple)) or len(literal) != 2:
-            raise MismatchError(f"interval element must be [lo, hi], got {literal!r}")
-        lo, hi = _snap(literal[0], self._n), _snap(literal[1], self._n)
-        if lo is None or hi is None:
-            raise MismatchError(
-                f"interval endpoints {literal!r} are not on the step-{self.step} grid"
-            )
-        if lo > hi:
-            raise MismatchError(f"interval {literal!r} has lo > hi")
-        return (lo, hi)
-
-    def literal(self, x):
-        return [x[0], x[1]]
+        super().__init__(n, 2)
 
     def format(self, x):
         return f"[{x[0]},{x[1]}]"
@@ -561,6 +586,42 @@ class IntervalGridLattice(Lattice):
 
     def describe(self):
         return f"intervals(step={self.step})"
+
+
+class SurvivalLattice(_GridLattice):
+    """Weakly decreasing step functions on a finite time grid: one value
+    per time point, starting at 1 and ending at 0, on a grid of ``levels``
+    values in [0, 1]."""
+
+    kind = "survival"
+    _messages = (
+        "survival element must be a list of {lat.time_points} values, got {literal!r}",
+        "value {value!r} is not on the {lat.levels}-level grid",
+        "{literal!r} is not a survival step function (must start at 1, end at 0, and be weakly decreasing)",
+    )
+
+    def __init__(self, time_points: int = 4, levels: int = 3):
+        for count, what in ((time_points, "time points"), (levels, "value levels")):
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise ValueError(
+                    f"survival lattice needs an integer count of {what}, got {type(count).__name__}"
+                )
+            if count < 2:
+                raise ValueError(f"survival lattice needs at least 2 {what}")
+        if levels - 1 > _MAX_STEPS:
+            raise ValueError(f"survival lattice needs at most {_MAX_STEPS + 1:,} value levels")
+        self.time_points = time_points
+        self.levels = levels
+        super().__init__(levels - 1, time_points - 2, True, (1.0,), (0.0,))
+
+    def format(self, x):
+        return "(" + ",".join(str(v) for v in x) + ")"
+
+    def spec(self):
+        return {"kind": "survival", "time_points": self.time_points, "levels": self.levels}
+
+    def describe(self):
+        return f"survival({self.time_points} times, {self.levels} levels)"
 
 
 def _unions(bottom, joins: Iterable, limit: int | None = None) -> set | None:
@@ -896,127 +957,3 @@ class DiamondLattice(_FiveLattice):
 
     kind = "diamond"
     _covers = (("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1"))
-
-
-class SurvivalLattice(Lattice):
-    """Weakly decreasing step functions on a finite time grid.
-
-    An element is a tuple of values, one per time point, starting at 1,
-    ending at 0, weakly decreasing, with values on a uniform grid of
-    ``levels`` points in [0, 1]. Pointwise min and max preserve all of
-    these constraints, and the result is a sublattice of a product of
-    chains, hence distributive.
-    """
-
-    kind = "survival"
-    known_distributive = True
-
-    def __init__(self, time_points: int = 4, levels: int = 3):
-        for count, what in ((time_points, "time points"), (levels, "value levels")):
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise ValueError(
-                    f"survival lattice needs an integer count of {what}, got {type(count).__name__}"
-                )
-            if count < 2:
-                raise ValueError(f"survival lattice needs at least 2 {what}")
-        if levels - 1 > _MAX_STEPS:
-            raise ValueError(f"survival lattice needs at most {_MAX_STEPS + 1:,} value levels")
-        self.time_points = time_points
-        self.levels = levels
-
-    def _grid(self, k: int) -> float:
-        """The k-th of the ``levels`` grid values, computed on demand so
-        that no spec can make the constructor allocate the whole grid."""
-        return _grid(k, self.levels - 1)
-
-    def _on_grid(self, v) -> bool:
-        """Whether ``v`` equals a grid value; a bool counts as its int."""
-        try:
-            f = float(v)
-        except (TypeError, ValueError, OverflowError):
-            return False
-        return f == v and _snap(f, self.levels - 1) == f
-
-    def __contains__(self, x):
-        if not (isinstance(x, tuple) and len(x) == self.time_points):
-            return False
-        if not all(self._on_grid(v) for v in x):
-            return False
-        return (
-            x[0] == 1.0
-            and x[-1] == 0.0
-            and all(x[i] >= x[i + 1] for i in range(len(x) - 1))
-        )
-
-    def _leq(self, a, b):
-        return all(x <= y for x, y in zip(a, b))
-
-    def _join(self, a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
-
-    def _meet(self, a, b):
-        return tuple(min(x, y) for x, y in zip(a, b))
-
-    def size(self):
-        # weakly decreasing middle of length time_points - 2 over `levels` values
-        k = self.time_points - 2
-        return math.comb(k + self.levels - 1, k)
-
-    def elements(self):
-        # the weakly decreasing middles size() counts, highest levels first
-        for mid in itertools.combinations_with_replacement(
-            range(self.levels - 1, -1, -1), self.time_points - 2
-        ):
-            yield (1.0, *map(self._grid, mid), 0.0)
-
-    def bottom(self):
-        return (1.0,) + (0.0,) * (self.time_points - 1)
-
-    def top(self):
-        return (1.0,) * (self.time_points - 1) + (0.0,)
-
-    def _join_irreducibles(self):
-        """The steps grid(k) on times 1..i and 0 after i, for each middle
-        time i and level k >= 1. Elements come in descending
-        lexicographic order, so higher steps first, then longer ones."""
-        mid = self.time_points - 2
-        return tuple(
-            (1.0,) + (self._grid(k),) * i + (0.0,) * (mid - i + 1)
-            for k in range(self.levels - 1, 0, -1)
-            for i in range(mid, 0, -1)
-        )
-
-    def _joins_before_bottom(self):
-        return len(self.join_irreducibles())  # the bottom is the last element
-
-    def parse(self, literal):
-        if not isinstance(literal, (list, tuple)) or len(literal) != self.time_points:
-            raise MismatchError(
-                f"survival element must be a list of {self.time_points} values, got {literal!r}"
-            )
-        x = tuple(_snap(v, self.levels - 1) for v in literal)
-        if None in x:
-            raise MismatchError(f"value {literal[x.index(None)]!r} is not on the {self.levels}-level grid")
-        if x not in self:
-            raise MismatchError(
-                f"{literal!r} is not a survival step function (must start at 1, "
-                "end at 0, and be weakly decreasing)"
-            )
-        return x
-
-    def literal(self, x):
-        return list(x)
-
-    def format(self, x):
-        return "(" + ",".join(str(v) for v in x) + ")"
-
-    def spec(self):
-        return {"kind": "survival", "time_points": self.time_points, "levels": self.levels}
-
-    def describe(self):
-        return f"survival({self.time_points} times, {self.levels} levels)"
-
-
-def bounds(lattice: Lattice) -> tuple[Element | None, Element | None]:
-    """(bottom, top) of the lattice, None where a bound does not exist."""
-    return (lattice.bottom(), lattice.top())

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -17,11 +18,12 @@ from latticeflow import (
     ProductLattice,
     RingOfSetsLattice,
     SurvivalLattice,
-    bounds,
     is_distributive,
     ring_of_sets_closure,
 )
 from latticeflow.generators import random_explicit_lattice
+from latticeflow.instances import LATTICE_KINDS
+from latticeflow.lattices import _grid, _snap
 
 
 def small_lattices():
@@ -138,13 +140,15 @@ class TestAlgebraicLaws:
 class TestBounds:
     def test_powerset(self):
         L = PowersetLattice("ab")
-        assert bounds(L) == (frozenset(), frozenset("ab"))
+        assert (L.bottom(), L.top()) == (frozenset(), frozenset("ab"))
 
     def test_pentagon(self):
-        assert bounds(PentagonLattice()) == ("0", "1")
+        L = PentagonLattice()
+        assert (L.bottom(), L.top()) == ("0", "1")
 
     def test_intervals(self):
-        assert bounds(IntervalGridLattice(0.25)) == ((0.0, 0.0), (1.0, 1.0))
+        L = IntervalGridLattice(0.25)
+        assert (L.bottom(), L.top()) == ((0.0, 0.0), (1.0, 1.0))
 
     def test_empty_meet_is_the_top(self):
         assert PentagonLattice().meet_all(()) == "1"
@@ -154,7 +158,7 @@ class TestBounds:
 
     def test_bottom_top_are_extremes(self):
         for L in small_lattices():
-            bot, top = bounds(L)
+            bot, top = L.bottom(), L.top()
             for x in L.element_list():
                 assert L.leq(bot, x)
                 assert L.leq(x, top)
@@ -352,11 +356,92 @@ class TestIntervalGrid:
 
     def test_grids_finer_than_a_trillion_steps_are_refused(self):
         assert IntervalGridLattice(1e-12)._n == 10**12
-        SurvivalLattice(2, 10**12 + 1)
+        assert SurvivalLattice(2, 10**12 + 1).element_list() == ((1.0, 0.0),)  # lists no grid
         for make in (lambda: IntervalGridLattice(1e-13), lambda: IntervalGridLattice(5e-324),
                      lambda: SurvivalLattice(2, 10**12 + 2)):
             with pytest.raises(ValueError, match="at most"):
                 make()
+
+
+GRIDS = {
+    "intervals(0.25)": IntervalGridLattice(0.25),
+    "intervals(1)": IntervalGridLattice(1),  # one step
+    "survival(4,3)": SurvivalLattice(4, 3),
+    "survival(2,3)": SurvivalLattice(2, 3),  # no free value between the ends
+}
+NAN, INF = math.nan, math.inf
+NOT_STEP = " is not a survival step function (must start at 1, end at 0, and be weakly decreasing)"
+
+# What parse returns on each literal: the element, or the exact message.
+GRID_PARSES = [
+    ("intervals(0.25)", [0, 0.5], (0.0, 0.5)),
+    ("intervals(0.25)", (0.25000000001, 1), (0.25, 1.0)),
+    ("intervals(0.25)", [0.5, 0.5], (0.5, 0.5)),
+    ("intervals(0.25)", [0.5], "interval element must be [lo, hi], got [0.5]"),
+    ("intervals(0.25)", "ab", "interval element must be [lo, hi], got 'ab'"),
+    ("intervals(0.25)", [0, 0.5, 1], "interval element must be [lo, hi], got [0, 0.5, 1]"),
+    ("intervals(0.25)", None, "interval element must be [lo, hi], got None"),
+    ("intervals(0.25)", {"lo": 0}, "interval element must be [lo, hi], got {'lo': 0}"),
+    ("intervals(0.25)", [0, 0.3], "interval endpoints [0, 0.3] are not on the step-0.25 grid"),
+    ("intervals(0.25)", [NAN, 1], "interval endpoints [nan, 1] are not on the step-0.25 grid"),
+    ("intervals(0.25)", [0, INF], "interval endpoints [0, inf] are not on the step-0.25 grid"),
+    ("intervals(0.25)", ["0", 1], "interval endpoints ['0', 1] are not on the step-0.25 grid"),
+    ("intervals(0.25)", [False, True], "interval endpoints [False, True] are not on the step-0.25 grid"),
+    ("intervals(0.25)", [0, True], "interval endpoints [0, True] are not on the step-0.25 grid"),
+    ("intervals(0.25)", [-0.25, 0], "interval endpoints [-0.25, 0] are not on the step-0.25 grid"),
+    ("intervals(0.25)", [0.75, 0.25], "interval [0.75, 0.25] has lo > hi"),
+    ("intervals(0.25)", [1, 0], "interval [1, 0] has lo > hi"),
+    ("intervals(1)", [0, 1], (0.0, 1.0)),
+    ("intervals(1)", [1, 1], (1.0, 1.0)),
+    ("intervals(1)", [0.5, 1], "interval endpoints [0.5, 1] are not on the step-1 grid"),
+    ("intervals(1)", [1, 0], "interval [1, 0] has lo > hi"),
+    ("intervals(1)", [1], "interval element must be [lo, hi], got [1]"),
+    ("survival(4,3)", [1, 0.5, 0.5, 0], (1.0, 0.5, 0.5, 0.0)),
+    ("survival(4,3)", (1, 1, 0, 0.0), (1.0, 1.0, 0.0, 0.0)),
+    ("survival(4,3)", [1.0000000001, 0.5, 0, 0], (1.0, 0.5, 0.0, 0.0)),
+    ("survival(4,3)", [1, 0.5, 0], "survival element must be a list of 4 values, got [1, 0.5, 0]"),
+    ("survival(4,3)", "1..0", "survival element must be a list of 4 values, got '1..0'"),
+    ("survival(4,3)", None, "survival element must be a list of 4 values, got None"),
+    ("survival(4,3)", [1, 0.3, 0, 0], "value 0.3 is not on the 3-level grid"),
+    ("survival(4,3)", [1, NAN, 0, 0], "value nan is not on the 3-level grid"),
+    ("survival(4,3)", [1, INF, 0, 0], "value inf is not on the 3-level grid"),
+    ("survival(4,3)", [1, "0.5", 0, 0], "value '0.5' is not on the 3-level grid"),
+    ("survival(4,3)", [True, 0.5, 0.5, False], "value True is not on the 3-level grid"),
+    ("survival(4,3)", [1, 0.5, 2, 0], "value 2 is not on the 3-level grid"),
+    ("survival(4,3)", [1, 0.5, 1, 0], "[1, 0.5, 1, 0]" + NOT_STEP),
+    ("survival(4,3)", [0.5, 0.5, 0, 0], "[0.5, 0.5, 0, 0]" + NOT_STEP),
+    ("survival(4,3)", [1, 0.5, 0.5, 0.5], "[1, 0.5, 0.5, 0.5]" + NOT_STEP),
+    ("survival(2,3)", [1, 0], (1.0, 0.0)),
+    ("survival(2,3)", [1, 0.5], "[1, 0.5]" + NOT_STEP),
+    ("survival(2,3)", [1], "survival element must be a list of 2 values, got [1]"),
+    ("survival(2,3)", [0, 0], "[0, 0]" + NOT_STEP),
+    ("survival(2,3)", [True, 0], "value True is not on the 3-level grid"),
+    ("survival(2,3)", [1, 0.25], "value 0.25 is not on the 3-level grid"),
+]
+
+
+class TestGridLattices:
+    @pytest.mark.parametrize(
+        "grid, literal, expected", GRID_PARSES, ids=[f"{g}-{i}" for i, (g, _, _) in enumerate(GRID_PARSES)]
+    )
+    def test_parse_results_and_messages(self, grid, literal, expected):
+        L = GRIDS[grid]
+        if isinstance(expected, tuple):
+            x = L.parse(literal)
+            assert repr(x) == repr(expected) and x in L
+            return
+        with pytest.raises(MismatchError) as err:
+            L.parse(literal)
+        assert str(err.value) == expected
+        if isinstance(literal, list) and any(isinstance(v, bool) for v in literal):
+            assert tuple(literal) in L  # parse refuses a bool; membership counts it as its int
+
+    def test_grid_values_near_the_cap_snap_to_themselves(self):
+        n = 10**12 - 1  # round(v * n) gives a neighbour's index for these k
+        for k in (499967074897, 499954210749, 499961568933):
+            v = _grid(k, n)
+            assert _snap(v, n) == v
+            assert (1.0, v, 0.0) in SurvivalLattice(3, n + 1)
 
 
 class TestDownset:
@@ -452,11 +537,15 @@ def enumerable_lattices():
 
 class TestJoinIrreducibles:
     def test_structural_matches_generic_finder(self):
+        """Join-irreducibles come in no promised order: each kind lists
+        each one once, and they are the cover-count finder's as a set."""
         kinds = set()
         for lattice in enumerable_lattices():
             kinds.add(lattice.kind)
-            assert lattice.join_irreducibles() == generic_join_irreducibles(lattice), lattice.describe()
-        assert kinds >= {"chain", "powerset", "intervals", "survival", "downset", "ring", "product", "explicit"}
+            joins = lattice.join_irreducibles()
+            assert len(set(joins)) == len(joins), lattice.describe()
+            assert set(joins) == set(generic_join_irreducibles(lattice)), lattice.describe()
+        assert kinds >= set(LATTICE_KINDS) - {"pentagon", "diamond"}  # those two are the next test's
 
     def test_generic_finder_on_the_forbidden_lattices(self):
         assert PentagonLattice().join_irreducibles() == ("a", "b", "c")
