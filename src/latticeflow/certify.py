@@ -1,23 +1,35 @@
-"""Exhaustive lattice axiom checking and distributivity certification.
+"""Lattice axiom checking and distributivity certification.
 
 Certification is honest about its method: parametric kinds whose
 distributivity is structural (chains, set lattices, products of such)
 short-circuit with a "structural" certificate, and every other universe
-within the size cap is checked on every triple. Both cubic scans read
-each law once off the lattice's index tables (:meth:`Lattice.tables`),
-one (a, b) row at a time: a triple law is a bitmask of its failing c,
-from ANDed up-set and down-set bitmasks or from the positions where two
-gathered rows differ. No native operation is called after the tables
-are built. The axiom scan yields its violations in triple-by-triple
-order and stops after the first 25; the distributivity scan takes the
-lowest failing c of the first failing row. Non-distributive verdicts
-carry a failing triple and a five-element pentagon/diamond sublattice
-witness. One search finds both witnesses: it classifies only the
-five-subsets that three middle elements and their pairs' joins and
-meets form, and returns the one a scan of every five-subset would find
-first. The certificate runs it on the tables, inside the sublattice the
-failing triple generates; :func:`find_forbidden_sublattice`, an oracle
-sharing no code with the failing-triple scan, on native calls.
+within the size cap is certified "exhaustive" off its index tables
+(:meth:`Lattice.tables`). Two tests of O(n²) row operations decide every
+verdict. The lattice test: ``up`` is reflexive and antisymmetric, and
+every join's up-set and every meet's down-set are the common upper and
+lower bounds of its pair; then ``up`` is transitive, join and meet are
+the least upper and greatest lower bounds, and every lattice law holds.
+The distributivity test, on tables that pass the lattice test: every
+join-irreducible is join-prime, which on a finite lattice is
+distributivity (Birkhoff; Davey & Priestley, *Introduction to Lattices
+and Order*, 2nd ed., 2002). The lattice verdict is kept on the lattice,
+like the certificate.
+
+Only a failing test enters a cubic scan, which names the failure. Both
+scans read each law once off the tables, one (a, b) row at a time: a
+triple law is a bitmask of its failing c, from ANDed up-set and down-set
+bitmasks or from the positions where two gathered rows differ. No
+native operation is called after the tables are built. The axiom scan
+yields its violations in triple-by-triple order and stops after the
+first 25; the distributivity scan takes the lowest failing c of the
+first failing row. Non-distributive verdicts carry a failing triple and
+a five-element pentagon/diamond sublattice witness. One search finds
+both witnesses: it classifies only the five-subsets that three middle
+elements and their pairs' joins and meets form, and returns the one a
+scan of every five-subset would find first. The certificate runs it on
+the tables, inside the sublattice the failing triple generates;
+:func:`find_forbidden_sublattice`, an oracle sharing no code with the
+failing-triple scan or the two O(n²) tests, on native calls.
 """
 
 from __future__ import annotations
@@ -29,8 +41,8 @@ from operator import itemgetter
 from typing import Any
 
 from .errors import UniverseTooLarge
-from .lattices import Element, Lattice, pairwise_closure
-from .orderutils import set_bits
+from .lattices import Element, Lattice, LatticeTables, pairwise_closure
+from .orderutils import cover_masks, set_bits
 
 DEFAULT_MAX_UNIVERSE = 512
 _SUBSET_SCAN_MAX = 24
@@ -124,6 +136,48 @@ def _gatherers(rows) -> list:
     return [itemgetter(*r) for r in rows]
 
 
+def _lattice_test(t: LatticeTables) -> bool:
+    """Whether the tables form a lattice, in O(n²) row operations: each
+    element's up-set and down-set meet in it alone (``up`` is reflexive
+    and antisymmetric), each join's up-set is the common upper bounds of
+    its pair, and each meet's down-set the common lower bounds.
+
+    Transitivity follows: for i <= j, the join k of i and j has j in its
+    up-set and itself in that of j, so k = j and up[j] = up[i] & up[j].
+    Join and meet are then the least upper and greatest lower bounds.
+    """
+    _, J, M, up, down = t
+    if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))):
+        return False
+    up_of, down_of = up.__getitem__, down.__getitem__
+    return all(
+        list(map(up_of, Ji)) == list(map(u.__and__, up)) and list(map(down_of, Mi)) == list(map(d.__and__, down))
+        for Ji, Mi, u, d in zip(J, M, up, down)
+    )
+
+
+def _join_prime_test(t: LatticeTables) -> bool:
+    """Whether every join-irreducible (one lower cover) is join-prime:
+    the join of the elements not above it is not above it. On tables
+    that pass :func:`_lattice_test` that is distributivity."""
+    _, J, _, up, down = t
+    everything = (1 << len(up)) - 1
+    for j, lower in enumerate(cover_masks(down)):
+        if lower.bit_count() == 1:
+            rest = functools.reduce(lambda a, b: J[a][b], set_bits(everything & ~up[j]))
+            if up[j] >> rest & 1:
+                return False
+    return True
+
+
+def _is_lattice(lattice: Lattice) -> bool:
+    """:func:`_lattice_test` on ``lattice``'s tables, run once and kept."""
+    verdict = getattr(lattice, "_lattice_verdict", None)
+    if verdict is None:
+        verdict = lattice._lattice_verdict = _lattice_test(lattice.tables())
+    return verdict
+
+
 def _axiom_violations(lattice: Lattice):
     """Every violated law as (law, witness indices, message), in report
     order: the element laws, antisymmetry on unordered pairs, the pair
@@ -196,15 +250,19 @@ def _axiom_violations(lattice: Lattice):
 
 
 def check_lattice_axioms(lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE) -> AxiomReport:
-    """Exhaustively verify the lattice axioms and order consistency.
+    """Verify the lattice axioms and order consistency.
 
     Covers commutativity, associativity, absorption and idempotence of
     join and meet, partial-order axioms for leq, the equivalence
     leq(a,b) <=> join(a,b)=b <=> meet(a,b)=a, and that join/meet really
-    are least upper / greatest lower bounds. The report keeps the first
-    25 violations and is truncated when there are more.
+    are least upper / greatest lower bounds. The lattice test decides;
+    only tables that fail it are scanned for their violations. The
+    report keeps the first 25 violations and is truncated when there
+    are more.
     """
     size = _guard_size(lattice, max_size)
+    if _is_lattice(lattice):
+        return AxiomReport(ok=True, size=size, violations=())
     elems = lattice.element_list()
     found = [
         AxiomViolation(law, tuple(elems[i] for i in witness), message)
@@ -291,12 +349,14 @@ def _first_distributive_failure(lattice: Lattice) -> tuple[tuple[int, int, int],
 def check_distributive(
     lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE
 ) -> DistributivityCertificate:
-    """Certify both distributive laws on every triple, or use the
+    """Certify that both distributive laws hold on every triple, or use the
     structural guarantee for parametric kinds too large to enumerate.
 
-    A non-distributive verdict carries the first failing triple in
-    enumeration order plus an N5/M3 sublattice witness. The certificate
-    is kept on ``lattice``; the cap is checked on every call.
+    The lattice test and join-primality decide; only tables that fail
+    one of them are scanned for a failing triple. A non-distributive
+    verdict carries the first failing triple in enumeration order plus
+    an N5/M3 sublattice witness. The certificate is kept on ``lattice``;
+    the cap is checked on every call.
     """
     structural = lattice.known_distributive
     if not structural:
@@ -304,7 +364,10 @@ def check_distributive(
     cached = getattr(lattice, "_distributivity_cert", None)
     if cached is not None:
         return cached
-    failure = None if structural else _first_distributive_failure(lattice)
+    if structural or (_is_lattice(lattice) and _join_prime_test(lattice.tables())):
+        failure = None
+    else:
+        failure = _first_distributive_failure(lattice)
     if failure is None:
         cert = DistributivityCertificate(True, "structural" if structural else "exhaustive")
     else:

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import latticeflow.certify as certify
 from latticeflow import (
     ChainLattice,
     DiamondLattice,
@@ -22,8 +27,11 @@ from latticeflow.certify import (
     AxiomViolation,
     DistributivityCertificate,
     _classify_five,
+    _join_prime_test,
+    _lattice_test,
     _witness_from_triple,
 )
+from latticeflow.cli import run_command
 from latticeflow.generators import random_any_lattice, random_explicit_lattice
 from latticeflow.lattices import pairwise_closure
 
@@ -495,6 +503,9 @@ class OpTables(Lattice):
     def _meet(self, a, b):
         return self.meet_table[a][b] if a in self and b in self else self.size()
 
+    def literal(self, x):
+        return x
+
 
 def lone_last_pentagon() -> OpTables:
     """An N5 that ``_classify_five`` accepts, 0 < 1 < 2 < 4 and 0 < 3 < 4,
@@ -654,3 +665,135 @@ class TestWitnessScanContract:
                 checked += 1
                 found += wit is not None
         assert checked > 4000 and found > 200
+
+
+# -- the O(n²) verdicts against the reference scans ------------------------------
+
+
+def flipped_tables(seed: int, count: int):
+    """Order tables of random lattices of at most 16 elements with 0 to 3
+    relation pairs flipped, used verbatim."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        L = random_explicit_lattice(rng, max_size=16)
+        elems = list(L.element_list())
+        pairs = {(a, b) for a in elems for b in elems if L.leq(a, b)}
+        for _ in range(rng.randint(0, 3)):
+            pairs ^= {(rng.choice(elems), rng.choice(elems))}
+        yield ExplicitLattice.from_relation(elems, sorted(pairs))
+
+
+def fast_verdicts_seen(lattices) -> tuple[set[bool], set[bool]]:
+    """Assert that the lattice test is "the reference axiom scan finds no
+    violation", and that join-primality on each table passing it is "the
+    reference distributive scan finds no failing triple"; the verdicts of
+    each test that occurred."""
+    lattice_verdicts, distributive_verdicts = set(), set()
+    for L in lattices:
+        tables = L.tables()
+        is_lattice = _lattice_test(tables)
+        assert is_lattice == reference_axioms(L).ok, L.describe()
+        lattice_verdicts.add(is_lattice)
+        if is_lattice:
+            distributive = _join_prime_test(tables)
+            assert distributive == reference_distributive(L).distributive, L.describe()
+            distributive_verdicts.add(distributive)
+    return lattice_verdicts, distributive_verdicts
+
+
+def op_tables_in_universe(seed: int, count: int):
+    """The perturbed operation tables whose results all lie in the universe."""
+    for L in perturbed_op_tables(seed, count):
+        try:
+            L.tables()
+        except RuntimeError:
+            continue
+        yield L
+
+
+class TestFastVerdicts:
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            pytest.param(contract_lattices, id="contract-lattices"),
+            pytest.param(lambda: corrupted_tables(71, 1000), id="corrupted-tables"),
+            pytest.param(lambda: flipped_tables(7, 3000), id="flipped-tables"),
+            pytest.param(lambda: op_tables_in_universe(73, 600), id="perturbed-op-tables"),
+        ],
+    )
+    def test_agree_with_the_reference_scans(self, corpus):
+        assert fast_verdicts_seen(corpus()) == ({True, False}, {True, False})
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Count the calls of the two cubic scans from now on."""
+    calls = {"_axiom_violations": 0, "_first_distributive_failure": 0}
+    for name in calls:
+        scan = getattr(certify, name)
+
+        def counted(lattice, scan=scan, name=name):
+            calls[name] += 1
+            return scan(lattice)
+
+        monkeypatch.setattr(certify, name, counted)
+    return calls
+
+
+class TestScansOnlyNameFailures:
+    def test_check_lattice_on_a_distributive_product_enters_no_scan(self, scan_calls, tmp_path):
+        golden = json.loads((Path(__file__).with_name("golden") / "check_lattice_cli.json").read_text())
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps(golden["lattices"]["product-chain6-x-chain8"]))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            _, code = run_command(["check-lattice", str(path), "--format", "json"])
+        report = json.loads(out.getvalue())
+        assert (code, report["size"], report["axioms"]["ok"]) == (0, 48, True)
+        assert report["distributivity"]["verdict"] == "distributive"
+        assert scan_calls == {"_axiom_violations": 0, "_first_distributive_failure": 0}
+
+    def test_every_table_with_a_violation_enters_the_axiom_scan(self, scan_calls):
+        with_violations = 0
+        for L in itertools.chain(contract_lattices(), corrupted_tables(79, 300)):
+            before = scan_calls["_axiom_violations"]
+            ok = check_lattice_axioms(L).ok
+            assert scan_calls["_axiom_violations"] - before == (not ok), L.describe()
+            with_violations += not ok
+        assert with_violations > 200
+
+    def test_every_nondistributive_lattice_enters_the_distributive_scan(self, scan_calls):
+        rng = random.Random(83)
+        lattices = [*contract_lattices(), *small_products(), *(random_explicit_lattice(rng) for _ in range(200))]
+        nondistributive = 0
+        for L in lattices:
+            if not check_lattice_axioms(L).ok:
+                continue
+            before = scan_calls["_first_distributive_failure"]
+            distributive = check_distributive(L).distributive
+            entered = scan_calls["_first_distributive_failure"] - before
+            assert entered == (not distributive), L.describe()
+            nondistributive += not distributive
+        assert nondistributive > 50
+
+    @pytest.mark.parametrize("command", ["check-lattice", "bottleneck", "maxflow"])
+    def test_the_lattice_test_runs_once_per_call(self, command, monkeypatch, tmp_path):
+        runs = []
+        test = certify._lattice_test
+        monkeypatch.setattr(certify, "_lattice_test", lambda tables: runs.append(1) or test(tables))
+        square = [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]
+        instance = {
+            "lattice": {"kind": "explicit", "elements": ["0", "a", "b", "1"], "covers": square},
+            "vertices": ["s", "v", "t"],
+            "source": "s",
+            "sink": "t",
+            "edges": [
+                {"from": "s", "to": "v", "capacity": "a"},
+                {"from": "v", "to": "t", "capacity": "b"},
+                {"from": "s", "to": "t", "capacity": "1"},
+            ],
+        }
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(instance))
+        with contextlib.redirect_stdout(io.StringIO()):
+            _, code = run_command([command, str(path), "--format", "json"])
+        assert code == 0 and len(runs) == 1
