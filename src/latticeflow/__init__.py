@@ -75,7 +75,6 @@ from .lattices import (
     ProductLattice,
     RingOfSetsLattice,
     SurvivalLattice,
-    ring_of_sets_closure,
 )
 from .network import (
     CapacityAssignment,

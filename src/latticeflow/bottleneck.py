@@ -306,9 +306,7 @@ def verify_duality(
     )
 
 
-def counterexample_for(
-    lattice: Lattice, certificate=None
-) -> tuple[FlowNetwork, CapacityAssignment]:
+def counterexample_for(lattice: Lattice) -> tuple[FlowNetwork, CapacityAssignment]:
     """A concrete instance over a non-distributive lattice on which the
     two duality sides differ.
 
@@ -320,7 +318,7 @@ def counterexample_for(
     """
     from .gallery import gallery_instance  # deferred: the gallery imports this module
 
-    cert = certificate if certificate is not None else check_distributive(lattice)
+    cert = check_distributive(lattice)
     if cert.distributive:
         raise ValueError(f"{lattice.describe()} is distributive; no counterexample exists")
     wit = cert.sublattice

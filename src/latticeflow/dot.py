@@ -18,7 +18,7 @@ def _q(*lines: str) -> str:
 
 def network_dot(
     net: FlowNetwork,
-    cap: CapacityAssignment | None = None,
+    cap: CapacityAssignment,
     highlight_path: tuple[str, ...] | None = None,
     highlight_cut: Cut | None = None,
     name: str = "network",
@@ -31,17 +31,14 @@ def network_dot(
         lines.append(f"  {_q(v)} [shape={shape}];")
     for e in net.edges:
         u, v = e
-        attrs = []
-        if cap is not None:
-            attrs.append(f"label={_q(cap.lattice.format(cap[e]))}")
+        attrs = [f"label={_q(cap.lattice.format(cap[e]))}"]
         if e in path_edges:
             attrs.append("color=blue")
             attrs.append("penwidth=2")
         if e in cut_edges:
             attrs.append("color=red")
             attrs.append("style=dashed")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_q(u)} -> {_q(v)}{suffix};")
+        lines.append(f"  {_q(u)} -> {_q(v)} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -41,8 +41,8 @@ from .lattices import (
     PentagonLattice,
     PowersetLattice,
     ProductLattice,
+    RingOfSetsLattice,
     SurvivalLattice,
-    ring_of_sets_closure,
 )
 from .network import CapacityAssignment, FlowNetwork, validate_network
 
@@ -119,9 +119,9 @@ def _pairs(value, path: str) -> list[tuple[str, str]]:
     return out
 
 
-def lattice_from_spec(spec, base_dir: Path | None = None, path: str = "lattice") -> Lattice:
+def lattice_from_spec(spec, base_dir: Path | None = None) -> Lattice:
     """Build a lattice from a spec dict or a file-reference string."""
-    return _lattice(spec, base_dir, path, ())
+    return _lattice(spec, base_dir, "lattice", ())
 
 
 def _lattice(spec, base_dir: Path | None, path: str, reading: tuple[str, ...]) -> Lattice:
@@ -168,7 +168,7 @@ def _lattice(spec, base_dir: Path | None, path: str, reading: tuple[str, ...]) -
             adjoin = spec.get("adjoin_bounds", False)
             if not isinstance(adjoin, bool):
                 _fail(f"{path}.adjoin_bounds", f"must be true or false, got {adjoin!r}")
-            return ring_of_sets_closure(
+            return RingOfSetsLattice(
                 [_names(g, f"{path}.generators[{i}]") for i, g in enumerate(generators)],
                 universe=None if universe is None else _names(universe, f"{path}.universe"),
                 adjoin_bounds=adjoin,
@@ -265,9 +265,7 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
             _fail("instance", "; ".join(
                 v.message + (f": {list(v.offenders)}" if v.offenders else "") for v in bad
             ))
-        assignment = CapacityAssignment(lattice, caps)
-        assignment.check_total(net)
-        return Instance(lattice, name, description, network=net, capacities=assignment)
+        return Instance(lattice, name, description, network=net, capacities=CapacityAssignment(lattice, caps))
 
     if "elements" in data:
         elements = _names(data["elements"], "elements")

@@ -712,30 +712,50 @@ class DownsetLattice(_RingLattice):
         return f"downset({len(self.base)}-element poset)"
 
 
+_MAX_RING_SETS = 4096
+
+
 class RingOfSetsLattice(_RingLattice):
-    """A family of sets closed under pairwise union and intersection."""
+    """The smallest family of sets that holds the generators and is closed
+    under pairwise union and intersection: the meet of the seeds joined
+    with every union of the m(x), the meets of the seeds holding each atom
+    x. More than 4,096 sets is refused unless the seeds number more.
+
+    The ring does not adjoin the empty set or the full universe on its
+    own; ``adjoin_bounds`` forces both in when a bounded lattice is needed.
+    """
 
     kind = "ring"
     _messages = ("ring element must be a list of atoms", "is not in the generated ring of sets")
 
-    def __init__(self, universe: Iterable[str], family: Iterable[frozenset]):
-        self.universe = tuple(universe)
-        fam = {frozenset(s) for s in family}
-        if not fam:
-            raise ValueError("ring of sets needs at least one set")
-        bottom, meets = _holders_meets(fam)
-        if _unions(bottom, meets, len(fam)) != fam:  # a ring is the unions of its own m(x)
-            raise ValueError("family is not closed under union and intersection")
-        super().__init__(sorted(fam, key=lambda s: (len(s), sorted(s))), meets - {bottom})
-        self._spec_generators: Iterable[frozenset] = self._universe  # a closure names its seeds instead
-        self._spec_adjoin = False
+    def __init__(
+        self,
+        generators: Iterable[Iterable[str]],
+        universe: Iterable[str] | None = None,
+        adjoin_bounds: bool = False,
+    ):
+        gens = tuple(frozenset(g) for g in generators)
+        if not gens:
+            raise ValueError("ring of sets needs at least one generator")
+        atoms = frozenset().union(*gens)
+        universe_set = atoms if universe is None else frozenset(universe)
+        if atoms - universe_set:
+            raise ValueError(f"generators mention atoms outside the universe: {sorted(atoms - universe_set)}")
+        seeds = {*gens, frozenset(), universe_set} if adjoin_bounds else set(gens)
+        bottom, meets = _holders_meets(seeds)  # the ring's own: each member holding x contains m(x)
+        family = _unions(bottom, meets, max(_MAX_RING_SETS, len(seeds)))
+        if family is None:
+            raise UniverseTooLarge(f"ring-of-sets closure exceeded {_MAX_RING_SETS} sets")
+        self.universe = tuple(sorted(universe_set))
+        self._generators, self._adjoin_bounds = gens, adjoin_bounds
+        super().__init__(sorted(family, key=lambda s: (len(s), sorted(s))), meets - {bottom})
 
     def spec(self):
         return {
             "kind": "ring",
             "universe": list(self.universe),
-            "generators": [sorted(g) for g in self._spec_generators],
-            "adjoin_bounds": self._spec_adjoin,
+            "generators": [sorted(g) for g in self._generators],
+            "adjoin_bounds": self._adjoin_bounds,
         }
 
     def describe(self):
@@ -759,39 +779,6 @@ def pairwise_closure(seeds: Iterable, join: Callable, meet: Callable, limit: int
         current |= new
         if limit is not None and len(current) > limit:
             return None
-
-
-_MAX_RING_SETS = 4096
-
-
-def ring_of_sets_closure(
-    generators: Iterable[Iterable[str]],
-    universe: Iterable[str] | None = None,
-    adjoin_bounds: bool = False,
-) -> RingOfSetsLattice:
-    """Smallest family containing the generators and closed under pairwise
-    union and intersection: the meet of the seeds joined with every union
-    of the m(x), the meets of the seeds holding each atom x. More than
-    4,096 sets is refused unless the seeds are closed already.
-
-    The closure does not adjoin the empty set or the full universe on its
-    own; ``adjoin_bounds`` forces both in when a bounded lattice is needed.
-    """
-    gens = [frozenset(g) for g in generators]
-    if not gens:
-        raise ValueError("ring of sets needs at least one generator")
-    atoms = frozenset().union(*gens)
-    universe_set = atoms if universe is None else frozenset(universe)
-    if atoms - universe_set:
-        raise ValueError(f"generators mention atoms outside the universe: {sorted(atoms - universe_set)}")
-    seeds = {*gens, frozenset(), universe_set} if adjoin_bounds else set(gens)
-    family = _unions(*_holders_meets(seeds), max(_MAX_RING_SETS, len(seeds)))
-    if family is None:
-        raise UniverseTooLarge(f"ring-of-sets closure exceeded {_MAX_RING_SETS} sets")
-    lat = RingOfSetsLattice(sorted(universe_set), family)
-    lat._spec_generators = tuple(gens)
-    lat._spec_adjoin = adjoin_bounds
-    return lat
 
 
 class ExplicitLattice(Lattice):

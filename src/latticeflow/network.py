@@ -134,16 +134,6 @@ class ValidationReport:
     mode: str
     violations: tuple[Violation, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "mode": self.mode,
-            "violations": [
-                {"clause": v.clause, "message": v.message, "offenders": [list(o) if isinstance(o, tuple) else o for o in v.offenders]}
-                for v in self.violations
-            ],
-        }
-
 
 def validate_network(net: FlowNetwork, mode: str = "strict") -> ValidationReport:
     """Check the flow-network clauses; strict mode additionally requires
@@ -356,11 +346,3 @@ class CapacityAssignment:
 
     def items(self):
         return self._values.items()
-
-    def check_total(self, net: FlowNetwork) -> None:
-        missing = [e for e in net.edges if e not in self._values]
-        extra = [e for e in self._values if e not in net.edge_set]
-        if missing:
-            raise ValueError(f"edges without capacity: {missing}")
-        if extra:
-            raise ValueError(f"capacities for unknown edges: {extra}")

@@ -21,6 +21,7 @@ from latticeflow import (
     PentagonLattice,
     PowersetLattice,
     ProductLattice,
+    RingOfSetsLattice,
     SurvivalLattice,
     alpha_bruteforce,
     alpha_dp,
@@ -41,7 +42,6 @@ from latticeflow import (
     max_flow_value,
     path_flow,
     path_throughput,
-    ring_of_sets_closure,
     verify_duality,
 )
 from latticeflow.generators import (
@@ -172,7 +172,7 @@ def _builtin_lattices():
         ProductLattice([PentagonLattice(), ChainLattice(2)]),
         IntervalGridLattice(0.25),
         DownsetLattice(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d")]),
-        ring_of_sets_closure([{"r1", "m1"}, {"r2", "m1"}, {"r3"}]),
+        RingOfSetsLattice([{"r1", "m1"}, {"r2", "m1"}, {"r3"}]),
         SurvivalLattice(4, 3),
     ]
 
@@ -216,7 +216,7 @@ def test_criterion_7_counterexample_generator(explicit_lattices):
         if cert.distributive:
             continue
         generated += 1
-        net, cap = counterexample_for(L, cert)
+        net, cap = counterexample_for(L)
         rep = verify_duality(net, cap, method="bruteforce")
         if rep.equal:
             failures.append(L.describe())

@@ -12,10 +12,21 @@ import string
 
 import pytest
 
-from latticeflow import DownsetLattice, RingOfSetsLattice, ring_of_sets_closure
-from latticeflow.errors import MismatchError
+from latticeflow import DownsetLattice, RingOfSetsLattice, lattices
+from latticeflow.errors import MismatchError, UniverseTooLarge
+from latticeflow.instances import lattice_from_spec
 
 from test_derived_rules import reference_ring_family
+
+
+def seeded_generators():
+    """60 generator lists over up to six atoms, each with whether to
+    adjoin the bounds (on even draws)."""
+    rng = random.Random(22)
+    for i in range(60):
+        atoms = "abcdef"[: rng.randint(1, 6)]
+        gens = [frozenset(rng.sample(atoms, rng.randint(0, len(atoms)))) for _ in range(rng.randint(1, 4))]
+        yield gens, i % 2 == 0
 
 
 def test_rings_and_down_sets_build_without_the_pairwise_closure(monkeypatch):
@@ -23,19 +34,16 @@ def test_rings_and_down_sets_build_without_the_pairwise_closure(monkeypatch):
         raise AssertionError("pairwise_closure called")
 
     monkeypatch.setattr("latticeflow.lattices.pairwise_closure", refuse)
-    rng = random.Random(22)
-    for i in range(60):
-        atoms = "abcdef"[: rng.randint(1, 6)]
-        gens = [frozenset(rng.sample(atoms, rng.randint(0, len(atoms)))) for _ in range(rng.randint(1, 4))]
-        lat = ring_of_sets_closure(gens, adjoin_bounds=i % 2 == 0)
-        want = reference_ring_family(gens, frozenset().union(*gens), i % 2 == 0, 4096)
+    for gens, adjoin in seeded_generators():
+        lat = RingOfSetsLattice(gens, adjoin_bounds=adjoin)
+        want = reference_ring_family(gens, frozenset().union(*gens), adjoin, 4096)
         assert set(lat.element_list()) == want
     assert DownsetLattice("abc", [("a", "b")]).size() == 6
 
 
 def test_eleven_singletons_with_bounds_give_every_subset():
     atoms = string.ascii_lowercase[:11]
-    lat = ring_of_sets_closure([[a] for a in atoms], adjoin_bounds=True)
+    lat = RingOfSetsLattice([[a] for a in atoms], adjoin_bounds=True)
     assert lat.size() == 2048 and lat.describe() == "ring-of-sets(2048 sets)"
     assert lat.bottom() == frozenset() and lat.top() == frozenset(atoms)
     assert lat.join_irreducibles() == tuple(frozenset(a) for a in atoms)
@@ -51,21 +59,44 @@ def test_down_sets_of_a_sixteen_element_chain_are_its_prefixes():
 
 def test_the_constructor_tests_closure_without_listing_every_union():
     atoms = [f"x{i}" for i in range(40)]
-    with pytest.raises(ValueError, match="not closed under union and intersection"):
-        RingOfSetsLattice(atoms, [frozenset(), *(frozenset([a]) for a in atoms)])
+    with pytest.raises(UniverseTooLarge, match="exceeded 4096 sets"):  # stops past 4,096 sets, not at 2**40
+        RingOfSetsLattice([frozenset(), *(frozenset([a]) for a in atoms)])
     closed = [frozenset(atoms[:k]) for k in range(41)]
-    lat = RingOfSetsLattice(atoms, reversed(closed + closed))
+    lat = RingOfSetsLattice(reversed(closed + closed), universe=atoms)
     assert lat.element_list() == tuple(closed)
     assert lat.join_irreducibles() == tuple(closed[1:])
 
 
 def test_an_empty_family_is_refused():
-    with pytest.raises(ValueError, match="at least one set"):
-        RingOfSetsLattice("ab", [])
+    with pytest.raises(ValueError, match="at least one generator"):
+        RingOfSetsLattice([], universe="ab")
+
+
+def test_a_ring_derives_the_meets_once(monkeypatch):
+    calls = []
+    counted = lattices._holders_meets
+
+    def counting(sets):
+        calls.append(sets)
+        return counted(sets)
+
+    monkeypatch.setattr(lattices, "_holders_meets", counting)
+    rings = [*seeded_generators(), ([[a] for a in string.ascii_lowercase[:11]], True)]
+    for gens, adjoin in rings:
+        RingOfSetsLattice(gens, adjoin_bounds=adjoin)
+    assert len(calls) == len(rings)
+
+
+def test_a_ring_spec_rebuilds_the_same_ring():
+    for gens, adjoin in seeded_generators():
+        lat = RingOfSetsLattice(gens, adjoin_bounds=adjoin)
+        again = lattice_from_spec(lat.spec())
+        assert again.element_list() == lat.element_list()
+        assert again.spec() == lat.spec()
 
 
 def test_parse_keeps_each_kinds_messages():
-    ring = ring_of_sets_closure([["a"], ["a", "b"]])
+    ring = RingOfSetsLattice([["a"], ["a", "b"]])
     downs = DownsetLattice("ab", [("a", "b")])
     cases = [
         (ring, "a", "ring element must be a list of atoms, got 'a'"),

@@ -20,9 +20,9 @@ from latticeflow import (
     ExplicitLattice,
     FlowNetwork,
     Instance,
+    RingOfSetsLattice,
     crossing_edges,
     network,
-    ring_of_sets_closure,
     validate_network,
 )
 from latticeflow.cli import run_command
@@ -168,7 +168,7 @@ def test_ring_size_and_bounds_match_the_folded_family():
     for i in range(120):
         atoms = "abcdef"[: rng.randint(1, 6)]
         gens = [set(rng.sample(atoms, rng.randint(0, len(atoms)))) for _ in range(rng.randint(1, 4))]
-        lat = ring_of_sets_closure(gens, universe=atoms, adjoin_bounds=i % 2 == 0)
+        lat = RingOfSetsLattice(gens, universe=atoms, adjoin_bounds=i % 2 == 0)
         family = lat.element_list()
         assert lat.size() == len(family)
         for _ in range(2):  # the kept bounds stay the same

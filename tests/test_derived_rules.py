@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from latticeflow import DownsetLattice, ExplicitLattice, FlowNetwork, ring_of_sets_closure
+from latticeflow import DownsetLattice, ExplicitLattice, FlowNetwork, RingOfSetsLattice
 from latticeflow import bottleneck
 from latticeflow.certify import DEFAULT_MAX_UNIVERSE
 from latticeflow.cli import EXIT_OK, EXIT_VIOLATION, _verdict, build_parser, run_command
@@ -108,9 +108,9 @@ def test_ring_closure_matches_its_own_loop_and_limit(monkeypatch, limit):
         want = reference_ring_family(gens, universe, adjoin, limit)
         if want is None:
             with pytest.raises(UniverseTooLarge, match=f"exceeded {limit} sets"):
-                ring_of_sets_closure(gens, adjoin_bounds=adjoin)
+                RingOfSetsLattice(gens, adjoin_bounds=adjoin)
         else:
-            lat = ring_of_sets_closure(gens, adjoin_bounds=adjoin)
+            lat = RingOfSetsLattice(gens, adjoin_bounds=adjoin)
             assert list(lat.element_list()) == sorted(want, key=lambda s: (len(s), sorted(s)))
 
 

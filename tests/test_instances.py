@@ -370,6 +370,8 @@ INPUT_ERRORS = {
                            "edges[0]: must be an object with from/to/capacity"),
     "duplicate-vertices": ("bottleneck", {**net_file(CHAIN2), "vertices": ["s", "t", "s"]},
                            "instance: duplicate vertex names"),
+    "duplicate-edges": ("bottleneck", {**net_file(CHAIN2), "edges": net_file(CHAIN2)["edges"] * 2},
+                        "instance: duplicate (parallel) edges are not representable"),
     "weights-not-an-object": ("dilworth", poset_file(weights=[]),
                               "weights: must map element names to element literals"),
     "empty-poset": ("dilworth", poset_file(elements=[], weights={}), "instance: poset needs at least one element"),

@@ -19,7 +19,6 @@ from latticeflow import (
     RingOfSetsLattice,
     SurvivalLattice,
     is_distributive,
-    ring_of_sets_closure,
 )
 from latticeflow.generators import random_explicit_lattice
 from latticeflow.instances import LATTICE_KINDS
@@ -35,7 +34,7 @@ def small_lattices():
         PentagonLattice(),
         DiamondLattice(),
         DownsetLattice(["a", "b", "c"], [("a", "b")]),
-        ring_of_sets_closure([{"r1", "m1"}, {"r2", "m1"}]),
+        RingOfSetsLattice([{"r1", "m1"}, {"r2", "m1"}]),
         SurvivalLattice(4, 3),
     ]
 
@@ -202,7 +201,7 @@ class TestCanonicalForms:
 
 class TestRingOfSets:
     def test_closure_of_two_overlapping_generators(self):
-        L = ring_of_sets_closure([{"r1", "m1"}, {"r2", "m1"}])
+        L = RingOfSetsLattice([{"r1", "m1"}, {"r2", "m1"}])
         got = set(L.element_list())
         assert got == {
             frozenset({"r1", "m1"}),
@@ -212,7 +211,7 @@ class TestRingOfSets:
         }
 
     def test_single_generator(self):
-        L = ring_of_sets_closure([{"x"}])
+        L = RingOfSetsLattice([{"x"}])
         assert set(L.element_list()) == {frozenset({"x"})}
 
     def test_closure_matches_bruteforce_fixed_point(self):
@@ -230,7 +229,7 @@ class TestRingOfSets:
             if not fresh:
                 break
             family |= fresh
-        L = ring_of_sets_closure(generators)
+        L = RingOfSetsLattice(generators)
         assert set(L.element_list()) == family
         # singleton generators with empty pairwise intersections bring in the empty set
         assert frozenset() in family
@@ -238,7 +237,7 @@ class TestRingOfSets:
     def test_closure_is_closed_and_distributive(self):
         from latticeflow import check_distributive
 
-        L = ring_of_sets_closure([{"a", "b"}, {"b", "c"}, {"d"}])
+        L = RingOfSetsLattice([{"a", "b"}, {"b", "c"}, {"d"}])
         elems = L.element_list()
         for x, y in itertools.product(elems, repeat=2):
             assert L.join(x, y) in elems
@@ -247,16 +246,16 @@ class TestRingOfSets:
 
     def test_empty_generator_list_rejected(self):
         with pytest.raises(ValueError):
-            ring_of_sets_closure([])
+            RingOfSetsLattice([])
 
     def test_adjoin_bounds(self):
-        L = ring_of_sets_closure([{"a"}], universe=["a", "b"], adjoin_bounds=True)
+        L = RingOfSetsLattice([{"a"}], universe=["a", "b"], adjoin_bounds=True)
         assert L.bottom() == frozenset()
         assert L.top() == frozenset("ab")
 
-    def test_unclosed_family_rejected(self):
-        with pytest.raises(ValueError):
-            RingOfSetsLattice("ab", [frozenset("a"), frozenset("b")])
+    def test_unclosed_family_closes(self):
+        L = RingOfSetsLattice([frozenset("a"), frozenset("b")])
+        assert L.element_list() == (frozenset(), frozenset("a"), frozenset("b"), frozenset("ab"))
 
 
 def reference_survival_elements(L):
@@ -468,7 +467,7 @@ def random_downset_lattice(rng):
 
 def random_ring(rng):
     gens = [rng.sample("abcd", rng.randint(0, 4)) for _ in range(rng.randint(1, 3))]
-    return ring_of_sets_closure(gens, universe="abcd", adjoin_bounds=rng.random() < 0.5)
+    return RingOfSetsLattice(gens, universe="abcd", adjoin_bounds=rng.random() < 0.5)
 
 
 def random_explicit_distributive(rng):
