@@ -18,18 +18,22 @@ like the certificate.
 Only a failing test enters a cubic scan, which names the failure. Both
 scans read each law once off the tables, one (a, b) row at a time: a
 triple law is a bitmask of its failing c, from ANDed up-set and down-set
-bitmasks or from the positions where two gathered rows differ. No
-native operation is called after the tables are built. The axiom scan
-yields its violations in triple-by-triple order and stops after the
+bitmasks or from the positions where two gathered rows differ. The axiom
+scan yields its violations in triple-by-triple order and stops after the
 first 25; the distributivity scan takes the lowest failing c of the
 first failing row. Non-distributive verdicts carry a failing triple and
 a five-element pentagon/diamond sublattice witness. One search finds
 both witnesses: it classifies only the five-subsets that three middle
 elements and their pairs' joins and meets form, and returns the one a
-scan of every five-subset would find first. The certificate runs it on
-the tables, inside the sublattice the failing triple generates;
+scan of every five-subset would find first. It works on indices, with
+the order from up-set bitmasks and the joins and meets from one
+``bounds(i, j)`` function. The certificate runs it inside the
+sublattice the failing triple generates, with ``bounds`` reading the
+tables, so no native operation is called after the tables are built.
 :func:`find_forbidden_sublattice`, an oracle sharing no code with the
-failing-triple scan or the two O(n²) tests, on native calls.
+failing-triple scan or the two O(n²) tests, runs it on the whole
+universe with ``bounds`` keeping native results: at most one ``_join``
+and one ``_meet`` call per ordered pair, and no tables.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any
+from typing import Any, Callable
 
 from .errors import UniverseTooLarge
-from .lattices import Element, Lattice, LatticeTables, pairwise_closure
+from .lattices import Element, Lattice, LatticeTables, ProductLattice, pairwise_closure
 from .orderutils import cover_masks, set_bits
 
 DEFAULT_MAX_UNIVERSE = 512
@@ -171,10 +175,16 @@ def _join_prime_test(t: LatticeTables) -> bool:
 
 
 def _is_lattice(lattice: Lattice) -> bool:
-    """:func:`_lattice_test` on ``lattice``'s tables, run once and kept."""
+    """:func:`_lattice_test` on ``lattice``'s tables, run once and kept. A
+    product is a lattice exactly when every factor is one, so a product
+    takes its factors' verdicts instead of testing its own tables."""
     verdict = getattr(lattice, "_lattice_verdict", None)
     if verdict is None:
-        verdict = lattice._lattice_verdict = _lattice_test(lattice.tables())
+        if isinstance(lattice, ProductLattice):
+            verdict = all(map(_is_lattice, lattice.factors))
+        else:
+            verdict = _lattice_test(lattice.tables())
+        lattice._lattice_verdict = verdict
     return verdict
 
 
@@ -272,44 +282,38 @@ def check_lattice_axioms(lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE)
     return AxiomReport(ok=not violations, size=size, violations=violations, truncated=len(found) > _MAX_VIOLATIONS)
 
 
-def _classify_five(lattice: Lattice, five: tuple) -> SublatticeWitness | None:
-    """N5/M3 witness if the five elements are op-closed and isomorphic."""
-    fs = frozenset(five)
-    for a, b in itertools.combinations(five, 2):
-        if lattice._join(a, b) not in fs or lattice._meet(a, b) not in fs:
-            return None
-    bot = five[0]
-    top = five[0]
+def _classify(five: tuple[int, ...], bounds: Callable, up) -> tuple[str, tuple[int, ...]] | None:
+    """The label and the roles ``0, a, b, c, 1`` of an N5 or M3 that five
+    indices, ascending, form, or None: they must hold the join and meet
+    of each pair (i, j), i < j, and fold to a bottom and a top with three
+    middles between. ``bounds(i, j)`` gives the indices of the join and
+    the meet of i and j; ``up`` gives the order. Each test is a pure
+    function of the five, so the cheap ones run first."""
+    bot = top = five[0]
     for x in five[1:]:
-        bot = lattice._meet(bot, x)
-        top = lattice._join(top, x)
+        bot, top = bounds(bot, x)[1], bounds(top, x)[0]
     if bot == top:
         return None
     mids = [x for x in five if x != bot and x != top]
     if len(mids) != 3:
         return None
-    comp = [
-        (x, y)
-        for x, y in itertools.permutations(mids, 2)
-        if x != y and lattice._leq(x, y)
-    ]
+    comp = [(x, y) for x, y in itertools.permutations(mids, 2) if up[x] >> y & 1]
+    if len(comp) > 1:
+        return None
+    members = sum(1 << x for x in five)
+    for i, j in itertools.combinations(five, 2):
+        join, meet = bounds(i, j)
+        if not (members >> join & 1 and members >> meet & 1):
+            return None
     if not comp:
         # M3 candidate: all mid pairs must meet to bot and join to top
-        for x, y in itertools.combinations(mids, 2):
-            if lattice._meet(x, y) != bot or lattice._join(x, y) != top:
-                return None
-        a, b, c = mids
-        return SublatticeWitness("M3", {"0": bot, "a": a, "b": b, "c": c, "1": top})
-    if len(comp) == 1:
-        lo, hi = comp[0]
+        if all(bounds(x, y) == (top, bot) for x, y in itertools.combinations(mids, 2)):
+            return "M3", (bot, *mids, top)
+    else:
+        (lo, hi), = comp
         lone = next(x for x in mids if x not in (lo, hi))
-        if (
-            lattice._meet(lone, lo) == bot
-            and lattice._meet(lone, hi) == bot
-            and lattice._join(lone, lo) == top
-            and lattice._join(lone, hi) == top
-        ):
-            return SublatticeWitness("N5", {"0": bot, "a": lone, "b": hi, "c": lo, "1": top})
+        if bounds(lone, lo) == (top, bot) == bounds(lone, hi):
+            return "N5", (bot, lone, hi, lo, top)
     return None
 
 
@@ -317,8 +321,9 @@ def _witness_from_triple(lattice: Lattice, triple: tuple[int, int, int]) -> Subl
     """The first N5/M3 five-subset, in ``combinations`` order, of the
     sublattice the triple of indices generates: an accepted five-set
     there has its middle triple and their bounds there too."""
-    _, J, M, _, _ = lattice.tables()
-    return _first_five(lattice, pairwise_closure(triple, lambda a, b: J[a][b], lambda a, b: M[a][b]))
+    elems, J, M, up, _ = lattice.tables()
+    closure = pairwise_closure(triple, lambda a, b: J[a][b], lambda a, b: M[a][b])
+    return _first_five(elems, lambda i, j: (J[i][j], M[i][j]), up, sum(1 << i for i in closure))
 
 
 def _diff_mask(xs: tuple, ys: tuple) -> int:
@@ -384,50 +389,74 @@ def check_distributive(
     return cert
 
 
-def _five_candidates(lattice: Lattice, within: set[int] | None = None) -> list[tuple]:
-    """Every five-subset that :func:`_classify_five` can accept, in
-    ``combinations`` order, from native ``_join``/``_meet`` results; with
-    ``within``, a set of indices, those inside it, read off the tables.
+def _native_bounds(lattice: Lattice) -> Callable:
+    """``bounds(i, j)`` on native ``_join``/``_meet``, called once per
+    ordered pair: the indices of the results in ``element_list()``, with
+    a result outside the universe given the next index past it."""
+    values = list(lattice.element_list())
+    index = {x: i for i, x in enumerate(values)}
+
+    def intern(x) -> int:
+        i = index.setdefault(x, len(values))
+        if i == len(values):
+            values.append(x)
+        return i
+
+    @functools.cache
+    def bounds(i: int, j: int) -> tuple[int, int]:
+        a, b = values[i], values[j]
+        return intern(lattice._join(a, b)), intern(lattice._meet(a, b))
+
+    return bounds
+
+
+def _five_candidates(bounds: Callable, within: int) -> list[tuple[int, ...]]:
+    """Every five-subset of the bitmask ``within`` that :func:`_classify`
+    can accept, as ascending indices in ``combinations`` order.
 
     An accepted set is its three middle elements x < y < z (by index)
     plus their bottom and top. Closure puts the join and meet of each
     pair (x, y), (x, z), (y, z) in it; the N5/M3 checks make the bottom
     and the top the meet and the join of such a pair, or of (z, x) when
     z is the lone middle of an N5 and the operations do not commute.
-    Each ordered pair's results are computed once.
     """
-    elems = lattice.element_list()
-    if within is None:
-        index = {x: i for i, x in enumerate(elems)}
+    members = list(set_bits(within))
+    if len(members) < 5:
+        return []
+    # bits[p][q]: members p < q (by position) and their join and meet
+    m = len(members)
+    bits = [[0] * m for _ in range(m)]
+    for p, q in itertools.combinations(range(m), 2):
+        join, meet = bounds(members[p], members[q])
+        bits[p][q] = 1 << members[p] | 1 << members[q] | 1 << join | 1 << meet
+    outside, found = ~within, set()
+    for p, x in enumerate(members):
+        bx = bits[p]
+        for q in range(p + 1, m):
+            bxy, by = bx[q], bits[q]
+            if bxy & outside:
+                continue  # no set holding x and y is closed in ``within``
+            for r in range(q + 1, m):
+                five = bxy | bx[r] | by[r]
+                if five & outside:
+                    continue
+                if five.bit_count() < 5:
+                    join, meet = bounds(members[r], x)
+                    five |= 1 << join | 1 << meet
+                if five.bit_count() == 5 and not five & outside:
+                    found.add(five)
+    return sorted(tuple(set_bits(five)) for five in found)
 
-        @functools.cache
-        def bounds(i: int, j: int) -> tuple:
-            """Indices of the join and the meet of elements i and j, None
-            for a result outside the universe."""
-            a, b = elems[i], elems[j]
-            return index.get(lattice._join(a, b)), index.get(lattice._meet(a, b))
-    else:
-        _, J, M, _, _ = lattice.tables()
 
-        def bounds(i: int, j: int) -> tuple:
-            return J[i][j], M[i][j]
-
-    found = set()
-    for x, y, z in itertools.combinations(range(len(elems)) if within is None else sorted(within), 3):
-        five = {x, y, z, *bounds(x, y), *bounds(x, z), *bounds(y, z)}
-        if None in five:
-            continue  # no set holding x, y and z is closed
-        if len(five) < 5:
-            five.update(bounds(z, x))
-        if len(five) == 5 and None not in five and (within is None or five <= within):
-            found.add(tuple(sorted(five)))
-    return [tuple(elems[i] for i in five) for five in sorted(found)]
-
-
-def _first_five(lattice: Lattice, within: set[int] | None = None) -> SublatticeWitness | None:
+def _first_five(elems: tuple, bounds: Callable, up, within: int) -> SublatticeWitness | None:
     """The witness of the first of :func:`_five_candidates` that
-    :func:`_classify_five` accepts, or None."""
-    return next(filter(None, (_classify_five(lattice, five) for five in _five_candidates(lattice, within))), None)
+    :func:`_classify` accepts, or None."""
+    for five in _five_candidates(bounds, within):
+        found = _classify(five, bounds, up)
+        if found is not None:
+            label, roles = found
+            return SublatticeWitness(label, {r: elems[i] for r, i in zip(("0", "a", "b", "c", "1"), roles)})
+    return None
 
 
 def find_forbidden_sublattice(
@@ -446,7 +475,8 @@ def find_forbidden_sublattice(
         return None
     size = _guard_size(lattice, max_size)
     if size <= _SUBSET_SCAN_MAX:
-        return _first_five(lattice)
+        elems = lattice.element_list()
+        return _first_five(elems, _native_bounds(lattice), lattice._up_masks(), (1 << len(elems)) - 1)
     return check_distributive(lattice, max_size).sublattice
 
 

@@ -84,6 +84,14 @@ def _names(value, path: str) -> list[str]:
     return [_name(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
+def _atoms(value, path: str) -> list[str]:
+    """:func:`_names`, refusing a repeated atom."""
+    atoms = _names(value, path)
+    if len(set(atoms)) < len(atoms):
+        _fail(path, f"duplicate atoms {sorted({a for a in atoms if atoms.count(a) > 1})}")
+    return atoms
+
+
 def _element(lattice: Lattice, literal, path: str):
     try:
         return lattice.parse(literal)
@@ -169,8 +177,8 @@ def _lattice(spec, base_dir: Path | None, path: str, reading: tuple[str, ...]) -
             if not isinstance(adjoin, bool):
                 _fail(f"{path}.adjoin_bounds", f"must be true or false, got {adjoin!r}")
             return RingOfSetsLattice(
-                [_names(g, f"{path}.generators[{i}]") for i, g in enumerate(generators)],
-                universe=None if universe is None else _names(universe, f"{path}.universe"),
+                [_atoms(g, f"{path}.generators[{i}]") for i, g in enumerate(generators)],
+                universe=None if universe is None else _atoms(universe, f"{path}.universe"),
                 adjoin_bounds=adjoin,
             )
         if kind == "explicit":

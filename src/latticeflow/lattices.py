@@ -112,15 +112,19 @@ class Lattice:
         return [sum(1 << j for j, b in enumerate(elems) if self._leq(a, b)) for a in elems]
 
     def tables(self) -> LatticeTables:
-        """The universe compiled to index tables, one ``_join`` and
-        ``_meet`` call per ordered pair, built on first use and kept.
+        """The universe compiled to index tables by :meth:`_tables`,
+        built on first use and kept."""
+        cached = getattr(self, "_tables_cache", None)
+        if cached is None:
+            cached = self._tables_cache = self._tables()
+        return cached
+
+    def _tables(self) -> LatticeTables:
+        """One ``_join`` and ``_meet`` call per ordered pair.
 
         Raises RuntimeError if a join or meet lies outside the universe:
         that is a fault in the lattice kind, and no index may stand for it.
         """
-        cached = getattr(self, "_tables_cache", None)
-        if cached is not None:
-            return cached
         elems = self.element_list()
         index = {x: i for i, x in enumerate(elems)}
 
@@ -137,15 +141,13 @@ class Lattice:
             return tuple(out)
 
         up = self._up_masks()
-        cached = LatticeTables(
+        return LatticeTables(
             elems,
             tuple(row(self._join, a) for a in elems),
             tuple(row(self._meet, a) for a in elems),
             tuple(up),
             tuple(transpose(up)),
         )
-        self._tables_cache = cached
-        return cached
 
     def join_irreducibles(self) -> tuple:
         """The join-irreducible elements (those with exactly one lower
@@ -851,13 +853,37 @@ class ExplicitLattice(Lattice):
     def _up_masks(self):
         return self._up_mask
 
-    def _bound(self, a, b, upper: bool):
-        """The lowest-index minimal common upper bound (maximal lower bound
-        when not ``upper``); failing that the lowest-index common bound;
-        failing that the lower-index one of ``a`` and ``b``."""
-        i, j = self._index[a], self._index[b]
+    def _tables(self):
+        """The tables straight from the masks: the join of i and j is the
+        element whose up-set is ``up[i] & up[j]``, the first thing
+        :meth:`_bound` looks up; only a pair whose mask no element owns,
+        which only a table that is not a lattice has, goes to it."""
+        up, down = self._up_mask, self._down_mask
+        return LatticeTables(
+            self._elements,
+            self._rows(up, self._up_owner, True),
+            self._rows(down, self._down_owner, False),
+            tuple(up),
+            tuple(down),
+        )
+
+    def _rows(self, masks: list[int], owner: dict, upper: bool) -> tuple[tuple[int, ...], ...]:
+        """The join table from the up-set masks (``upper``), or the meet
+        table from the down-set masks."""
+        rows = []
+        for i, m in enumerate(masks):
+            row = list(map(owner.get, map(m.__and__, masks)))
+            if None in row:
+                row = [self._bound(i, j, upper) if k is None else k for j, k in enumerate(row)]
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def _bound(self, i: int, j: int, upper: bool) -> int:
+        """The index of the lowest-index minimal common upper bound of
+        elements i and j (maximal lower bound when not ``upper``); failing
+        that the lowest-index common bound; failing that min(i, j)."""
         # a candidate v is passed over when some other candidate u lies
-        # between it and a, b: v is in farther[u] and u in nearer[v]
+        # between it and i, j: v is in farther[u] and u in nearer[v]
         if upper:
             cands, nearer, farther, owner = (
                 self._up_mask[i] & self._up_mask[j], self._down_mask, self._up_mask, self._up_owner
@@ -871,23 +897,23 @@ class ExplicitLattice(Lattice):
         # lies beyond u and none lies nearer: u is the only minimal one.
         u = owner.get(cands)
         if u is not None:
-            return self._elements[u]
+            return u
         rest = cands
         while rest:
             low = rest & -rest
             u = low.bit_length() - 1
             if not nearer[u] & cands & ~low:
-                return self._elements[u]
+                return u
             rest &= ~(farther[u] | low)
         if cands:
-            return self._elements[(cands & -cands).bit_length() - 1]
-        return self._elements[min(i, j)]
+            return (cands & -cands).bit_length() - 1
+        return min(i, j)
 
     def _join(self, a, b):
-        return self._bound(a, b, upper=True)
+        return self._elements[self._bound(self._index[a], self._index[b], upper=True)]
 
     def _meet(self, a, b):
-        return self._bound(a, b, upper=False)
+        return self._elements[self._bound(self._index[a], self._index[b], upper=False)]
 
     def elements(self):
         return iter(self._elements)

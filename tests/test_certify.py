@@ -26,14 +26,15 @@ from latticeflow.certify import (
     AxiomReport,
     AxiomViolation,
     DistributivityCertificate,
-    _classify_five,
+    SublatticeWitness,
     _join_prime_test,
     _lattice_test,
     _witness_from_triple,
 )
 from latticeflow.cli import run_command
 from latticeflow.generators import random_any_lattice, random_explicit_lattice
-from latticeflow.lattices import pairwise_closure
+from latticeflow.lattices import LatticeTables, pairwise_closure
+from latticeflow.orderutils import transpose
 
 
 class TestAxioms:
@@ -66,6 +67,24 @@ class TestAxioms:
     def test_universe_cap(self):
         with pytest.raises(UniverseTooLarge):
             check_lattice_axioms(PowersetLattice("abcdefghij"))
+
+    def test_a_product_takes_its_factors_lattice_verdicts(self, monkeypatch):
+        tested = []
+        test = certify._lattice_test
+        monkeypatch.setattr(certify, "_lattice_test", lambda t: tested.append(len(t.elements)) or test(t))
+        L = ProductLattice([PentagonLattice(), ChainLattice(3)])
+        assert check_lattice_axioms(L).ok
+        assert check_distributive(L) == reference_distributive(L)
+        assert sorted(tested) == [3, 5]
+
+    def test_a_product_with_one_corrupted_explicit_factor_fails(self):
+        elems = ["0", "a", "b"]
+        corrupted = ExplicitLattice.from_relation(elems, [(x, x) for x in elems] + [("0", "a"), ("a", "b")])
+        for factors in ([ChainLattice(2), corrupted], [corrupted, PentagonLattice()]):
+            L = ProductLattice(factors)
+            report = check_lattice_axioms(L)
+            assert not report.ok and report == reference_axioms(L)
+            assert check_distributive(L) == reference_distributive(L)
 
 
 class TestDistributivity:
@@ -261,6 +280,44 @@ def reference_axioms(lattice, max_size: int = 512) -> AxiomReport:
     return AxiomReport(ok=not violations, size=size, violations=tuple(violations), truncated=truncated)
 
 
+def classify_five(lattice, five: tuple) -> SublatticeWitness | None:
+    """The N5/M3 witness of five elements, in index order, if they are
+    closed under join and meet and form one, on native operations: the
+    classifier the middle-triple search must agree with, one candidate
+    at a time."""
+    fs = frozenset(five)
+    for a, b in itertools.combinations(five, 2):
+        if lattice._join(a, b) not in fs or lattice._meet(a, b) not in fs:
+            return None
+    bot = top = five[0]
+    for x in five[1:]:
+        bot = lattice._meet(bot, x)
+        top = lattice._join(top, x)
+    if bot == top:
+        return None
+    mids = [x for x in five if x != bot and x != top]
+    if len(mids) != 3:
+        return None
+    comp = [(x, y) for x, y in itertools.permutations(mids, 2) if lattice._leq(x, y)]
+    if not comp:
+        for x, y in itertools.combinations(mids, 2):
+            if lattice._meet(x, y) != bot or lattice._join(x, y) != top:
+                return None
+        a, b, c = mids
+        return SublatticeWitness("M3", {"0": bot, "a": a, "b": b, "c": c, "1": top})
+    if len(comp) == 1:
+        lo, hi = comp[0]
+        lone = next(x for x in mids if x not in (lo, hi))
+        if (
+            lattice._meet(lone, lo) == bot
+            and lattice._meet(lone, hi) == bot
+            and lattice._join(lone, lo) == top
+            and lattice._join(lone, hi) == top
+        ):
+            return SublatticeWitness("N5", {"0": bot, "a": lone, "b": hi, "c": lo, "1": top})
+    return None
+
+
 def reference_witness(lattice, triple):
     """The first N5/M3 five-subset of the element closure of the triple."""
     order = {x: i for i, x in enumerate(lattice.element_list())}
@@ -276,7 +333,7 @@ def reference_witness(lattice, triple):
             break
         current |= new
     for five in itertools.combinations(sorted(current, key=order.__getitem__), 5):
-        wit = _classify_five(lattice, five)
+        wit = classify_five(lattice, five)
         if wit is not None:
             return wit
     return None
@@ -373,6 +430,39 @@ def contract_lattices():
     yield from corrupted_tables(23, 40)
 
 
+def per_pair_tables(L: ExplicitLattice) -> LatticeTables:
+    """``L``'s tables with one ``_bound`` call per ordered pair and per
+    operation, the down-sets transposed from the up-sets."""
+    elems, up = L.element_list(), L._up_masks()
+    n = len(elems)
+    return LatticeTables(
+        elems,
+        tuple(tuple(L._bound(i, j, True) for j in range(n)) for i in range(n)),
+        tuple(tuple(L._bound(i, j, False) for j in range(n)) for i in range(n)),
+        tuple(up),
+        tuple(transpose(up)),
+    )
+
+
+def random_relations(seed: int, count: int):
+    """Relation tables of 1 to 16 elements drawn pair by pair at one
+    density each, used verbatim."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        elems = [f"r{k}" for k in range(rng.randint(1, 16))]
+        density = rng.random()
+        yield ExplicitLattice.from_relation(elems, [(a, b) for a in elems for b in elems if rng.random() < density])
+
+
+def count_calls(L, ops=("_join", "_meet")) -> list[int]:
+    """Count calls of the named methods on L from now on."""
+    calls = [0]
+    for op in ops:
+        native = getattr(L, op)
+        setattr(L, op, lambda *xs, native=native: calls.__setitem__(0, calls[0] + 1) or native(*xs))
+    return calls
+
+
 class TestTableContract:
     @pytest.mark.parametrize("L", list(contract_lattices()), ids=lambda L: L.describe())
     def test_tables_equal_native_ops_on_every_pair(self, L):
@@ -393,6 +483,24 @@ class TestTableContract:
             for a, b in itertools.product(L.element_list(), repeat=2):
                 assert L._join(a, b) == reference_bound(L, a, b, upper=True), (L.spec(), a, b)
                 assert L._meet(a, b) == reference_bound(L, a, b, upper=False), (L.spec(), a, b)
+
+    def test_mask_rows_equal_the_per_pair_build(self):
+        rng = random.Random(89)
+        lattices = [random_explicit_lattice(rng, max_size=16) for _ in range(200)]
+        lattices += random_relations(97, 300)
+        lattices += corrupted_tables(101, 300)
+        non_lattices = 0
+        for L in lattices:
+            assert L.tables() == per_pair_tables(L), L.spec()
+            non_lattices += not _lattice_test(L.tables())
+        assert non_lattices > 300
+
+    def test_tables_of_a_lattice_call_no_bound(self):
+        rng = random.Random(103)
+        for _ in range(200):
+            L = random_explicit_lattice(rng, max_size=16)
+            calls = count_calls(L, ("_join", "_meet", "_bound"))
+            assert _lattice_test(L.tables()) and calls == [0], L.spec()
 
     def test_result_outside_the_universe_raises(self):
         class Leaky(ChainLattice):
@@ -468,7 +576,7 @@ def reference_forbidden(lattice):
     if lattice.size() > _SUBSET_SCAN_MAX:
         return check_distributive(lattice).sublattice
     for five in itertools.combinations(lattice.element_list(), 5):
-        wit = _classify_five(lattice, five)
+        wit = classify_five(lattice, five)
         if wit is not None:
             return wit
     return None
@@ -508,7 +616,7 @@ class OpTables(Lattice):
 
 
 def lone_last_pentagon() -> OpTables:
-    """An N5 that ``_classify_five`` accepts, 0 < 1 < 2 < 4 and 0 < 3 < 4,
+    """An N5 that ``classify_five`` accepts, 0 < 1 < 2 < 4 and 0 < 3 < 4,
     whose lone middle 3 reaches the bottom and the top only as the first
     argument: meet(1, 3) and join(1, 3) give 1 and 3, meet(3, 1) and
     join(3, 1) give 0 and 4."""
@@ -539,15 +647,6 @@ def perturbed_op_tables(seed: int, count: int):
                 table = join if change == "join" else meet
                 table[a][b] = rng.randrange(n) if rng.random() < 0.9 else n
         yield OpTables(up, join, meet)
-
-
-def native_op_counter(L) -> list[int]:
-    """Count ``_join``/``_meet`` calls on L from now on."""
-    calls = [0]
-    for op in ("_join", "_meet"):
-        native = getattr(L, op)
-        setattr(L, op, lambda *xs, native=native: calls.__setitem__(0, calls[0] + 1) or native(*xs))
-    return calls
 
 
 def small_products():
@@ -605,12 +704,28 @@ class TestForbiddenScanContract:
             found += wit is not None
         assert found > 100
 
+    def test_each_candidate_as_the_native_classifier(self):
+        accepted = 0
+        for L in itertools.chain(perturbed_op_tables(113, 200), corrupted_tables(127, 200)):
+            elems = L.element_list()
+            bounds, up = certify._native_bounds(L), L._up_masks()
+            for five in itertools.combinations(range(len(elems)), 5):
+                found = certify._classify(five, bounds, up)
+                wit = classify_five(L, tuple(elems[i] for i in five))
+                if found is None:
+                    assert wit is None, (L.describe(), five)
+                else:
+                    label, roles = found
+                    assert (label, {r: elems[i] for r, i in zip("0abc1", roles)}) == (wit.label, wit.embedding)
+                    accepted += 1
+        assert accepted > 80
+
     def test_native_calls_on_a_distributive_product(self):
         L = explicit_copy(ProductLattice([ChainLattice(4), ChainLattice(5)]))
-        calls = native_op_counter(L)
+        calls = count_calls(L)
         assert find_forbidden_sublattice(L) is None
         # a scan of all 15,504 five-subsets makes 127,333 calls here
-        assert calls[0] <= 20_000
+        assert calls[0] <= 2 * L.size() ** 2
         assert getattr(L, "_tables_cache", None) is None
 
 
@@ -625,7 +740,7 @@ def reference_table_witness(lattice, triple):
     closure = pairwise_closure(triple, lambda a, b: J[a][b], lambda a, b: M[a][b])
     for five in itertools.combinations(sorted(closure), 5):
         if all(J[x][y] in five and M[x][y] in five for x, y in itertools.combinations(five, 2)):
-            wit = _classify_five(lattice, tuple(elems[i] for i in five))
+            wit = classify_five(lattice, tuple(elems[i] for i in five))
             if wit is not None:
                 return wit
     return None
@@ -644,6 +759,17 @@ class TestWitnessScanContract:
                 triple = tuple(index[x] for x in cert.witness_triple)
                 assert cert.sublattice == reference_table_witness(L, triple), L.spec()
         assert len(verdicts) == 360 and 100 < verdicts.count(False) < 300
+
+    def test_no_native_call_after_tables(self):
+        rng = random.Random(107)
+        lattices = [random_explicit_lattice(rng) for _ in range(300)] + list(corrupted_tables(109, 120))
+        nondistributive = 0
+        for L in lattices:
+            L.tables()
+            calls = count_calls(L, ("_leq", "_join", "_meet"))
+            nondistributive += not check_distributive(L).distributive
+            assert calls == [0], L.spec()
+        assert nondistributive > 100
 
     def test_triples_of_perturbed_op_tables(self):
         """The certificate's triple and four random ones of each table

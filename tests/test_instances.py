@@ -408,6 +408,11 @@ INPUT_ERRORS = {
                     "lattice: downset lattice over 17 elements is too large to enumerate"),
     "ring-outside-universe": ("bottleneck", net_file({"kind": "ring", "universe": ["a"], "generators": [["z"]]}),
                               "lattice: generators mention atoms outside the universe: ['z']"),
+    "ring-universe-duplicates": ("bottleneck", net_file({"kind": "ring", "universe": ["a", "b", "a"],
+                                                          "generators": [["a"]]}),
+                                 "lattice.universe: duplicate atoms ['a']"),
+    "ring-generator-duplicates": ("bottleneck", net_file({"kind": "ring", "generators": [["a"], ["b", "a", "b"]]}),
+                                  "lattice.generators[1]: duplicate atoms ['b']"),
     "ring-cap": ("bottleneck", net_file({"kind": "ring", "generators": [[a] for a in "abcdefghijklm"]}),
                  "lattice: ring-of-sets closure exceeded 4096 sets"),
     "survival-times": ("bottleneck", net_file({**SURVIVAL, "time_points": 1}),
