@@ -33,7 +33,8 @@ tables, so no native operation is called after the tables are built.
 :func:`find_forbidden_sublattice`, an oracle sharing no code with the
 failing-triple scan or the two O(n²) tests, runs it on the whole
 universe with ``bounds`` keeping native results: at most one ``_join``
-and one ``_meet`` call per ordered pair, and no tables.
+and one ``_meet`` call per ordered pair, none on a result outside the
+universe, and no tables.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from operator import itemgetter
 from typing import Any, Callable
 
 from .errors import UniverseTooLarge
-from .lattices import Element, Lattice, LatticeTables, ProductLattice, pairwise_closure
+from .lattices import Element, Lattice, LatticeTables, pairwise_closure
 from .orderutils import cover_masks, set_bits
 
 DEFAULT_MAX_UNIVERSE = 512
@@ -175,16 +176,10 @@ def _join_prime_test(t: LatticeTables) -> bool:
 
 
 def _is_lattice(lattice: Lattice) -> bool:
-    """:func:`_lattice_test` on ``lattice``'s tables, run once and kept. A
-    product is a lattice exactly when every factor is one, so a product
-    takes its factors' verdicts instead of testing its own tables."""
+    """:func:`_lattice_test` on ``lattice``'s tables, run once and kept."""
     verdict = getattr(lattice, "_lattice_verdict", None)
     if verdict is None:
-        if isinstance(lattice, ProductLattice):
-            verdict = all(map(_is_lattice, lattice.factors))
-        else:
-            verdict = _lattice_test(lattice.tables())
-        lattice._lattice_verdict = verdict
+        verdict = lattice._lattice_verdict = _lattice_test(lattice.tables())
     return verdict
 
 
@@ -287,8 +282,12 @@ def _classify(five: tuple[int, ...], bounds: Callable, up) -> tuple[str, tuple[i
     indices, ascending, form, or None: they must hold the join and meet
     of each pair (i, j), i < j, and fold to a bottom and a top with three
     middles between. ``bounds(i, j)`` gives the indices of the join and
-    the meet of i and j; ``up`` gives the order. Each test is a pure
-    function of the five, so the cheap ones run first."""
+    the meet of i and j; ``up`` gives the order."""
+    members = sum(1 << x for x in five)
+    for i, j in itertools.combinations(five, 2):
+        join, meet = bounds(i, j)
+        if not (members >> join & 1 and members >> meet & 1):
+            return None
     bot = top = five[0]
     for x in five[1:]:
         bot, top = bounds(bot, x)[1], bounds(top, x)[0]
@@ -300,11 +299,6 @@ def _classify(five: tuple[int, ...], bounds: Callable, up) -> tuple[str, tuple[i
     comp = [(x, y) for x, y in itertools.permutations(mids, 2) if up[x] >> y & 1]
     if len(comp) > 1:
         return None
-    members = sum(1 << x for x in five)
-    for i, j in itertools.combinations(five, 2):
-        join, meet = bounds(i, j)
-        if not (members >> join & 1 and members >> meet & 1):
-            return None
     if not comp:
         # M3 candidate: all mid pairs must meet to bot and join to top
         if all(bounds(x, y) == (top, bot) for x, y in itertools.combinations(mids, 2)):
@@ -391,21 +385,19 @@ def check_distributive(
 
 def _native_bounds(lattice: Lattice) -> Callable:
     """``bounds(i, j)`` on native ``_join``/``_meet``, called once per
-    ordered pair: the indices of the results in ``element_list()``, with
-    a result outside the universe given the next index past it."""
-    values = list(lattice.element_list())
-    index = {x: i for i, x in enumerate(values)}
-
-    def intern(x) -> int:
-        i = index.setdefault(x, len(values))
-        if i == len(values):
-            values.append(x)
-        return i
+    ordered pair: the indices of the results in ``element_list()``. A
+    result outside the universe gets the index n = ``size()``, and the
+    bounds of n with anything are n again, with no native call."""
+    elems = lattice.element_list()
+    n = len(elems)
+    index = {x: i for i, x in enumerate(elems)}
 
     @functools.cache
     def bounds(i: int, j: int) -> tuple[int, int]:
-        a, b = values[i], values[j]
-        return intern(lattice._join(a, b)), intern(lattice._meet(a, b))
+        if i == n or j == n:
+            return n, n
+        a, b = elems[i], elems[j]
+        return index.get(lattice._join(a, b), n), index.get(lattice._meet(a, b), n)
 
     return bounds
 

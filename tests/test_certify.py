@@ -68,15 +68,6 @@ class TestAxioms:
         with pytest.raises(UniverseTooLarge):
             check_lattice_axioms(PowersetLattice("abcdefghij"))
 
-    def test_a_product_takes_its_factors_lattice_verdicts(self, monkeypatch):
-        tested = []
-        test = certify._lattice_test
-        monkeypatch.setattr(certify, "_lattice_test", lambda t: tested.append(len(t.elements)) or test(t))
-        L = ProductLattice([PentagonLattice(), ChainLattice(3)])
-        assert check_lattice_axioms(L).ok
-        assert check_distributive(L) == reference_distributive(L)
-        assert sorted(tested) == [3, 5]
-
     def test_a_product_with_one_corrupted_explicit_factor_fails(self):
         elems = ["0", "a", "b"]
         corrupted = ExplicitLattice.from_relation(elems, [(x, x) for x in elems] + [("0", "a"), ("a", "b")])
@@ -615,6 +606,19 @@ class OpTables(Lattice):
         return x
 
 
+class StrictOpTables(OpTables):
+    """:class:`OpTables` whose operations refuse a value outside the
+    universe instead of giving n."""
+
+    def _join(self, a, b):
+        assert a in self and b in self, (a, b)
+        return self.join_table[a][b]
+
+    def _meet(self, a, b):
+        assert a in self and b in self, (a, b)
+        return self.meet_table[a][b]
+
+
 def lone_last_pentagon() -> OpTables:
     """An N5 that ``classify_five`` accepts, 0 < 1 < 2 < 4 and 0 < 3 < 4,
     whose lone middle 3 reaches the bottom and the top only as the first
@@ -703,6 +707,14 @@ class TestForbiddenScanContract:
             assert find_forbidden_sublattice(L) == wit, (L.up, L.join_table, L.meet_table)
             found += wit is not None
         assert found > 100
+
+    def test_no_native_call_on_a_result_outside_the_universe(self):
+        strict = 0
+        for L in perturbed_op_tables(131, 600):
+            S = StrictOpTables(L.up, L.join_table, L.meet_table)
+            assert find_forbidden_sublattice(S) == reference_forbidden(L), (L.up, L.join_table, L.meet_table)
+            strict += any(L.size() in row for row in L.join_table + L.meet_table)
+        assert strict > 30
 
     def test_each_candidate_as_the_native_classifier(self):
         accepted = 0
