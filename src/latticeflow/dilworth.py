@@ -16,11 +16,12 @@ five-element poset a<b<e, a<c, d<e satisfies it and still has the
 minimal chain transversal {a, e}, which is not an antichain.
 
 Each poset is enumerated and folded once: it keeps its chains,
-antichains, auxiliary network and direct report, and the network keeps
-its partition walk. The routes share only lists that were already
-identical and the walk, between the cut side and the cut round trip; lhs
-and rhs still come from each route's own folds, and paths are still
-checked against chains.
+antichains, auxiliary network and direct report. The routes share only
+lists that were already identical; lhs and rhs still come from each
+route's own folds, and paths are still checked against chains. On a
+certified-distributive lattice the network route walks no partitions
+(the dynamic program and the threshold cut side), and the cut round trip
+lists only the minimal cuts over cover and sink edges.
 """
 
 from __future__ import annotations
@@ -33,16 +34,8 @@ from typing import Iterable, Mapping
 from .bottleneck import verify_duality
 from .errors import CapExceeded
 from .lattices import Element, Lattice
-from .network import (
-    CapacityAssignment,
-    FlowNetwork,
-    crossing_edges,
-    crossing_masks,
-    enumerate_paths,
-    minimal_masks,
-    source_side_cut,
-)
-from .network import minimal_cuts  # noqa: F401  (unused here; perfbench/spans.py wraps this binding)
+from .network import CapacityAssignment, FlowNetwork, enumerate_paths, minimal_cut_masks
+from .network import crossing_edges, minimal_cuts  # noqa: F401  (unused here; perfbench/spans.py wraps these bindings)
 from .orderutils import cover_pairs, partial_order, set_bits
 
 DEFAULT_MAX_CHAINS = 1_000_000
@@ -215,7 +208,7 @@ def dilworth_direct(poset: WeightedPoset) -> DilworthReport:
     """Both duality sides by direct enumeration of chains and antichains.
 
     The folds run once per poset: the report is kept on ``poset`` and
-    returned by later calls, as the network keeps its partition walk."""
+    returned by later calls."""
     cached = getattr(poset, "_direct_report", None)
     if cached is not None:
         return cached
@@ -274,10 +267,13 @@ def dilworth_via_network(poset: WeightedPoset) -> DilworthReport:
     antichain side only when the maximal antichains are exactly the
     minimal chain transversals. Chain/antichain lists and per-item values
     are the direct route's; only lhs and rhs come from the network, which
-    is what makes the cross-method comparison meaningful.
+    is what makes the cross-method comparison meaningful. The sides take
+    :func:`verify_duality`'s ``auto`` routes in strict mode: the dynamic
+    program and the threshold cut side on a certified-distributive
+    lattice, enumeration of paths and partitions elsewhere.
     """
     net, cap = poset.network
-    report = verify_duality(net, cap, mode="strict", method="bruteforce")
+    report = verify_duality(net, cap, mode="strict")
     return replace(
         dilworth_direct(poset),
         lhs=report.alpha,
@@ -348,29 +344,23 @@ def check_correspondences(poset: WeightedPoset) -> CorrespondenceReport:
     if not chains_match:
         problems.append("stripped paths differ from maximal chains")
 
-    # minimal among the crossing sets that avoid the source edges: every
-    # subset of such a set avoids them too, so these are exactly the
-    # minimal crossing sets that use only cover/sink edges
+    antichains = poset.antichains  # its element cap applies before any cut is listed
     source_edges = sum(1 << i for i, e in enumerate(net.edges) if e[0] == net.source)
-    in_poset_edges = [
-        frozenset(net.edges[i] for i in set_bits(m))
-        for m in minimal_masks([m for m in crossing_masks(net) if not m & source_edges])
-    ]
+    in_poset_edges = minimal_cut_masks(net, source_edges)
+    minimal, maximal = set(in_poset_edges), set(antichains)
 
-    antichains = poset.antichains
+    def crossing_for(antichain) -> int:
+        side = _cut_for_antichain(poset, net, antichain)
+        return sum(1 << i for i, (u, v) in enumerate(net.edges) if u in side and v not in side)
 
-    def crossing_for(antichain) -> frozenset:
-        cut = source_side_cut(net, _cut_for_antichain(poset, net, antichain))
-        return frozenset(crossing_edges(net, cut))
-
-    def tails(crossing) -> tuple[str, ...]:
-        return tuple(sorted({e[0] for e in crossing}, key=poset._index.__getitem__))
+    def tails(crossing: int) -> tuple[str, ...]:
+        return tuple(sorted({net.edges[i][0] for i in set_bits(crossing)}, key=poset._index.__getitem__))
 
     def antichain_problem(a) -> str | None:
         crossing = crossing_for(a)
-        if any(e[0] == net.source for e in crossing):
+        if crossing & source_edges:
             return f"cut for antichain {a} crosses a source edge"
-        if crossing not in in_poset_edges:
+        if crossing not in minimal:
             return f"cut for antichain {a} is not a minimal cut"
         if tails(crossing) != a:
             return f"antichain {a} round-trips to {tails(crossing)}"
@@ -380,7 +370,7 @@ def check_correspondences(poset: WeightedPoset) -> CorrespondenceReport:
         sources = tails(crossing)
         if any(poset.comparable(x, y) for x, y in itertools.combinations(sources, 2)):
             return f"minimal cut sources {sources} are not an antichain"
-        if sources not in antichains:
+        if sources not in maximal:
             return f"minimal cut sources {sources} are not a maximal antichain"
         if crossing_for(sources) != crossing:
             return f"cut with sources {sources} does not round-trip"

@@ -316,6 +316,67 @@ def minimal_masks(masks) -> list[int]:
     return [m for m in masks if m in keep]
 
 
+def minimal_cut_masks(net: FlowNetwork, avoid: int) -> list[int]:
+    """The crossing masks of the minimal s-t cuts that share no edge with
+    the edge mask ``avoid``, in the order of
+    ``minimal_masks(crossing_masks(net))``, without walking partitions.
+
+    A crossing set C is minimal exactly when the vertices S that the
+    source reaches in G - C have C as their out-edges and every head of
+    C reaches the sink in G - S (Provan & Shier, "A paradigm for listing
+    (s,t)-cuts in graphs", Algorithmica 1996). So this backtracks over
+    the topological order on vertex bitmasks: a vertex with a
+    predecessor in S joins S or is left out as a head, which must reach
+    the sink avoiding S (checked by one reverse pass each time S grows)
+    and may receive no ``avoid`` edge from S. Edges into the sink are
+    only known at a leaf, where a crossing mask meeting ``avoid`` is
+    dropped. S is the smallest side inducing C, so the first partition
+    of the walk that does: the cuts are listed by its partition mask.
+    Needs a DAG; it walks on a stack of its own.
+    """
+    order = net.topological_order()
+    pos = {v: i for i, v in enumerate(order)}
+    bit = {e: 1 << i for i, e in enumerate(net.edges)}
+    n = len(order)
+    succ = [sum(1 << pos[w] for _, w in net.out_edges(v)) for v in order]
+    pred = [sum(1 << pos[u] for u, _ in net.in_edges(v)) for v in order]
+    avoid_pred = [sum(1 << pos[e[0]] for e in net.in_edges(v) if bit[e] & avoid) for v in order]
+    outs = [sum(bit[e] for e in net.out_edges(v)) for v in order]
+    ins = [sum(bit[e] for e in net.in_edges(v)) for v in order]
+    part = [0] * n  # partition-mask bit of each position; none for the source and sink
+    for i, v in enumerate(net.partition_order):
+        part[pos[v]] = 1 << i
+    src, sink = pos[net.source], pos[net.sink]
+
+    def reach_sink(side: int) -> int:
+        """The vertices that reach the sink avoiding ``side``."""
+        reach = 1 << sink
+        for i in range(sink - 1, -1, -1):
+            if succ[i] & reach and not side >> i & 1:
+                reach |= 1 << i
+        return reach
+
+    found: list[tuple[int, int]] = []
+    # next position, S, heads, reach; the ORs of S's out- and in-edge masks, its partition mask
+    stack = [(src + 1, 1 << src, 0, reach_sink(1 << src), outs[src], ins[src], 0)]
+    while stack:
+        i, side, heads, reach, out, into, side_part = stack.pop()
+        while i < n and (i == sink or not pred[i] & side):
+            i += 1
+        if i == n:
+            crossing = out & ~into
+            if not crossing & avoid:
+                found.append((side_part, crossing))
+            continue
+        if reach >> i & 1 and not avoid_pred[i] & side:
+            stack.append((i + 1, side, heads | 1 << i, reach, out, into, side_part))
+        grown = side | 1 << i
+        grown_reach = reach_sink(grown)
+        if not heads & ~grown_reach:
+            stack.append((i + 1, grown, heads, grown_reach, out | outs[i], into | ins[i], side_part | part[i]))
+    return [crossing for _, crossing in sorted(found)]
+
+
 def minimal_cuts(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICES) -> list[Cut]:
     """Cuts whose crossing-edge sets are inclusion-minimal, deduplicated
     by crossing set (distinct partitions can induce the same crossing

@@ -9,6 +9,7 @@ import pytest
 from latticeflow import (
     CapExceeded,
     ChainLattice,
+    PentagonLattice,
     PowersetLattice,
     WeightedPoset,
     auxiliary_network,
@@ -28,7 +29,7 @@ import latticeflow.dilworth as dilworth
 from latticeflow.cli import run_command
 from latticeflow.dilworth import CorrespondenceReport, _cut_for_antichain
 from latticeflow.gallery import gallery_source
-from latticeflow.generators import random_distributive_lattice, random_weighted_poset
+from latticeflow.generators import random_any_lattice, random_distributive_lattice, random_weighted_poset
 from latticeflow.instances import Instance, instance_to_dict
 
 
@@ -74,6 +75,13 @@ def transversal_gap_poset():
     return WeightedPoset(
         list("abcde"), [("a", "b"), ("b", "e"), ("a", "c"), ("d", "e")], weights, L
     )
+
+
+def pentagon_poset():
+    # weights in N5, which is not distributive, so the network route walks
+    L = PentagonLattice()
+    weights = {"x": "a", "y": "b", "z": "c", "w": "1"}
+    return WeightedPoset(list("xyzw"), [("x", "z"), ("y", "z"), ("y", "w")], weights, L)
 
 
 def complete_bipartite_poset():
@@ -239,6 +247,43 @@ class TestDilworthViaNetwork:
         for _ in range(25):
             poset = random_weighted_poset(rng, random_distributive_lattice(rng), max_elements=6)
             assert dilworth_via_network(poset).lhs == dilworth_direct(poset).lhs
+
+    def test_auto_routes_equal_the_bruteforce_walk(self):
+        # the walk stays the network route's oracle, on posets of both
+        # verdicts and over lattices of both certificates
+        rng = random.Random(79)
+        posets = [n_poset(), transversal_gap_poset(), complete_bipartite_poset(), pentagon_poset()]
+        for i in range(60):
+            lattice = random_any_lattice(rng) if i % 3 else random_distributive_lattice(rng)
+            posets.append(random_weighted_poset(rng, lattice, max_elements=13))
+        routes, known_red = Counter(), 0
+        for poset in posets:
+            net, cap = poset.network
+            walk = verify_duality(net, cap, mode="strict", method="bruteforce")
+            auto = verify_duality(net, cap, mode="strict")
+            via = dilworth_via_network(poset)
+            assert (auto.alpha, auto.beta) == (via.lhs, via.rhs) == (walk.alpha, walk.beta)
+            routes[auto.alpha_method, auto.beta_method] += 1
+            known_red += dilworth_direct(poset).rhs != via.rhs
+        assert set(routes) == {("dp", "threshold"), ("bruteforce", "bruteforce")} and known_red
+
+    @pytest.mark.parametrize(
+        "lattice, message",
+        [({"kind": "chain", "levels": 3}, "antichain enumeration capped at 20 elements"),
+         ({"kind": "pentagon"}, "cut enumeration needs 2^21 partitions; cap is 22 vertices")],
+        ids=["certified", "uncertified"],
+    )
+    def test_a_21_element_poset_stops_at_the_first_cap_its_route_meets(self, lattice, message, tmp_path, capsys):
+        # certified: the network sides enumerate no cuts, so the antichain
+        # list the report shows is the first to refuse
+        elements = [f"p{i}" for i in range(21)]
+        weight = 1 if lattice["kind"] == "chain" else "a"
+        doc = {"lattice": lattice, "elements": elements, "covers": [], "weights": dict.fromkeys(elements, weight)}
+        f = tmp_path / "wide.json"
+        f.write_text(json.dumps(doc))
+        _, code = run_command(["dilworth", str(f), "--method", "network"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_n_poset_network_side_stays_self_dual(self):
         # network duality holds (the lattice is distributive) even though
@@ -520,9 +565,17 @@ class TestOneEnumerationPerPoset:
         counts, _ = count_enumerations(
             monkeypatch, ["dilworth", str(path), "--method", "both", "--correspondences"]
         )
-        assert counts == {
-            "maximal_chains": 1, "maximal_antichains": 1, "auxiliary_network": 1, "partition walks": 1,
-        }
+        # certified lattices: the network route and the cut round trip walk no partitions
+        assert counts == {"maximal_chains": 1, "maximal_antichains": 1, "auxiliary_network": 1}
+
+    @pytest.mark.parametrize("method, walks", [("both", 1), ("network", 1), ("direct", 0)])
+    def test_an_uncertified_lattice_walks_for_the_network_route_only(self, method, walks, monkeypatch, tmp_path, capsys):
+        poset = pentagon_poset()
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(instance_to_dict(Instance(poset.lattice, "pentagon-poset", poset=poset))))
+        counts, _ = count_enumerations(monkeypatch, ["dilworth", str(path), "--method", method, "--correspondences"])
+        expected = {"maximal_chains": 1, "maximal_antichains": 1, "auxiliary_network": 1}
+        assert counts == ({**expected, "partition walks": walks} if walks else expected)
 
     def test_direct_route_builds_no_network(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "poset.json"

@@ -30,7 +30,7 @@ from latticeflow.generators import (
     random_network,
     random_weighted_poset,
 )
-from latticeflow.network import crossing_masks
+from latticeflow.network import crossing_masks, minimal_cut_masks, minimal_masks
 from latticeflow.orderutils import topological_order
 
 
@@ -341,6 +341,21 @@ class TestEnumerationContract:
     def test_minimal_cuts_match_reference_in_order(self):
         for net, _ in differential_instances(43, 40):
             assert minimal_cuts(net) == reference_minimal_cuts(net)
+
+    def test_minimal_cut_masks_equal_the_walk_in_order(self):
+        # the partition walk and the pairwise filter are the reference, with
+        # no edge avoided and with the source edges avoided
+        rng = random.Random(71)
+        posets = (random_weighted_poset(rng, random_distributive_lattice(rng), max_elements=13) for _ in range(200))
+        auxiliary = [p.network[0] for p in posets if len(p.elements) >= 10]
+        nets = [net for net, _ in differential_instances(11, 300)] + auxiliary
+        assert len(auxiliary) >= 40
+        assert any((net.source, net.sink) in net.edge_set for net in nets)
+        for net in nets:
+            walk = crossing_masks(net)
+            source_edges = sum(1 << i for i, e in enumerate(net.edges) if e[0] == net.source)
+            assert minimal_cut_masks(net, 0) == minimal_masks(walk)
+            assert minimal_cut_masks(net, source_edges) == minimal_masks([m for m in walk if not m & source_edges])
 
     @pytest.mark.parametrize("mode", ["strict", "lenient"])
     def test_cut_side_matches_reference(self, mode):
