@@ -21,12 +21,13 @@ from .network import (
     CapacityAssignment,
     Cut,
     FlowNetwork,
+    _check_cut_cap,
     _or_table,
     _reachable,
     crossing_edges,
     crossing_masks,
     enumerate_paths,
-    minimal_masks,
+    minimal_cut_masks,
     partition_cut,
     source_side_cut,
 )
@@ -92,12 +93,13 @@ def _path_side(
 def beta_bruteforce(net: FlowNetwork, cap: CapacityAssignment, mode: str = "strict") -> Element:
     """Meet over cuts of the cut capacity, by full enumeration.
 
-    Strict mode folds over all cuts. Lenient mode folds over minimal cuts
-    only: with dead ends, non-minimal crossing sets pick up edges that lie
-    on no path, and restricting to inclusion-minimal crossing sets is what
-    keeps the duality intact (the two folds agree whenever every empty
-    join involved is defined, since every crossing set contains a minimal
-    one)."""
+    Strict mode folds over all cuts, walking the partitions. Lenient mode
+    folds over minimal cuts only, listed by their source sides: with dead
+    ends, non-minimal crossing sets pick up edges that lie on no path, and
+    restricting to inclusion-minimal crossing sets is what keeps the
+    duality intact (the two folds agree whenever every empty join involved
+    is defined, since every crossing set contains a minimal one). Both
+    modes keep the partition walk's vertex cap."""
     return _cut_side(net, cap, mode, DEFAULT_MAX_CUT_VERTICES)[2]
 
 
@@ -107,16 +109,21 @@ def _cut_side(
     """How many cuts the cut side ranges over, the first of them (in
     enumeration order) whose capacity is the meet, and that meet.
 
-    A cut's capacity depends only on the set of distinct values that
-    cross it, because join is associative, commutative and idempotent
-    under the lattice axioms. So the distinct capacity values are
-    numbered in first-edge order, each crossing-edge mask is mapped to
-    its value mask through OR tables over 8 edges at a time, and each
-    distinct value mask is folded once. The empty crossing set still
-    folds as the empty join: the bottom, or NoBottomError.
+    Strict mode walks every partition (:func:`crossing_masks`), lenient
+    mode lists the minimal cuts (:func:`minimal_cut_masks`). A cut's
+    capacity depends only on the set of distinct values that cross it,
+    because join is associative, commutative and idempotent under the
+    lattice axioms. So the distinct capacity values are numbered in
+    first-edge order, each crossing-edge mask is mapped to its value mask
+    through OR tables over 8 edges at a time, and each distinct value
+    mask is folded once. The empty crossing set still folds as the empty
+    join: the bottom, or NoBottomError.
     """
-    first = crossing_masks(net, max_vertices)
-    keys = first if mode == "strict" else minimal_masks(first)
+    if mode == "strict":
+        first = crossing_masks(net, max_vertices)
+    else:
+        _check_cut_cap(net, max_vertices)
+        first = minimal_cut_masks(net, 0)
     lat = cap.lattice
     value_bit: dict[Element, int] = {}
     edge_bits = [value_bit.setdefault(cap[e], 1 << len(value_bit)) for e in net.edges]
@@ -130,13 +137,13 @@ def _cut_side(
         return out
 
     values = list(value_bit)
-    value_masks = {m: value_mask(m) for m in keys}
+    value_masks = {m: value_mask(m) for m in first}
     capacity = {
         v: lat.join_all(values[i] for i in set_bits(v)) for v in dict.fromkeys(value_masks.values())
     }
     beta = lat.meet_all(capacity.values())
     witness = next((first[m] for m, v in value_masks.items() if capacity[v] == beta), None)
-    n_cuts = net.n_partitions if mode == "strict" else len(keys)
+    n_cuts = net.n_partitions if mode == "strict" else len(first)
     return n_cuts, None if witness is None else partition_cut(net, witness), beta
 
 
@@ -270,8 +277,9 @@ def verify_duality(
     "dp" runs the dynamic program (distributive lattices only unless
     overridden), both next to the brute-force cut side. "auto" takes the
     dynamic program exactly when the lattice is certified distributive,
-    and the cut side by :func:`cut_side`'s route rule. Lenient mode is
-    always brute force, since it counts the minimal crossing sets. A
+    and the cut side by :func:`cut_side`'s route rule. Lenient mode's
+    cut side is always brute force, since it counts the minimal crossing
+    sets: it lists them by their source sides, under the vertex cap. A
     path or cut witness is attached only when some path/cut actually
     attains the reported value; either may be absent.
     """

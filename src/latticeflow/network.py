@@ -271,14 +271,10 @@ def crossing_masks(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICE
     the OR of its source side's out-edge masks less the OR of its in-edge
     masks. Those ORs come from two tables over the low and the high half
     of the vertex bits, so memory grows with the distinct crossing sets,
-    not with the partitions. The walk runs once per network: its result
-    is kept on ``net`` for later calls, which must only read it; the cap
-    is checked on every call.
+    not with the partitions. Each call walks afresh and returns a dict of
+    its own.
     """
     _check_cut_cap(net, max_vertices)
-    cached = getattr(net, "_crossing_masks", None)
-    if cached is not None:
-        return cached
     bit = {e: 1 << i for i, e in enumerate(net.edges)}
 
     def edge_mask(edges) -> int:
@@ -300,26 +296,14 @@ def crossing_masks(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICE
             crossing = (l_out | h_out) & ~(l_in | h_in)
             if crossing not in first:
                 first[crossing] = base | low
-    net._crossing_masks = first
     return first
 
 
-def minimal_masks(masks) -> list[int]:
-    """The inclusion-minimal masks among distinct ``masks``, in their
-    order. Keys are tested by popcount, each only against the minimal
-    ones already found: a proper subset always has fewer bits."""
-    found: list[int] = []
-    for m in sorted(masks, key=int.bit_count):
-        if not any(f & m == f for f in found):
-            found.append(m)
-    keep = set(found)
-    return [m for m in masks if m in keep]
-
-
-def minimal_cut_masks(net: FlowNetwork, avoid: int) -> list[int]:
-    """The crossing masks of the minimal s-t cuts that share no edge with
-    the edge mask ``avoid``, in the order of
-    ``minimal_masks(crossing_masks(net))``, without walking partitions.
+def minimal_cut_masks(net: FlowNetwork, avoid: int) -> dict[int, int]:
+    """The minimal s-t cuts that share no edge with the edge mask
+    ``avoid``, as :func:`crossing_masks` has them but without walking
+    partitions: each crossing mask mapped to the first partition mask
+    that induces it, in the walk's first-seen order.
 
     A crossing set C is minimal exactly when the vertices S that the
     source reaches in G - C have C as their out-edges and every head of
@@ -332,7 +316,7 @@ def minimal_cut_masks(net: FlowNetwork, avoid: int) -> list[int]:
     only known at a leaf, where a crossing mask meeting ``avoid`` is
     dropped. S is the smallest side inducing C, so the first partition
     of the walk that does: the cuts are listed by its partition mask.
-    Needs a DAG; it walks on a stack of its own.
+    Needs a DAG and checks no cap; it walks on a stack of its own.
     """
     order = net.topological_order()
     pos = {v: i for i, v in enumerate(order)}
@@ -374,15 +358,16 @@ def minimal_cut_masks(net: FlowNetwork, avoid: int) -> list[int]:
         grown_reach = reach_sink(grown)
         if not heads & ~grown_reach:
             stack.append((i + 1, grown, heads, grown_reach, out | outs[i], into | ins[i], side_part | part[i]))
-    return [crossing for _, crossing in sorted(found)]
+    return {crossing: side_part for side_part, crossing in sorted(found)}
 
 
 def minimal_cuts(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICES) -> list[Cut]:
     """Cuts whose crossing-edge sets are inclusion-minimal, deduplicated
     by crossing set (distinct partitions can induce the same crossing
-    set); first representative in enumeration order is kept."""
-    first = crossing_masks(net, max_vertices)
-    return [partition_cut(net, first[m]) for m in minimal_masks(first)]
+    set); first representative in enumeration order is kept. Listed by
+    :func:`minimal_cut_masks` under the partition walk's vertex cap."""
+    _check_cut_cap(net, max_vertices)
+    return [partition_cut(net, side_part) for side_part in minimal_cut_masks(net, 0).values()]
 
 
 class CapacityAssignment:

@@ -362,3 +362,15 @@ class TestDeadEnds:
         for _ in range(20):
             net, cap = random_instance(rng, max_vertices=7)
             assert beta_bruteforce(net, cap, mode="strict") == beta_bruteforce(net, cap, mode="lenient")
+
+    def test_layered_row_lists_every_minimal_cut(self):
+        # 18 vertices, 65,056 distinct crossing sets: the minimal cuts are
+        # listed by their source sides, not filtered pairwise out of the walk
+        from test_network import layered_network
+
+        net = layered_network(4, 4)
+        rng = random.Random(404)
+        cap = CapacityAssignment(PowersetLattice("abcdef"), {e: frozenset(rng.sample("abcdef", 3)) for e in net.edges})
+        report = verify_duality(net, cap, mode="lenient")
+        assert (report.n_cuts, report.beta_method) == (44553, "bruteforce")
+        assert report.beta == beta_threshold(net, cap) == frozenset("abcdf")

@@ -160,6 +160,20 @@ class TestBottleneck:
         assert code == 1
         assert "cap is 22 vertices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["bottleneck", "maxflow"])
+    def test_lenient_mode_keeps_the_vertex_cap(self, command, tmp_path, capsys):
+        # a 30-vertex path has only 29 minimal cuts to list, yet lenient mode
+        # still stops at the partition walk's cap
+        from test_network import layered_network
+
+        net = layered_network(1, 28)
+        cap = CapacityAssignment(ChainLattice(4), {e: i % 4 for i, e in enumerate(net.edges)})
+        f = tmp_path / "path.json"
+        f.write_text(json.dumps(instance_to_dict(Instance(cap.lattice, "path", network=net, capacities=cap))))
+        _, code = run_command([command, str(f), "--mode", "lenient"])
+        assert code == 1 and len(net.vertices) == 30
+        assert capsys.readouterr().err == "error: cut enumeration needs 2^28 partitions; cap is 22 vertices\n"
+
     def test_distributive_instance_exit_zero(self, supply_file):
         report, code = run_command(["bottleneck", supply_file, "--format", "json"])
         assert code == 0

@@ -520,8 +520,7 @@ class TestCorrespondenceContract:
 
 def count_enumerations(monkeypatch, argv):
     """Run the CLI with every binding of the enumerations wrapped, as the
-    benchmark's span recorders do. A partition walk counts only when its
-    network has none kept from an earlier call."""
+    benchmark's span recorders do. Every partition walk counts."""
     from latticeflow import dilworth, network
 
     counts = Counter()
@@ -532,17 +531,11 @@ def count_enumerations(monkeypatch, argv):
             return fn(*args, **kwargs)
         return wrapper
 
-    def counted_walk(net, *args, **kwargs):
-        if getattr(net, "_crossing_masks", None) is None:
-            counts["partition walks"] += 1
-        return walk(net, *args, **kwargs)
-
-    walk = network.crossing_masks
     wrappers = [
         (dilworth.maximal_chains, counted("maximal_chains", dilworth.maximal_chains)),
         (dilworth.maximal_antichains, counted("maximal_antichains", dilworth.maximal_antichains)),
         (dilworth.auxiliary_network, counted("auxiliary_network", dilworth.auxiliary_network)),
-        (walk, counted_walk),
+        (network.crossing_masks, counted("partition walks", network.crossing_masks)),
     ]
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "latticeflow"]
     for module in modules:

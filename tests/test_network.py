@@ -30,7 +30,7 @@ from latticeflow.generators import (
     random_network,
     random_weighted_poset,
 )
-from latticeflow.network import crossing_masks, minimal_cut_masks, minimal_masks
+from latticeflow.network import crossing_masks, minimal_cut_masks
 from latticeflow.orderutils import topological_order
 
 
@@ -165,10 +165,10 @@ class TestMinimalCuts:
 
 
 class TestPartitionWalk:
-    def test_walk_is_kept_on_the_network(self):
+    def test_each_call_walks_afresh(self):
         net = gallery_instance("diamond").network
         first = crossing_masks(net)
-        assert crossing_masks(net) is first
+        assert crossing_masks(net) is not first
         assert crossing_masks(FlowNetwork(net.vertices, net.edges, "s", "t")) == first
 
     def test_cap_checked_on_every_call(self):
@@ -259,6 +259,19 @@ def reference_enumerate_cuts(net):
     return cuts
 
 
+def minimal_masks(masks):
+    """The inclusion-minimal masks among distinct ``masks``, in their
+    order, by the pairwise filter: each mask is tested, in popcount
+    order, against the minimal ones already found (a proper subset
+    always has fewer bits)."""
+    found = []
+    for m in sorted(masks, key=int.bit_count):
+        if not any(f & m == f for f in found):
+            found.append(m)
+    keep = set(found)
+    return [m for m in masks if m in keep]
+
+
 def reference_minimal_cuts(net):
     by_crossing = {}
     for cut in reference_enumerate_cuts(net):
@@ -344,18 +357,26 @@ class TestEnumerationContract:
 
     def test_minimal_cut_masks_equal_the_walk_in_order(self):
         # the partition walk and the pairwise filter are the reference, with
-        # no edge avoided and with the source edges avoided
+        # no edge avoided and with the source edges avoided: the same masks
+        # in the same order, each with the walk's first partition
         rng = random.Random(71)
         posets = (random_weighted_poset(rng, random_distributive_lattice(rng), max_elements=13) for _ in range(200))
         auxiliary = [p.network[0] for p in posets if len(p.elements) >= 10]
-        nets = [net for net, _ in differential_instances(11, 300)] + auxiliary
+        no_path = [
+            FlowNetwork(["s", "t"], [], "s", "t"),
+            FlowNetwork(["s", "a", "t"], [("s", "a")], "s", "t"),
+            FlowNetwork(["s", "u", "v", "t"], [("s", "u"), ("v", "t")], "s", "t"),
+            FlowNetwork(["s", "a", "b", "t"], [("s", "a"), ("b", "t"), ("b", "a")], "s", "t"),
+        ]
+        nets = [net for net, _ in differential_instances(11, 300)] + auxiliary + no_path
         assert len(auxiliary) >= 40
         assert any((net.source, net.sink) in net.edge_set for net in nets)
         for net in nets:
             walk = crossing_masks(net)
             source_edges = sum(1 << i for i, e in enumerate(net.edges) if e[0] == net.source)
-            assert minimal_cut_masks(net, 0) == minimal_masks(walk)
-            assert minimal_cut_masks(net, source_edges) == minimal_masks([m for m in walk if not m & source_edges])
+            for avoid in (0, source_edges):
+                expected = [(m, walk[m]) for m in minimal_masks([m for m in walk if not m & avoid])]
+                assert list(minimal_cut_masks(net, avoid).items()) == expected
 
     @pytest.mark.parametrize("mode", ["strict", "lenient"])
     def test_cut_side_matches_reference(self, mode):
