@@ -24,6 +24,7 @@ from .network import (
     _check_cut_cap,
     _or_table,
     _reachable,
+    count_paths,
     crossing_edges,
     crossing_masks,
     enumerate_paths,
@@ -84,10 +85,36 @@ def alpha_bruteforce(net: FlowNetwork, cap: CapacityAssignment) -> Element:
 def _path_side(
     net: FlowNetwork, cap: CapacityAssignment, max_paths: int
 ) -> tuple[list[tuple[str, ...]], list[Element], Element]:
-    """The paths the path side ranges over, their throughputs, and their join."""
+    """The paths the path side ranges over, their throughputs, and their
+    join. The paths come from :func:`enumerate_paths`, so their edges are
+    not looked up again as :func:`path_throughput` does."""
     paths = enumerate_paths(net, max_paths)
-    throughputs = [path_throughput(net, cap, p) for p in paths]
+    meet_all, capacity = cap.lattice.meet_all, cap.__getitem__
+    throughputs = [meet_all(map(capacity, zip(p, p[1:]))) for p in paths]
     return paths, throughputs, cap.lattice.join_all(throughputs)
+
+
+def first_path_at_least(net: FlowNetwork, cap: CapacityAssignment, j: Element) -> tuple[str, ...] | None:
+    """The first path in :func:`enumerate_paths`' order whose every edge
+    has capacity >= ``j``: a source-to-sink path of G_j, or None when G_j
+    has none.
+
+    One backward pass marks the vertices that reach the sink in G_j; the
+    path then steps from the source to the smallest marked successor
+    along an edge of G_j until it meets the sink. A path's throughput is
+    a meet, so it is >= j exactly when every edge on the path is. On the
+    ``dp`` route j is alpha, which bounds every throughput from above, so
+    this is the first path that attains alpha.
+    """
+    lat = cap.lattice
+    kept = {e for e in net.edges if lat._leq(j, cap[e])}
+    marked = _reachable(net, net.sink, False, kept)
+    if net.source not in marked:
+        return None
+    path = [net.source]
+    while path[-1] != net.sink:
+        path.append(min(e[1] for e in net.out_edges(path[-1]) if e in kept and e[1] in marked))
+    return tuple(path)
 
 
 def beta_bruteforce(net: FlowNetwork, cap: CapacityAssignment, mode: str = "strict") -> Element:
@@ -274,8 +301,11 @@ def verify_duality(
     """Compute both duality sides and attach achieving witnesses.
 
     ``method`` picks the routes: "bruteforce" folds over enumerated paths,
-    "dp" runs the dynamic program (distributive lattices only unless
-    overridden), both next to the brute-force cut side. "auto" takes the
+    under ``max_paths``; "dp" runs the dynamic program (distributive
+    lattices only unless overridden), counts the paths by
+    :func:`count_paths` and takes the witness from
+    :func:`first_path_at_least`, so it lists no path and no path cap
+    binds it. Both go next to the brute-force cut side. "auto" takes the
     dynamic program exactly when the lattice is certified distributive,
     and the cut side by :func:`cut_side`'s route rule. Lenient mode's
     cut side is always brute force, since it counts the minimal crossing
@@ -289,17 +319,17 @@ def verify_duality(
     if route:
         method = "dp" if is_distributive(cap.lattice) is True else "bruteforce"
     if method == "dp":
-        paths = enumerate_paths(net, max_paths)
         alpha = alpha_dp(net, cap, allow_non_distributive=allow_non_distributive)
-        throughputs = (path_throughput(net, cap, p) for p in paths)
+        n_paths, optimal_path = count_paths(net), first_path_at_least(net, cap, alpha)
     else:
         paths, throughputs, alpha = _path_side(net, cap, max_paths)
+        n_paths = len(paths)
+        optimal_path = next((p for p, value in zip(paths, throughputs) if value == alpha), None)
     if route:
         beta_method, n_cuts, optimal_cut, beta = cut_side(net, cap, mode, max_vertices)
     else:
         beta_method = "bruteforce"
         n_cuts, optimal_cut, beta = _cut_side(net, cap, mode, max_vertices)
-    optimal_path = next((p for p, value in zip(paths, throughputs) if value == alpha), None)
 
     return DualityReport(
         alpha=alpha,
@@ -309,7 +339,7 @@ def verify_duality(
         optimal_cut=optimal_cut,
         alpha_method=method,
         beta_method=beta_method,
-        n_paths=len(paths),
+        n_paths=n_paths,
         n_cuts=n_cuts,
     )
 

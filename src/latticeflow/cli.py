@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
 from pathlib import Path
 
-from .bottleneck import alpha_bruteforce, alpha_dp, beta_bruteforce, beta_threshold, cut_side, verify_duality
+from .bottleneck import alpha_dp, beta_threshold, cut_side, first_path_at_least, verify_duality
 from .certify import DEFAULT_MAX_UNIVERSE, check_distributive, check_lattice_axioms, find_forbidden_sublattice, is_distributive
 from .dilworth import check_correspondences, dilworth_direct, dilworth_via_network
 from .dot import emit_dot
@@ -32,7 +33,7 @@ from .flows import is_feasible_flow, max_flow_value
 from .gallery import gallery_expected, gallery_names, gallery_source, run_gallery_entry
 from .generators import random_instance
 from .instances import Instance, load_instance, load_lattice, parse_flow, read_json
-from .network import DEFAULT_MAX_CUT_VERTICES, DEFAULT_MAX_PATHS
+from .network import DEFAULT_MAX_CUT_VERTICES, DEFAULT_MAX_PATHS, count_paths
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -144,11 +145,55 @@ def _verdict(distributive: bool | None, failed: bool) -> int:
     return EXIT_VIOLATION if distributive is True and failed else EXIT_OK
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, in one pass: one
+    join per container, where the standard library's indented encoder
+    runs in pure Python and yields every token separately. Strings go
+    through its C escaper; non-finite floats and keys that are not
+    strings are written as it writes them."""
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _escape(key)
+    if key is None or isinstance(key, (int, float)):  # a bool is an int
+        return _escape(_json_text(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _emit(report: dict, fmt: str, text_renderer) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(text_renderer(report))
+    print(_json_text(report) if fmt == "json" else text_renderer(report))
 
 
 def _cmd_check_lattice(args) -> tuple[dict, int]:
@@ -378,12 +423,14 @@ def _cmd_random_check(args) -> tuple[dict, int]:
     failures = []
     for i in range(args.instances):
         net, cap = random_instance(rng, max_vertices=args.max_vertices)
-        alpha = alpha_bruteforce(net, cap)
-        beta = beta_bruteforce(net, cap)
+        oracle = verify_duality(net, cap, method="bruteforce")  # listed paths, walked partitions
+        alpha, beta = oracle.alpha, oracle.beta
         dp = alpha_dp(net, cap)
+        dp_paths, dp_path = count_paths(net), first_path_at_least(net, cap, dp)
         flow = max_flow_value(net, cap)
         threshold = beta_threshold(net, cap)
-        if not (alpha == beta == dp == flow == threshold):
+        listed = (oracle.n_paths, oracle.optimal_path)
+        if not (alpha == beta == dp == flow == threshold and (dp_paths, dp_path) == listed):
             failures.append(
                 {
                     "index": i,
@@ -393,6 +440,10 @@ def _cmd_random_check(args) -> tuple[dict, int]:
                     "alpha_dp": cap.lattice.literal(dp),
                     "max_flow": cap.lattice.literal(flow),
                     "beta_threshold": cap.lattice.literal(threshold),
+                    "paths": oracle.n_paths,
+                    "paths_dp": dp_paths,
+                    "optimal_path": oracle.optimal_path,
+                    "optimal_path_dp": dp_path,
                 }
             )
     result = {

@@ -59,6 +59,19 @@ class WeightedPoset:
         weights: Mapping[str, Element],
         lattice: Lattice,
     ):
+        self._build(elements, relations, weights, lattice)
+        for x in self.elements:  # each weight is checked here, once
+            lattice.check(self.weights[x])
+
+    @classmethod
+    def _of_members(cls, elements, relations, weights, lattice) -> WeightedPoset:
+        """The poset of ``weights`` that are members already, returned by
+        :meth:`Lattice.parse`: they are not checked again."""
+        poset = cls.__new__(cls)
+        poset._build(elements, relations, weights, lattice)
+        return poset
+
+    def _build(self, elements, relations, weights, lattice) -> None:
         elems = tuple(elements)
         if not elems:
             raise ValueError("poset needs at least one element")
@@ -75,8 +88,6 @@ class WeightedPoset:
         missing = [x for x in elems if x not in weights]
         if missing:
             raise ValueError(f"elements without weights: {missing}")
-        for x in elems:
-            lattice.check(weights[x])
         self.elements = elems
         self.lattice = lattice
         self.weights = {x: weights[x] for x in elems}
@@ -254,7 +265,7 @@ def auxiliary_network(poset: WeightedPoset) -> tuple[FlowNetwork, CapacityAssign
     ]
     caps = {e: top_weight if e[0] == s else poset.weights[e[0]] for e in edges}
     net = FlowNetwork((s, *poset.elements, t), edges, s, t)
-    return net, CapacityAssignment(poset.lattice, caps)
+    return net, CapacityAssignment._of_members(poset.lattice, caps)  # the weights and their join
 
 
 def dilworth_via_network(poset: WeightedPoset) -> DilworthReport:

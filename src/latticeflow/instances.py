@@ -273,7 +273,7 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
             _fail("instance", "; ".join(
                 v.message + (f": {list(v.offenders)}" if v.offenders else "") for v in bad
             ))
-        return Instance(lattice, name, description, network=net, capacities=CapacityAssignment(lattice, caps))
+        return Instance(lattice, name, description, network=net, capacities=CapacityAssignment._of_members(lattice, caps))
 
     if "elements" in data:
         elements = _names(data["elements"], "elements")
@@ -290,7 +290,7 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
             _fail("weights", f"weights for unknown elements {unknown}")
         weights = {x: _element(lattice, lit, f"weights.{x}") for x, lit in raw_weights.items()}
         try:
-            poset = WeightedPoset(elements, covers, weights, lattice)
+            poset = WeightedPoset._of_members(elements, covers, weights, lattice)
         except ValueError as exc:
             _fail("instance", str(exc))
         return Instance(lattice, name, description, poset=poset)

@@ -3,10 +3,12 @@
 Elements are plain hashable Python values (ints, frozensets, tuples,
 strings) in a canonical form fixed by each lattice kind. They carry no
 back-reference to their lattice, so membership is checked where an
-element enters the program: :meth:`Lattice.parse`, the public binary
-``leq``/``join``/``meet``, and the containers built on a lattice
-(capacity assignments, weighted posets, flows), which raise
-:class:`MismatchError` on foreign elements. The folds ``join_all`` and
+element enters the program, once: :meth:`Lattice.parse`, the public
+binary ``leq``/``join``/``meet``, and the containers a library caller
+builds on a lattice (capacity assignments, weighted posets, flows),
+which raise :class:`MismatchError` on foreign elements. Containers
+built from what ``parse`` returned do not check it again, so every
+``parse`` returns a member. The folds ``join_all`` and
 ``meet_all`` run the unchecked underscore variants (``_join`` etc.) on
 elements validated at entry.
 """
@@ -15,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Hashable
-from functools import reduce
+from functools import cache, reduce
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MismatchError, NoBottomError, UniverseTooLarge
@@ -380,6 +381,10 @@ class ProductLattice(Lattice):
             raise ValueError("product lattice needs at least one factor")
         self.factors = factors
         self.known_distributive = all(f.known_distributive for f in factors)
+        # each factor's kernels, bound once
+        self._leqs = tuple(f._leq for f in factors)
+        self._joins = tuple(f._join for f in factors)
+        self._meets = tuple(f._meet for f in factors)
 
     def __contains__(self, x):
         return (
@@ -389,13 +394,16 @@ class ProductLattice(Lattice):
         )
 
     def _leq(self, a, b):
-        return all(f._leq(x, y) for f, x, y in zip(self.factors, a, b))
+        for leq, x, y in zip(self._leqs, a, b):
+            if not leq(x, y):
+                return False
+        return True
 
     def _join(self, a, b):
-        return tuple(f._join(x, y) for f, x, y in zip(self.factors, a, b))
+        return tuple([join(x, y) for join, x, y in zip(self._joins, a, b)])
 
     def _meet(self, a, b):
-        return tuple(f._meet(x, y) for f, x, y in zip(self.factors, a, b))
+        return tuple([meet(x, y) for meet, x, y in zip(self._meets, a, b)])
 
     def size(self):
         return math.prod(f.size() for f in self.factors)
@@ -461,13 +469,49 @@ def _snap(v, n: int) -> float | None:
     return canon if 0 <= k <= n and abs(v - canon) <= 1e-9 else None
 
 
+_UNROLLED_MAX = 16
+
+
+@cache
+def _tuple_kernels(length: int) -> tuple[Callable, Callable, Callable]:
+    """Componentwise <=, max and min of two tuples of ``length``: written
+    out place by place up to ``_UNROLLED_MAX`` places, where they cost
+    about a fifth of ``tuple(map(max, a, b))`` on a pair, and over a zip
+    of the places beyond that."""
+    if length > _UNROLLED_MAX:
+        return _zip_leq, _zip_join, _zip_meet
+    places = range(length)
+    leq = " and ".join(f"a[{i}] <= b[{i}]" for i in places) or "True"
+    join = "".join(f"a[{i}] if a[{i}] >= b[{i}] else b[{i}], " for i in places)
+    meet = "".join(f"a[{i}] if a[{i}] <= b[{i}] else b[{i}], " for i in places)
+    kernels: dict = {}
+    exec(
+        f"def _leq(a, b): return {leq}\ndef _join(a, b): return ({join})\ndef _meet(a, b): return ({meet})",
+        kernels,
+    )
+    return kernels["_leq"], kernels["_join"], kernels["_meet"]
+
+
+def _zip_leq(a, b):
+    return all([x <= y for x, y in zip(a, b)])
+
+
+def _zip_join(a, b):
+    return tuple([x if x >= y else y for x, y in zip(a, b)])
+
+
+def _zip_meet(a, b):
+    return tuple([x if x <= y else y for x, y in zip(a, b)])
+
+
 class _GridLattice(Lattice):
     """Weakly monotone tuples on the grid of n even steps over [0, 1],
     ordered componentwise: ``width`` free values, ascending or
     ``descending``, between the fixed values ``head`` and ``tail``.
     Componentwise max and min keep a tuple monotone, so this is a
     sublattice of a product of chains, hence distributive. Values are
-    canonical grid floats, so float equality is reliable.
+    canonical grid floats, so float equality is reliable. The kernels are
+    :func:`_tuple_kernels` for the tuple length.
 
     A kind names its parse errors as format templates over the
     ``literal``, the first off-grid ``value`` and the lattice ``lat``:
@@ -481,6 +525,7 @@ class _GridLattice(Lattice):
         self._n = n  # the grid has n + 1 levels: 0, 1/n, ..., 1
         self._width, self._descending, self._head, self._tail = width, descending, head, tail
         self._length = len(head) + width + len(tail)
+        self._leq, self._join, self._meet = _tuple_kernels(self._length)
 
     def _grid(self, k: int) -> float:
         """The k-th grid value, computed on demand so that no spec can
@@ -505,15 +550,6 @@ class _GridLattice(Lattice):
             if f != v or _snap(f, n) != f:
                 return False
         return self._ordered(x)
-
-    def _leq(self, a, b):
-        return all(map(operator.le, a, b))
-
-    def _join(self, a, b):
-        return tuple(map(max, a, b))
-
-    def _meet(self, a, b):
-        return tuple(map(min, a, b))
 
     def size(self):
         return math.comb(self._width + self._n, self._width)
@@ -808,6 +844,11 @@ class ExplicitLattice(Lattice):
         up_rows: Iterable[int],
         covers: Sequence[tuple[str, str]] | None = None,
     ):
+        self._build(elements, up_rows, None, covers)
+
+    def _build(self, elements, up_rows, down_rows: list[int] | None, covers) -> None:
+        """The constructor, given the down-set rows too when the caller
+        has them (the transpose of the up-set rows), else None."""
         elems = tuple(elements)
         if len(set(elems)) != len(elems):
             raise ValueError("explicit lattice has duplicate element names")
@@ -820,7 +861,7 @@ class ExplicitLattice(Lattice):
         self._elements = elems
         self._index = {x: i for i, x in enumerate(elems)}
         self._up_mask = up
-        self._down_mask = transpose(up)
+        self._down_mask = transpose(up) if down_rows is None else down_rows
         self._covers = tuple(covers) if covers is not None else None
         # The element whose up-set (down-set) is the mask, among those that
         # are <= themselves with nothing else both above and below them.
@@ -833,7 +874,9 @@ class ExplicitLattice(Lattice):
         """The order the covers generate; ValueError on an unknown name or
         a cycle, checked before the element names are."""
         elements, covers = tuple(elements), [tuple(c) for c in covers]
-        return cls(elements, partial_order(elements, covers)[0], covers=covers)
+        lattice = cls.__new__(cls)
+        lattice._build(elements, *partial_order(elements, covers), covers)
+        return lattice
 
     @classmethod
     def from_relation(cls, elements: Sequence[str], pairs: Iterable[tuple[str, str]]):
@@ -949,7 +992,7 @@ class _FiveLattice(ExplicitLattice):
 
     def __init__(self):
         five = ("0", "a", "b", "c", "1")
-        super().__init__(five, partial_order(five, self._covers)[0], covers=self._covers)
+        self._build(five, *partial_order(five, self._covers), self._covers)
 
     def spec(self):
         return {"kind": self.kind}

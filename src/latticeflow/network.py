@@ -229,6 +229,17 @@ def enumerate_paths(net: FlowNetwork, max_paths: int = DEFAULT_MAX_PATHS) -> lis
     return out
 
 
+def count_paths(net: FlowNetwork) -> int:
+    """How many paths :func:`enumerate_paths` lists, without listing
+    them: each vertex's count is the sum of its predecessors' counts over
+    the kept topological order, in Python integers. ValueError on a
+    cycle."""
+    count = dict.fromkeys(net.vertices, 0)
+    for v in net.topological_order():
+        count[v] = 1 if v == net.source else sum(count[u] for u, _ in net.in_edges(v))
+    return count[net.sink]
+
+
 def _check_cut_cap(net: FlowNetwork, max_vertices: int) -> None:
     if len(net.vertices) > max_vertices:
         raise CapExceeded(
@@ -371,7 +382,8 @@ def minimal_cuts(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICES)
 
 
 class CapacityAssignment:
-    """Total map from edges to elements of one lattice."""
+    """Total map from edges to elements of one lattice. Each value is
+    checked for membership here, once."""
 
     def __init__(self, lattice: Lattice, values: Mapping[Edge, Element]):
         self.lattice = lattice
@@ -380,6 +392,15 @@ class CapacityAssignment:
             edge = (edge[0], edge[1])
             lattice.check(value)
             self._values[edge] = value
+
+    @classmethod
+    def _of_members(cls, lattice: Lattice, values: dict[Edge, Element]) -> CapacityAssignment:
+        """The assignment of ``values``, keyed by edge tuples, that are
+        members already: returned by :meth:`Lattice.parse`, or folded from
+        such. They are not checked again."""
+        cap = cls.__new__(cls)
+        cap.lattice, cap._values = lattice, values
+        return cap
 
     def __getitem__(self, edge: Edge) -> Element:
         try:

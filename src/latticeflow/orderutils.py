@@ -101,7 +101,8 @@ def topological_order(
     vertices: Sequence[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
 ) -> list:
     """Kahn's algorithm; ready vertices wait on a heap of their input
-    positions, so ties go to the earliest. ValueError on a cycle."""
+    positions, so ties go to the earliest. ValueError on a cycle, naming
+    the vertices that lie on one, in input order."""
     edges = list(edges)
     indeg = {v: 0 for v in vertices}
     succ: dict[Hashable, list] = {v: [] for v in vertices}
@@ -121,5 +122,17 @@ def topological_order(
                 heapq.heappush(ready, pos[w])
     if len(out) != len(list(vertices)):
         stuck = [v for v in vertices if indeg[v] > 0]
-        raise ValueError(f"graph has a directed cycle through {stuck}")
+        raise ValueError(f"graph has a directed cycle through {_on_cycles(stuck, edges)}")
     return out
+
+
+def _on_cycles(stuck: list, edges: list) -> list:
+    """The vertices of ``stuck`` that lie on a directed cycle. Kahn's
+    algorithm leaves every vertex that a cycle reaches; one lies on a
+    cycle exactly when it has a successor that reaches it back, read off
+    the closure of the edges among them."""
+    stuck = list(dict.fromkeys(stuck))  # a repeated vertex name counts once
+    pos = {v: i for i, v in enumerate(stuck)}
+    succ = relation_masks(pos, ((u, v) for u, v in edges if u in pos and v in pos))
+    reached_from = transpose(closure(succ))
+    return [v for i, v in enumerate(stuck) if succ[i] & reached_from[i]]

@@ -20,12 +20,13 @@ from latticeflow import (
     counterexample_for,
     cut_capacity,
     enumerate_cuts,
+    enumerate_paths,
     gallery_instance,
     path_throughput,
     verify_duality,
 )
-from latticeflow.bottleneck import _cut_side, _threshold_side
-from latticeflow.network import Cut
+from latticeflow.bottleneck import _cut_side, _threshold_side, first_path_at_least
+from latticeflow.network import Cut, count_paths
 from latticeflow.generators import (
     add_dead_ends,
     random_any_lattice,
@@ -181,6 +182,71 @@ class TestVerifyDuality:
         assert report.alpha_method == "dp"
         oracle = verify_duality(inst.network, inst.capacities, method="bruteforce")
         assert report.alpha == oracle.alpha
+
+
+def enumerated_witness(net, cap, alpha):
+    """The first enumerated path whose throughput is ``alpha``."""
+    return next((p for p in enumerate_paths(net) if path_throughput(net, cap, p) == alpha), None)
+
+
+class TestDpPathSide:
+    """The ``dp`` route counts the paths and finds its witness without
+    listing paths; both must be what enumeration gives."""
+
+    def assert_matches_enumeration(self, net, cap, mode):
+        report = verify_duality(net, cap, mode=mode, method="dp", allow_non_distributive=True)
+        assert report.n_paths == len(enumerate_paths(net)) == count_paths(net)
+        assert report.optimal_path == enumerated_witness(net, cap, report.alpha)
+        oracle = verify_duality(net, cap, mode=mode, method="bruteforce")
+        assert oracle.n_paths == report.n_paths
+        if oracle.alpha == report.alpha:
+            assert oracle.optimal_path == report.optimal_path
+        return report
+
+    def test_differential_instances_in_both_modes(self):
+        from test_network import differential_instances
+
+        witnesses = missing = 0
+        for net, cap in differential_instances(11, 300):
+            for mode in ("strict", "lenient"):
+                report = self.assert_matches_enumeration(net, cap, mode)
+                witnesses += report.optimal_path is not None
+                missing += report.optimal_path is None
+        assert witnesses > 500 and missing > 0
+
+    def test_layered_dead_end_and_no_path_networks(self):
+        from test_network import layered_network
+
+        rng = random.Random(19)
+        nets = [layered_network(w, l) for w, l in ((1, 1), (2, 5), (3, 4), (4, 3))]
+        nets += [add_dead_ends(rng, random_network(rng, max_vertices=8)) for _ in range(20)]
+        nets += [
+            FlowNetwork(["s", "t"], [], "s", "t"),
+            FlowNetwork(["s", "a", "t"], [("s", "a")], "s", "t"),
+            FlowNetwork(["s", "u", "v", "t"], [("s", "u"), ("v", "t")], "s", "t"),
+            FlowNetwork(["s", "a", "b", "t"], [("s", "a"), ("b", "t"), ("b", "a")], "s", "t"),
+        ]
+        lattice = PowersetLattice("abc")
+        for net in nets:
+            for _ in range(3):
+                cap = random_capacities(rng, net, lattice)
+                for mode in ("strict", "lenient"):
+                    self.assert_matches_enumeration(net, cap, mode)
+        assert count_paths(layered_network(10, 7)) == 10**7
+
+    def test_counterexample_networks_with_the_override(self):
+        for lattice in non_distributive_lattices():
+            net, cap = counterexample_for(lattice)
+            report = self.assert_matches_enumeration(net, cap, "strict")
+            assert report.alpha_method == "dp"
+
+    def test_a_path_of_every_threshold(self):
+        # the helper finds a path of G_j for any j, not only for alpha
+        inst = gallery_instance("supply-chain")
+        net, cap = inst.network, inst.capacities
+        for j in cap.lattice.element_list():
+            in_g_j = [p for p in enumerate_paths(net) if all(cap.lattice.leq(j, cap[e]) for e in zip(p, p[1:]))]
+            assert first_path_at_least(net, cap, j) == (in_g_j[0] if in_g_j else None)
 
 
 class TestThresholdSide:

@@ -1,6 +1,9 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from latticeflow import CapacityAssignment, ChainLattice, Instance, SublatticeWitness, cli, gallery
 from latticeflow.cli import run_command
@@ -173,6 +176,65 @@ class TestBottleneck:
         _, code = run_command([command, str(f), "--mode", "lenient"])
         assert code == 1 and len(net.vertices) == 30
         assert capsys.readouterr().err == "error: cut enumeration needs 2^28 partitions; cap is 22 vertices\n"
+
+    @staticmethod
+    def layered_file(tmp_path, width, layers):
+        """The layered reference row of ``width`` x ``layers``: capacities are
+        three of the atoms a..f, drawn from ``Random(100 * width + layers)``."""
+        import random
+
+        from latticeflow import PowersetLattice
+        from test_network import layered_network
+
+        net = layered_network(width, layers)
+        rng = random.Random(100 * width + layers)
+        cap = CapacityAssignment(PowersetLattice("abcdef"), {e: frozenset(rng.sample("abcdef", 3)) for e in net.edges})
+        f = tmp_path / f"layered{width}x{layers}.json"
+        f.write_text(json.dumps(instance_to_dict(Instance(cap.lattice, "layered", network=net, capacities=cap))))
+        return str(f)
+
+    def test_the_path_cap_binds_only_the_listed_path_side(self, tmp_path, capsys):
+        f = self.layered_file(tmp_path, 4, 6)
+        report, code = run_command(["bottleneck", f, "--max-paths", "1000", "--format", "json"])
+        assert code == 0
+        assert (report["paths"], report["alpha_method"], report["beta_method"]) == (4096, "dp", "threshold")
+        # each capacity holds three of the six atoms, alpha all six: no path attains it
+        assert report["alpha"] == report["beta"] == list("abcdef") and report["optimal_path"] is None
+        capsys.readouterr()
+        _, code = run_command(["bottleneck", f, "--oracle", "--max-paths", "1000"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: more than 1000 source-to-sink paths\n"
+
+    def test_ten_million_paths_are_counted_not_listed(self, tmp_path):
+        report, code = run_command(["bottleneck", self.layered_file(tmp_path, 10, 7), "--format", "json"])
+        assert code == 0
+        assert (report["paths"], report["cuts"], report["equal"]) == (10**7, 2**70, True)
+
+    @pytest.mark.parametrize("kind", ["pentagon", "diamond"])
+    def test_unsafe_dp_on_the_counterexample_networks(self, kind, tmp_path):
+        # the forced DP may overshoot alpha; its count and witness must still
+        # be enumeration's: the first listed path whose throughput is the DP value
+        from latticeflow import counterexample_for, enumerate_paths, lattice_from_spec, path_throughput
+        from test_bottleneck import non_distributive_lattices
+
+        runs = 0
+        for i, lattice in enumerate(non_distributive_lattices()):
+            net, cap = counterexample_for(lattice)
+            if (len(net.edges) == 5) != (kind == "pentagon"):
+                continue
+            runs += 1
+            f = tmp_path / f"{kind}{i}.json"
+            f.write_text(json.dumps(instance_to_dict(Instance(lattice, network=net, capacities=cap))))
+            report, code = run_command(["bottleneck", str(f), "--dp", "--unsafe-dp", "--format", "json"])
+            oracle, _ = run_command(["bottleneck", str(f), "--oracle", "--format", "json"])
+            assert code == 0 and report["alpha_method"] == "dp"
+            assert report["paths"] == oracle["paths"] == len(enumerate_paths(net))
+            alpha = lattice_from_spec(lattice.spec()).parse(report["alpha"])
+            witness = next((list(p) for p in enumerate_paths(net) if path_throughput(net, cap, p) == alpha), None)
+            assert report["optimal_path"] == witness
+            if report["alpha"] == oracle["alpha"]:
+                assert report["optimal_path"] == oracle["optimal_path"]
+        assert runs >= 2
 
     def test_distributive_instance_exit_zero(self, supply_file):
         report, code = run_command(["bottleneck", supply_file, "--format", "json"])
@@ -373,6 +435,24 @@ class TestRandomCheck:
         assert code == 2 and report["failed"] > 0
         assert all(f["beta_threshold"] != f["beta"] for f in report["failures"])
 
+    def test_wrong_path_count_turns_it_red(self, monkeypatch):
+        monkeypatch.setattr(cli, "count_paths", lambda net: 1)
+        report, code = run_command(["random-check", "--seed", "7", "--instances", "20", "--format", "json"])
+        assert code == 2 and report["failed"] > 0
+        assert all(f["paths_dp"] == 1 != f["paths"] for f in report["failures"])
+
+    def test_wrong_path_witness_turns_it_red(self, monkeypatch):
+        # the last attaining path in place of the first
+        from latticeflow import enumerate_paths, path_throughput
+
+        def last_path(net, cap, alpha):
+            return next((p for p in reversed(enumerate_paths(net)) if path_throughput(net, cap, p) == alpha), None)
+
+        monkeypatch.setattr(cli, "first_path_at_least", last_path)
+        report, code = run_command(["random-check", "--seed", "7", "--instances", "40", "--format", "json"])
+        assert code == 2 and report["failed"] > 0
+        assert all(f["optimal_path_dp"] != f["optimal_path"] for f in report["failures"])
+
     def test_failures_line_in_text_output(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "beta_threshold", lambda net, cap: cap.lattice.top())
         report, code = run_command(["random-check", "--seed", "7", "--instances", "20"])
@@ -507,6 +587,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "self-loops" in err and "cycle" in err
 
+    @pytest.mark.parametrize("command", ["bottleneck", "maxflow"])
+    def test_cycle_message_names_only_the_cycle(self, tmp_path, capsys, command):
+        # t lies past the cycle a -> b -> a, not on it
+        pairs = [("s", "a"), ("a", "b"), ("b", "a"), ("b", "t")]
+        data = {
+            **NETWORK,
+            "vertices": ["s", "a", "b", "t"],
+            "edges": [{"from": u, "to": v, "capacity": 1} for u, v in pairs],
+        }
+        f = tmp_path / "cyclic.json"
+        f.write_text(json.dumps(data))
+        _, code = run_command([command, str(f)])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: instance: graph has a directed cycle through ['a', 'b']\n")
+
     def test_non_integer_env_seed_exits_one(self, monkeypatch, capsys):
         monkeypatch.setenv("RANDOM_CHECK_SEED", "abc")
         report, code = run_command(["random-check", "--instances", "1"])
@@ -550,3 +645,46 @@ class TestErrors:
         monkeypatch.setitem(cli._HANDLERS, "gallery", broken)
         with pytest.raises(ValueError, match="internal bug"):
             run_command(["gallery"])
+
+
+class TestJsonText:
+    """``_emit``'s writer against ``json.dumps(value, indent=2)``."""
+
+    def test_every_golden_json_stdout(self):
+        checked = 0
+        for golden in sorted((Path(__file__).parent / "golden").glob("*.json")):
+            for run in json.loads(golden.read_text())["runs"]:
+                if not run["stdout"].startswith(("{", "[")):
+                    continue
+                value = json.loads(run["stdout"])
+                assert cli._json_text(value) + "\n" == json.dumps(value, indent=2) + "\n" == run["stdout"]
+                checked += 1
+        assert checked == 188
+
+    def test_fixed_values(self):
+        for value in (
+            {"t": (1, (2.5, "x")), "u": [(), {}, []], "v": "caf\u00e9 \ud83d\ude00 \ud800 \"\\\n"},
+            [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324, 10**40, -7],
+            {1: None, 2.5: True, None: False, True: 0, False: 1.0},
+            ({}, [[[]]]),
+        ):
+            assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(st.text() | st.integers() | st.floats() | st.booleans() | st.none(), inner, max_size=4),
+            max_leaves=20,
+        )
+    )
+    def test_nested_values(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{"a": {1, 2}}, [object()], {(1, 2): 3}])
+    def test_what_json_refuses_it_refuses(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(value)

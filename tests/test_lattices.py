@@ -22,7 +22,7 @@ from latticeflow import (
 )
 from latticeflow.generators import random_explicit_lattice
 from latticeflow.instances import LATTICE_KINDS
-from latticeflow.lattices import _grid, _snap
+from latticeflow.lattices import _UNROLLED_MAX, _grid, _snap, _tuple_kernels
 
 
 def small_lattices():
@@ -568,3 +568,110 @@ class TestJoinIrreducibles:
         assert len(product.join_irreducibles()) == 2 + 38 * 39 + 20
         assert not hasattr(survival, "_element_cache")
         assert IntervalGridLattice(0.001).join_irreducibles()[-1] == (1.0, 1.0)
+
+
+# -- parse is the one check on file input ------------------------------------------
+
+
+def parse_cases():
+    """(lattice, literal) for every element of the enumerable lattices, as
+    ``literal`` writes it, and non-canonical literals of the same elements:
+    repeated or reordered atoms, ints and near-grid floats on the grids,
+    component lists of products."""
+    for lattice in enumerable_lattices():
+        for x in lattice.element_list():
+            yield lattice, lattice.literal(x)
+    powerset = PowersetLattice("abc")
+    yield from ((powerset, lit) for lit in (["c", "a", "c"], ("b",), []))
+    ring = RingOfSetsLattice([{"r1", "m1"}, {"r2", "m1"}])
+    yield from ((ring, lit) for lit in (["m1", "r1"], ("r2", "m1", "r2")))
+    for step in (0.1, 0.05, 1e-6, 1e-12):
+        grid = IntervalGridLattice(step)
+        yield from ((grid, lit) for lit in ([0, 1], [0.1 + 0.2, 0.7], [True - 1, 0.3 + 1e-10]))
+    survival = SurvivalLattice(5, 11)
+    yield from ((survival, lit) for lit in ([1, 0.7000000000000001, 0.3, 0.1 + 0.2, 0], [1, 1, 1, 0, 0]))
+    product = ProductLattice([IntervalGridLattice(0.1), ChainLattice(3), PowersetLattice("xy")])
+    yield product, ([0.1 + 0.2, 1], 2, ["y", "x"])
+
+
+def parse_non_members(cases):
+    """The cases whose parsed element is not a member of its lattice."""
+    return [(lat.describe(), lit, x) for lat, lit in cases if (x := lat.parse(lit)) not in lat]
+
+
+class TestParseReturnsMembers:
+    """File input is checked once, by ``parse``: capacity assignments and
+    weighted posets read from a file take its results unchecked."""
+
+    def test_every_kind(self):
+        cases = list(parse_cases())
+        assert {lat.kind for lat, _ in cases} == set(LATTICE_KINDS)
+        assert parse_non_members(cases) == []
+
+    def test_a_parse_that_skips_the_snap_turns_it_red(self, monkeypatch):
+        monkeypatch.setattr(IntervalGridLattice, "parse", lambda self, literal: tuple(literal))
+        bad = parse_non_members(parse_cases())
+        assert ("intervals(step=0.1)", [0.1 + 0.2, 0.7], (0.1 + 0.2, 0.7)) in bad
+
+    def test_one_check_per_element(self, monkeypatch):
+        from latticeflow import CapacityAssignment, WeightedPoset, parse_instance
+
+        checked = []
+        original = Lattice.check
+        monkeypatch.setattr(Lattice, "check", lambda self, *xs: (checked.extend(xs), original(self, *xs))[1])
+        L = ChainLattice(4)
+        edges = [("s", "a"), ("a", "t"), ("s", "t")]
+        CapacityAssignment(L, dict(zip(edges, (3, 1, 2))))
+        WeightedPoset(["x", "y"], [("x", "y")], {"x": 2, "y": 0}, L)
+        assert checked == [3, 1, 2, 2, 0]  # library callers: one check each
+        checked.clear()
+        parse_instance({
+            "lattice": {"kind": "chain", "levels": 4},
+            "vertices": ["s", "a", "t"], "source": "s", "sink": "t",
+            "edges": [{"from": u, "to": v, "capacity": c} for (u, v), c in zip(edges, (3, 1, 2))],
+        })
+        parse_instance({
+            "lattice": {"kind": "chain", "levels": 4},
+            "elements": ["x", "y"], "covers": [["x", "y"]], "weights": {"x": 2, "y": 0},
+        })
+        assert checked == [3, 1, 2, 2, 0]  # file input: parse's check only
+        with pytest.raises(MismatchError):
+            CapacityAssignment(L, {("s", "t"): 4})
+        with pytest.raises(MismatchError):
+            WeightedPoset(["x"], [], {"x": 4}, L)
+
+
+# -- kernels ---------------------------------------------------------------------
+
+
+def test_tuple_kernels_are_componentwise_at_every_length():
+    rng = random.Random(41)
+    for length in range(1, _UNROLLED_MAX + 4):
+        leq, join, meet = _tuple_kernels(length)
+        for _ in range(60):
+            a = tuple(rng.choice((0.0, 0.25, 0.5, 1.0)) for _ in range(length))
+            b = tuple(rng.choice((0.0, 0.25, 0.5, 1.0)) for _ in range(length))
+            assert leq(a, b) == all(x <= y for x, y in zip(a, b))
+            assert join(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+            assert meet(a, b) == tuple(min(x, y) for x, y in zip(a, b))
+            assert leq(a, a) and leq(meet(a, b), a) and leq(a, join(a, b))
+    assert _tuple_kernels(2) is _tuple_kernels(2)
+
+
+def test_from_covers_keeps_the_down_rows_it_builds(monkeypatch):
+    import latticeflow.lattices as lattices
+    from latticeflow.orderutils import partial_order, transpose
+
+    def refuse(rows):
+        raise AssertionError("transposed again")
+
+    monkeypatch.setattr(lattices, "transpose", refuse)
+    elements, covers = ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
+    for lattice, up in (
+        (ExplicitLattice.from_covers(elements, covers), partial_order(elements, covers)[0]),
+        (PentagonLattice(), partial_order(["0", "a", "b", "c", "1"], PentagonLattice._covers)[0]),
+        (DiamondLattice(), partial_order(["0", "a", "b", "c", "1"], DiamondLattice._covers)[0]),
+    ):
+        assert lattice._up_mask == up and lattice._down_mask == transpose(up)
+    with pytest.raises(AssertionError, match="transposed again"):
+        ExplicitLattice(elements, partial_order(elements, covers)[0])

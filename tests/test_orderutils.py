@@ -100,8 +100,20 @@ def reference_topological_order(vertices, edges):
         if changed:
             ready.sort(key=pos.__getitem__)
     if len(out) != len(list(vertices)):
-        stuck = [v for v in vertices if indeg[v] > 0]
-        raise ValueError(f"graph has a directed cycle through {stuck}")
+
+        def returns(v) -> bool:
+            """Whether some walk of at least one edge leads from v back to v."""
+            seen, todo = set(), list(succ[v])
+            while todo:
+                w = todo.pop()
+                if w == v:
+                    return True
+                if w not in seen:
+                    seen.add(w)
+                    todo += succ[w]
+            return False
+
+        raise ValueError(f"graph has a directed cycle through {[v for v in vertices if returns(v)]}")
     return out
 
 
@@ -233,6 +245,18 @@ class TestTopologicalOrder:
             assert got == topological_result(reference_topological_order, vertices, edges)
             cyclic += isinstance(got, str)
         assert 50 < cyclic < 450
+
+    def test_a_cycle_names_only_its_own_vertices(self):
+        # t lies past the cycle and x between two cycles; neither is on one
+        with pytest.raises(ValueError) as err:
+            topological_order(["s", "a", "b", "t"], [("s", "a"), ("a", "b"), ("b", "a"), ("b", "t")])
+        assert str(err.value) == "graph has a directed cycle through ['a', 'b']"
+        with pytest.raises(ValueError) as err:
+            topological_order(["a", "b", "x", "c", "d"], [("a", "b"), ("b", "a"), ("b", "x"), ("x", "c"), ("c", "d"), ("d", "c")])
+        assert str(err.value) == "graph has a directed cycle through ['a', 'b', 'c', 'd']"
+        with pytest.raises(ValueError) as err:
+            topological_order(["u", "v"], [("u", "u"), ("u", "v")])
+        assert str(err.value) == "graph has a directed cycle through ['u']"
 
     def test_lowest_position_first(self):
         assert topological_order(["c", "b", "a"], [("c", "a")]) == ["c", "b", "a"]
