@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Hashable
-from functools import cache, reduce
+from functools import reduce
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MismatchError, NoBottomError, UniverseTooLarge
@@ -469,49 +470,13 @@ def _snap(v, n: int) -> float | None:
     return canon if 0 <= k <= n and abs(v - canon) <= 1e-9 else None
 
 
-_UNROLLED_MAX = 16
-
-
-@cache
-def _tuple_kernels(length: int) -> tuple[Callable, Callable, Callable]:
-    """Componentwise <=, max and min of two tuples of ``length``: written
-    out place by place up to ``_UNROLLED_MAX`` places, where they cost
-    about a fifth of ``tuple(map(max, a, b))`` on a pair, and over a zip
-    of the places beyond that."""
-    if length > _UNROLLED_MAX:
-        return _zip_leq, _zip_join, _zip_meet
-    places = range(length)
-    leq = " and ".join(f"a[{i}] <= b[{i}]" for i in places) or "True"
-    join = "".join(f"a[{i}] if a[{i}] >= b[{i}] else b[{i}], " for i in places)
-    meet = "".join(f"a[{i}] if a[{i}] <= b[{i}] else b[{i}], " for i in places)
-    kernels: dict = {}
-    exec(
-        f"def _leq(a, b): return {leq}\ndef _join(a, b): return ({join})\ndef _meet(a, b): return ({meet})",
-        kernels,
-    )
-    return kernels["_leq"], kernels["_join"], kernels["_meet"]
-
-
-def _zip_leq(a, b):
-    return all([x <= y for x, y in zip(a, b)])
-
-
-def _zip_join(a, b):
-    return tuple([x if x >= y else y for x, y in zip(a, b)])
-
-
-def _zip_meet(a, b):
-    return tuple([x if x <= y else y for x, y in zip(a, b)])
-
-
 class _GridLattice(Lattice):
     """Weakly monotone tuples on the grid of n even steps over [0, 1],
     ordered componentwise: ``width`` free values, ascending or
     ``descending``, between the fixed values ``head`` and ``tail``.
     Componentwise max and min keep a tuple monotone, so this is a
     sublattice of a product of chains, hence distributive. Values are
-    canonical grid floats, so float equality is reliable. The kernels are
-    :func:`_tuple_kernels` for the tuple length.
+    canonical grid floats, so float equality is reliable.
 
     A kind names its parse errors as format templates over the
     ``literal``, the first off-grid ``value`` and the lattice ``lat``:
@@ -525,7 +490,6 @@ class _GridLattice(Lattice):
         self._n = n  # the grid has n + 1 levels: 0, 1/n, ..., 1
         self._width, self._descending, self._head, self._tail = width, descending, head, tail
         self._length = len(head) + width + len(tail)
-        self._leq, self._join, self._meet = _tuple_kernels(self._length)
 
     def _grid(self, k: int) -> float:
         """The k-th grid value, computed on demand so that no spec can
@@ -550,6 +514,15 @@ class _GridLattice(Lattice):
             if f != v or _snap(f, n) != f:
                 return False
         return self._ordered(x)
+
+    def _leq(self, a, b):
+        return all(map(operator.le, a, b))
+
+    def _join(self, a, b):
+        return tuple([x if x >= y else y for x, y in zip(a, b)])
+
+    def _meet(self, a, b):
+        return tuple([x if x <= y else y for x, y in zip(a, b)])
 
     def size(self):
         return math.comb(self._width + self._n, self._width)
@@ -615,6 +588,17 @@ class IntervalGridLattice(_GridLattice):
             raise ValueError("interval grid step must divide 1 exactly")
         self.step = step
         super().__init__(n, 2)
+
+    # An interval is a pair, so its kernels read both places directly:
+    # a fifth or less of the cost of the generic ones.
+    def _leq(self, a, b):
+        return a[0] <= b[0] and a[1] <= b[1]
+
+    def _join(self, a, b):
+        return (a[0] if a[0] >= b[0] else b[0], a[1] if a[1] >= b[1] else b[1])
+
+    def _meet(self, a, b):
+        return (a[0] if a[0] <= b[0] else b[0], a[1] if a[1] <= b[1] else b[1])
 
     def format(self, x):
         return f"[{x[0]},{x[1]}]"

@@ -122,17 +122,52 @@ def topological_order(
                 heapq.heappush(ready, pos[w])
     if len(out) != len(list(vertices)):
         stuck = [v for v in vertices if indeg[v] > 0]
-        raise ValueError(f"graph has a directed cycle through {_on_cycles(stuck, edges)}")
+        raise ValueError(f"graph has a directed cycle through {_on_cycles(stuck, succ)}")
     return out
 
 
-def _on_cycles(stuck: list, edges: list) -> list:
-    """The vertices of ``stuck`` that lie on a directed cycle. Kahn's
-    algorithm leaves every vertex that a cycle reaches; one lies on a
-    cycle exactly when it has a successor that reaches it back, read off
-    the closure of the edges among them."""
+def _on_cycles(stuck: list, succ: Mapping[Hashable, list]) -> list:
+    """The vertices of ``stuck`` that lie on a directed cycle, in input
+    order. Kahn's algorithm leaves every vertex that a cycle reaches, and
+    every successor of such a vertex; one lies on a cycle exactly when its
+    strongly connected component has more than one vertex or it has an
+    edge to itself (Tarjan's algorithm, iterative, in O(V + E))."""
     stuck = list(dict.fromkeys(stuck))  # a repeated vertex name counts once
-    pos = {v: i for i, v in enumerate(stuck)}
-    succ = relation_masks(pos, ((u, v) for u, v in edges if u in pos and v in pos))
-    reached_from = transpose(closure(succ))
-    return [v for i, v in enumerate(stuck) if succ[i] & reached_from[i]]
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    cyclic: set = set()
+    for root in stuck:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, todo = work[-1]
+            for w in todo:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+                    if w == v:
+                        cyclic.add(v)
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    if len(component) > 1:
+                        cyclic.update(component)
+    return [v for v in stuck if v in cyclic]

@@ -22,7 +22,7 @@ from latticeflow import (
 )
 from latticeflow.generators import random_explicit_lattice
 from latticeflow.instances import LATTICE_KINDS
-from latticeflow.lattices import _UNROLLED_MAX, _grid, _snap, _tuple_kernels
+from latticeflow.lattices import _grid, _snap
 
 
 def small_lattices():
@@ -644,18 +644,18 @@ class TestParseReturnsMembers:
 # -- kernels ---------------------------------------------------------------------
 
 
-def test_tuple_kernels_are_componentwise_at_every_length():
+def test_grid_kernels_are_componentwise_at_every_length():
     rng = random.Random(41)
-    for length in range(1, _UNROLLED_MAX + 4):
-        leq, join, meet = _tuple_kernels(length)
+    grids = [IntervalGridLattice(0.25)] + [SurvivalLattice(t, 5) for t in range(2, 20)]
+    for lat in grids:
+        length = lat._length
         for _ in range(60):
             a = tuple(rng.choice((0.0, 0.25, 0.5, 1.0)) for _ in range(length))
             b = tuple(rng.choice((0.0, 0.25, 0.5, 1.0)) for _ in range(length))
-            assert leq(a, b) == all(x <= y for x, y in zip(a, b))
-            assert join(a, b) == tuple(max(x, y) for x, y in zip(a, b))
-            assert meet(a, b) == tuple(min(x, y) for x, y in zip(a, b))
-            assert leq(a, a) and leq(meet(a, b), a) and leq(a, join(a, b))
-    assert _tuple_kernels(2) is _tuple_kernels(2)
+            assert lat._leq(a, b) == all(x <= y for x, y in zip(a, b))
+            assert lat._join(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+            assert lat._meet(a, b) == tuple(min(x, y) for x, y in zip(a, b))
+            assert lat._leq(a, a) and lat._leq(lat._meet(a, b), a) and lat._leq(a, lat._join(a, b))
 
 
 def test_from_covers_keeps_the_down_rows_it_builds(monkeypatch):

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,21 @@ class TestTopologicalOrder:
         with pytest.raises(ValueError) as err:
             topological_order(["u", "v"], [("u", "u"), ("u", "v")])
         assert str(err.value) == "graph has a directed cycle through ['u']"
+
+    def test_a_cycle_before_a_long_tail_fails_fast(self):
+        # the cycle message is found in O(V + E): a closure over the 5,000
+        # stuck vertices would take seconds; a 3,000-vertex cycle needs no recursion
+        tail = [f"t{i}" for i in range(5000)]
+        edges = [("s", "a"), ("a", "b"), ("b", "a"), ("b", tail[0])] + list(zip(tail, tail[1:]))
+        started = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            topological_order(["s", "a", "b", *tail], edges)
+        assert str(err.value) == "graph has a directed cycle through ['a', 'b']"
+        ring = [f"r{i}" for i in range(3000)]
+        with pytest.raises(ValueError) as err:
+            topological_order(["s", *ring, *tail], [("s", "r0"), *zip(ring, ring[1:] + ring[:1]), ("r0", tail[0]), *zip(tail, tail[1:])])
+        assert str(err.value) == f"graph has a directed cycle through {ring}"
+        assert time.perf_counter() - started < 2.0
 
     def test_lowest_position_first(self):
         assert topological_order(["c", "b", "a"], [("c", "a")]) == ["c", "b", "a"]
