@@ -79,19 +79,33 @@ def alpha_bruteforce(net: FlowNetwork, cap: CapacityAssignment) -> Element:
     With no source-to-sink path at all the value is the empty join, the
     lattice bottom (the duality statement degenerates to bottom = bottom).
     """
-    return _path_side(net, cap, DEFAULT_MAX_PATHS)[2]
+    return path_side(net, cap, "bruteforce")[3]
 
 
-def _path_side(
-    net: FlowNetwork, cap: CapacityAssignment, max_paths: int
-) -> tuple[list[tuple[str, ...]], list[Element], Element]:
-    """The paths the path side ranges over, their throughputs, and their
-    join. The paths come from :func:`enumerate_paths`, so their edges are
-    not looked up again as :func:`path_throughput` does."""
+def path_side(
+    net: FlowNetwork, cap: CapacityAssignment, method: str = "auto", max_paths: int = DEFAULT_MAX_PATHS,
+    allow_non_distributive: bool = False,
+) -> tuple[str, int, tuple[str, ...] | None, Element]:
+    """The route's name, path count, first optimal path and alpha by the
+    one route rule: "auto" takes the dynamic program on a
+    certified-distributive lattice and lists the paths elsewhere; "dp"
+    forces the program (:func:`alpha_dp`'s gate applies), and any other
+    value lists the paths. The program counts the paths
+    (:func:`count_paths`) and takes the witness from
+    :func:`first_path_at_least`, so no path cap binds it. The listing
+    folds the meets of :func:`enumerate_paths`' paths, under
+    ``max_paths``, without looking their edges up again."""
+    if method == "auto":
+        method = "dp" if is_distributive(cap.lattice) is True else "bruteforce"
+    if method == "dp":
+        alpha = alpha_dp(net, cap, allow_non_distributive)
+        return "dp", count_paths(net), first_path_at_least(net, cap, alpha), alpha
     paths = enumerate_paths(net, max_paths)
     meet_all, capacity = cap.lattice.meet_all, cap.__getitem__
     throughputs = [meet_all(map(capacity, zip(p, p[1:]))) for p in paths]
-    return paths, throughputs, cap.lattice.join_all(throughputs)
+    alpha = cap.lattice.join_all(throughputs)
+    optimal_path = next((p for p, value in zip(paths, throughputs) if value == alpha), None)
+    return "bruteforce", len(paths), optimal_path, alpha
 
 
 def first_path_at_least(net: FlowNetwork, cap: CapacityAssignment, j: Element) -> tuple[str, ...] | None:
@@ -175,12 +189,13 @@ def _cut_side(
 
 
 def cut_side(
-    net: FlowNetwork, cap: CapacityAssignment, mode: str, max_vertices: int
+    net: FlowNetwork, cap: CapacityAssignment, mode: str, max_vertices: int, method: str = "auto"
 ) -> tuple[str, int, Cut | None, Element]:
     """The route's name, cut count, first optimal cut and beta by the one
-    route rule: strict mode on a certified-distributive lattice takes the
-    threshold cut side, with no vertex cap; the rest enumerates cuts."""
-    if mode == "strict" and is_distributive(cap.lattice) is True:
+    route rule: under "auto", strict mode on a certified-distributive
+    lattice takes the threshold cut side, with no vertex cap; the rest,
+    and any other ``method``, enumerates cuts."""
+    if method == "auto" and mode == "strict" and is_distributive(cap.lattice) is True:
         return "threshold", net.n_partitions, *_threshold_side(net, cap)
     return "bruteforce", *_cut_side(net, cap, mode, max_vertices)
 
@@ -301,43 +316,26 @@ def verify_duality(
     """Compute both duality sides and attach achieving witnesses.
 
     ``method`` picks the routes: "bruteforce" folds over enumerated paths,
-    under ``max_paths``; "dp" runs the dynamic program (distributive
-    lattices only unless overridden), counts the paths by
-    :func:`count_paths` and takes the witness from
-    :func:`first_path_at_least`, so it lists no path and no path cap
-    binds it. Both go next to the brute-force cut side. "auto" takes the
-    dynamic program exactly when the lattice is certified distributive,
-    and the cut side by :func:`cut_side`'s route rule. Lenient mode's
-    cut side is always brute force, since it counts the minimal crossing
-    sets: it lists them by their source sides, under the vertex cap. A
-    path or cut witness is attached only when some path/cut actually
-    attains the reported value; either may be absent.
+    under ``max_paths``, and "dp" runs the dynamic program (distributive
+    lattices only unless overridden); both go next to the brute-force cut
+    side. "auto" takes each side by its route rule, :func:`path_side`'s
+    and :func:`cut_side`'s. Lenient mode's cut side is always brute
+    force, since it counts the minimal crossing sets: it lists them by
+    their source sides, under the vertex cap. A path or cut witness is
+    attached only when some path/cut actually attains the reported value;
+    either may be absent.
     """
     if method not in ("auto", "bruteforce", "dp"):
         raise ValueError(f"method must be auto, bruteforce or dp, got {method!r}")
-    route = method == "auto"
-    if route:
-        method = "dp" if is_distributive(cap.lattice) is True else "bruteforce"
-    if method == "dp":
-        alpha = alpha_dp(net, cap, allow_non_distributive=allow_non_distributive)
-        n_paths, optimal_path = count_paths(net), first_path_at_least(net, cap, alpha)
-    else:
-        paths, throughputs, alpha = _path_side(net, cap, max_paths)
-        n_paths = len(paths)
-        optimal_path = next((p for p, value in zip(paths, throughputs) if value == alpha), None)
-    if route:
-        beta_method, n_cuts, optimal_cut, beta = cut_side(net, cap, mode, max_vertices)
-    else:
-        beta_method = "bruteforce"
-        n_cuts, optimal_cut, beta = _cut_side(net, cap, mode, max_vertices)
-
+    alpha_method, n_paths, optimal_path, alpha = path_side(net, cap, method, max_paths, allow_non_distributive)
+    beta_method, n_cuts, optimal_cut, beta = cut_side(net, cap, mode, max_vertices, method)
     return DualityReport(
         alpha=alpha,
         beta=beta,
         equal=alpha == beta,
         optimal_path=optimal_path,
         optimal_cut=optimal_cut,
-        alpha_method=method,
+        alpha_method=alpha_method,
         beta_method=beta_method,
         n_paths=n_paths,
         n_cuts=n_cuts,

@@ -29,7 +29,7 @@ from .errors import (
     NoBottomError,
     UniverseTooLarge,
 )
-from .flows import is_feasible_flow, max_flow_value
+from .flows import _feasibility, max_flow_value
 from .gallery import gallery_expected, gallery_names, gallery_source, run_gallery_entry
 from .generators import random_instance
 from .instances import Instance, load_instance, load_lattice, parse_flow, read_json
@@ -305,8 +305,7 @@ def _cmd_maxflow(args) -> tuple[dict, int]:
         "equal": value == beta,
     }
     if args.check_flow:
-        phi = parse_flow(read_json(args.check_flow), net, lat)
-        check = is_feasible_flow(net, cap, phi)
+        check = _feasibility(net, cap, parse_flow(read_json(args.check_flow), net, lat))
         result["checked_flow"] = check.to_dict(cap)
         if not check.ok:
             result["checked_flow"]["warning"] = "flow is infeasible; value computed anyway"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .bottleneck import alpha_bruteforce, path_throughput, require_distributive
+from .bottleneck import path_side, path_throughput, require_distributive
 from .certify import is_distributive  # noqa: F401  (unused here; perfbench/spans.py wraps this binding)
 from .lattices import Element
 from .network import CapacityAssignment, Edge, FlowNetwork
@@ -55,13 +55,18 @@ def is_feasible_flow(
     Dead-end vertices (possible in lenient mode) compare against the
     empty join, the lattice bottom, as does a source without out-edges.
     """
-    lat = cap.lattice
     missing = [e for e in net.edges if e not in phi]
     if missing:
         raise ValueError(f"flow is missing values for edges: {missing}")
     for e in net.edges:
-        lat.check(phi[e])
+        cap.lattice.check(phi[e])
+    return _feasibility(net, cap, phi)
 
+
+def _feasibility(net: FlowNetwork, cap: CapacityAssignment, phi: Mapping[Edge, Element]) -> FlowCheck:
+    """:func:`is_feasible_flow` on a total phi of members already, as
+    :func:`instances.parse_flow` returns: they are not checked again."""
+    lat = cap.lattice
     cap_bad = []
     for e in net.edges:
         if not lat._leq(phi[e], cap[e]):
@@ -149,7 +154,7 @@ def max_flow_value(
     cap: CapacityAssignment,
     allow_non_distributive: bool = False,
 ) -> Element:
-    """Largest flow value, computed as the join of path throughputs.
+    """Largest flow value: the path side by :func:`path_side`'s route rule.
 
     The reduction from all flows to path flows (and the equality with the
     minimal cut value) is only valid over distributive lattices, so the
@@ -158,4 +163,4 @@ def max_flow_value(
     require_distributive(
         cap.lattice, allow_non_distributive, "equating the maximal flow value with the path side"
     )
-    return alpha_bruteforce(net, cap)
+    return path_side(net, cap)[3]

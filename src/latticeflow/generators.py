@@ -164,25 +164,18 @@ def random_explicit_lattice(rng: random.Random, max_size: int = 12) -> ExplicitL
         if current is None or not 2 <= len(current) <= max_size:
             continue
         index = {x: i for i, x in enumerate(elems)}
-        members = sorted(current, key=index.__getitem__)
-        names = [f"x{i}" for i in range(len(members))]
-        by_member = dict(zip(members, names))
-        pairs = [
-            (by_member[a], by_member[b])
-            for a in members
-            for b in members
-            if ambient._leq(a, b)
-        ]
-        return ExplicitLattice.from_relation(names, pairs)
+        return _explicit_copy(ambient, sorted(current, key=index.__getitem__))
     # dependable fallback: a small Boolean cube
     cube = PowersetLattice("xy")
-    members = cube.element_list()
-    names = [f"x{i}" for i in range(len(members))]
-    by_member = dict(zip(members, names))
-    pairs = [
-        (by_member[a], by_member[b]) for a in members for b in members if cube._leq(a, b)
-    ]
-    return ExplicitLattice.from_relation(names, pairs)
+    return _explicit_copy(cube, cube.element_list())
+
+
+def _explicit_copy(lattice: Lattice, members) -> ExplicitLattice:
+    """The order ``lattice`` induces on ``members``, as an explicit table
+    whose i-th element, named ``x<i>``, is the i-th member."""
+    names = {x: f"x{i}" for i, x in enumerate(members)}
+    pairs = [(names[a], names[b]) for a in members for b in members if lattice._leq(a, b)]
+    return ExplicitLattice.from_relation(list(names.values()), pairs)
 
 
 def random_weighted_poset(

@@ -346,7 +346,7 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def parse_flow(data, net: FlowNetwork, lattice: Lattice) -> dict:
     """Edge-to-element map from a decoded flow file:
-    {"edges": [{"from", "to", "value"}]}."""
+    {"edges": [{"from", "to", "value"}]}, each network edge exactly once."""
     if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise InstanceError("flow file must be an object with an 'edges' list")
     phi = {}
@@ -357,6 +357,8 @@ def parse_flow(data, net: FlowNetwork, lattice: Lattice) -> dict:
         edge = (_name(_need(e, "from", where), f"{where}.from"), _name(_need(e, "to", where), f"{where}.to"))
         if edge not in net.edge_set:
             _fail(where, f"{edge} is not an edge of the network")
+        if edge in phi:
+            _fail(where, f"edge {edge} is listed twice")
         phi[edge] = _element(lattice, _need(e, "value", where), f"{where}.value")
     missing = [e for e in net.edges if e not in phi]
     if missing:

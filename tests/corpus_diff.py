@@ -1,0 +1,119 @@
+"""Byte-identity check of the CLI between two checkouts.
+
+    python3 tests/corpus_diff.py PARENT CHANGE
+
+PARENT and CHANGE are checkouts of the repository. The seed-1 ``fuzz``,
+``poset`` and ``explicit`` benchmark corpora are written once, into a
+temporary directory, by PARENT's ``perfbench.corpus.BUILDERS`` and
+program; every ``maxflow`` call also gets a ``--mode lenient`` variant.
+Each checkout then runs every call in-process through
+``latticeflow.cli.run_command``, one subprocess per checkout. Each call
+whose exit code, stdout or stderr differ is printed; the exit code is 1
+if any does, else 0. Standard library only; neither checkout is written
+to (no bytecode cache either). pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import difflib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEED = 1
+WORKLOADS = ("fuzz", "poset", "explicit")
+
+
+def _import_from(tree: Path, *extra: Path):
+    """``latticeflow.cli`` from ``tree``'s sources, and nowhere else."""
+    sys.path[:0] = [str(tree / "src"), *map(str, extra)]
+    import latticeflow.cli as cli
+
+    if Path(cli.__file__).resolve().parent != (tree / "src" / "latticeflow").resolve():
+        raise SystemExit(f"error: imported latticeflow from {cli.__file__}, not from {tree}")
+    return cli
+
+
+def build(tree: Path, workdir: Path) -> list[list[str]]:
+    """Every call of the three corpora, then the lenient maxflow variants."""
+    _import_from(tree, tree)
+    from perfbench.corpus import BUILDERS
+
+    calls = [argv for w in WORKLOADS for unit in BUILDERS[w](SEED, workdir) for argv in unit.argvs]
+    return calls + [[*argv, "--mode", "lenient"] for argv in calls if argv[0] == "maxflow"]
+
+
+def run(tree: Path, calls: list[list[str]]) -> list[list]:
+    """(exit code, stdout, stderr) of each call; an exception is reported
+    by its type and message, which name no path of the checkout."""
+    cli = _import_from(tree)
+    outputs = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.run_command(argv)[1]
+            except Exception as exc:
+                code = "exception"
+                err.write(f"{type(exc).__name__}: {exc}\n")
+        outputs.append([code, out.getvalue(), err.getvalue()])
+    return outputs
+
+
+def _worker(*args: str) -> dict:
+    done = subprocess.run(
+        [sys.executable, __file__, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"error: worker {args[0]} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def _show(label: str, a: str, b: str) -> list[str]:
+    lines = difflib.unified_diff(a.splitlines(), b.splitlines(), "parent", "change", lineterm="", n=1)
+    return [f"  {label}:", *(f"    {line}" for line in list(lines)[:40])]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 4 and argv[1] in ("build", "run"):  # worker
+        tree, arg = Path(argv[2]), Path(argv[3])
+        if argv[1] == "build":
+            result = build(tree, arg)
+        else:
+            result = run(tree, json.loads(arg.read_text()))
+        json.dump(result, sys.stdout)
+        return 0
+    if len(argv) != 3:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv[1:])
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        calls = _worker("build", str(parent), str(work))
+        calls_file = work / "calls.json"
+        calls_file.write_text(json.dumps(calls))
+        before = _worker("run", str(parent), str(calls_file))
+        after = _worker("run", str(change), str(calls_file))
+        differ = 0
+        for call, a, b in zip(calls, before, after):
+            if a == b:
+                continue
+            differ += 1
+            print(" ".join(Path(x).name if x.startswith(tmp) else x for x in call))
+            if a[0] != b[0]:
+                print(f"  exit code: {a[0]} -> {b[0]}")
+            for label, i in (("stdout", 1), ("stderr", 2)):
+                if a[i] != b[i]:
+                    print("\n".join(_show(label, a[i], b[i])))
+    print(f"{len(calls)} calls, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -178,9 +178,10 @@ class TestBottleneck:
         assert capsys.readouterr().err == "error: cut enumeration needs 2^28 partitions; cap is 22 vertices\n"
 
     @staticmethod
-    def layered_file(tmp_path, width, layers):
+    def layered_file(tmp_path, width, layers, lattice=None):
         """The layered reference row of ``width`` x ``layers``: capacities are
-        three of the atoms a..f, drawn from ``Random(100 * width + layers)``."""
+        three of the atoms a..f, drawn from ``Random(100 * width + layers)``;
+        or, over a given ``lattice``, its elements drawn from the same seed."""
         import random
 
         from latticeflow import PowersetLattice
@@ -188,7 +189,10 @@ class TestBottleneck:
 
         net = layered_network(width, layers)
         rng = random.Random(100 * width + layers)
-        cap = CapacityAssignment(PowersetLattice("abcdef"), {e: frozenset(rng.sample("abcdef", 3)) for e in net.edges})
+        if lattice is None:
+            cap = CapacityAssignment(PowersetLattice("abcdef"), {e: frozenset(rng.sample("abcdef", 3)) for e in net.edges})
+        else:
+            cap = CapacityAssignment(lattice, {e: rng.choice(lattice.element_list()) for e in net.edges})
         f = tmp_path / f"layered{width}x{layers}.json"
         f.write_text(json.dumps(instance_to_dict(Instance(cap.lattice, "layered", network=net, capacities=cap))))
         return str(f)
@@ -209,6 +213,22 @@ class TestBottleneck:
         report, code = run_command(["bottleneck", self.layered_file(tmp_path, 10, 7), "--format", "json"])
         assert code == 0
         assert (report["paths"], report["cuts"], report["equal"]) == (10**7, 2**70, True)
+
+    def test_maxflow_counts_the_ten_million_paths_too(self, tmp_path, capsys):
+        f = self.layered_file(tmp_path, 10, 7)
+        flow, code = run_command(["maxflow", f, "--format", "json"])
+        assert code == 0 and flow["equal"] is True
+        dual, _ = run_command(["bottleneck", f, "--format", "json"])
+        assert flow["max_flow_value"] == dual["alpha"] == flow["min_cut_value"]
+        capsys.readouterr()
+
+    def test_maxflow_lists_the_paths_of_an_uncertified_lattice_under_the_cap(self, tmp_path, capsys):
+        from latticeflow import PentagonLattice
+
+        f = self.layered_file(tmp_path, 10, 7, PentagonLattice())
+        _, code = run_command(["maxflow", f, "--unsafe-dp"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: more than 1000000 source-to-sink paths\n")
 
     @pytest.mark.parametrize("kind", ["pentagon", "diamond"])
     def test_unsafe_dp_on_the_counterexample_networks(self, kind, tmp_path):

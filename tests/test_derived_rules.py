@@ -186,6 +186,7 @@ def test_maxflow_and_bottleneck_take_the_same_cut_route(tmp_path, capsys):
             dual, _ = run_command(["bottleneck", f, "--mode", mode, "--format", "json"])
             flow, _ = run_command(["maxflow", f, "--mode", mode, "--unsafe-dp", "--format", "json"])
             assert (flow["min_cut_method"], flow["min_cut_value"]) == (dual["beta_method"], dual["beta"])
+            assert flow["max_flow_value"] == dual["alpha"]
     capsys.readouterr()
 
 
@@ -198,6 +199,15 @@ def test_a_wrong_threshold_side_reaches_both_commands(tmp_path, monkeypatch):
         assert code == EXIT_VIOLATION and report["equal"] is False
         _, code = run_command([command, str(f), "--mode", "lenient", "--format", "json"])
         assert code == EXIT_OK
+
+
+def test_a_wrong_dynamic_program_reaches_both_commands(tmp_path, monkeypatch):
+    f = tmp_path / "supply.json"
+    f.write_text(gallery_source("supply-chain"))
+    monkeypatch.setattr(bottleneck, "alpha_dp", lambda net, cap, allow_non_distributive=False: cap.lattice.bottom())
+    for command in ("bottleneck", "maxflow"):
+        report, code = run_command([command, str(f), "--format", "json"])
+        assert code == EXIT_VIOLATION and report["equal"] is False
 
 
 @pytest.mark.parametrize("distributive", [True, False, None])

@@ -382,6 +382,8 @@ INPUT_ERRORS = {
                                   "file holds neither a lattice spec nor an instance with one"),
     "flow-not-an-object": ("maxflow", [], "flow file must be an object with an 'edges' list"),
     "flow-edge-not-an-object": ("maxflow", {"edges": [5]}, "edges[0]: must be an object with from/to/value"),
+    "flow-repeated-edge": ("maxflow", {"edges": [{"from": "s", "to": "t", "value": 1}] * 2},
+                           "edges[1]: edge ('s', 't') is listed twice"),
     "chain-levels": ("bottleneck", net_file({"kind": "chain", "levels": 0}),
                      "lattice: chain lattice needs a positive integer level count"),
     "duplicate-atoms": ("bottleneck", net_file({"kind": "powerset", "universe": ["a", "a"]}),

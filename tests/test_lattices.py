@@ -613,8 +613,11 @@ class TestParseReturnsMembers:
         bad = parse_non_members(parse_cases())
         assert ("intervals(step=0.1)", [0.1 + 0.2, 0.7], (0.1 + 0.2, 0.7)) in bad
 
-    def test_one_check_per_element(self, monkeypatch):
-        from latticeflow import CapacityAssignment, WeightedPoset, parse_instance
+    def test_one_check_per_element(self, monkeypatch, tmp_path, capsys):
+        import json
+
+        from latticeflow import CapacityAssignment, FlowNetwork, WeightedPoset, is_feasible_flow, parse_instance
+        from latticeflow.cli import run_command
 
         checked = []
         original = Lattice.check
@@ -639,6 +642,24 @@ class TestParseReturnsMembers:
             CapacityAssignment(L, {("s", "t"): 4})
         with pytest.raises(MismatchError):
             WeightedPoset(["x"], [], {"x": 4}, L)
+        # flows: one check per value from a library caller and from a flow file
+        checked.clear()
+        cap = CapacityAssignment._of_members(L, dict(zip(edges, (3, 1, 2))))
+        is_feasible_flow(FlowNetwork(["s", "a", "t"], edges, "s", "t"), cap, dict(zip(edges, (1, 1, 0))))
+        assert checked == [1, 1, 0]  # library callers: one check each
+        with pytest.raises(MismatchError):
+            is_feasible_flow(FlowNetwork(["s", "t"], [("s", "t")], "s", "t"), cap, {("s", "t"): 4})
+        net, flow = tmp_path / "net.json", tmp_path / "flow.json"
+        net.write_text(json.dumps({
+            "lattice": {"kind": "chain", "levels": 4},
+            "vertices": ["s", "a", "t"], "source": "s", "sink": "t",
+            "edges": [{"from": u, "to": v, "capacity": c} for (u, v), c in zip(edges, (3, 1, 2))],
+        }))
+        flow.write_text(json.dumps({"edges": [{"from": u, "to": v, "value": x} for (u, v), x in zip(edges, (1, 1, 0))]}))
+        checked.clear()
+        _, code = run_command(["maxflow", str(net), "--check-flow", str(flow)])
+        assert code == 0 and "feasible=True" in capsys.readouterr().out
+        assert checked == [3, 1, 2, 1, 1, 0]  # file input: parse's check only
 
 
 # -- kernels ---------------------------------------------------------------------
