@@ -26,7 +26,6 @@ lists only the minimal cuts over cover and sink edges.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from typing import Iterable, Mapping
@@ -116,8 +115,14 @@ class WeightedPoset:
 
     # each runs once per poset, through the module function (whose binding spans wrap)
     chains = cached_property(lambda self: tuple(maximal_chains(self)))
-    antichains = cached_property(lambda self: tuple(maximal_antichains(self)))
     network = cached_property(lambda self: auxiliary_network(self))
+
+    @cached_property
+    def antichains(self) -> tuple[tuple[str, ...], ...]:
+        masks: list[int] = []
+        found = tuple(maximal_antichains(self, masks))
+        self._antichain_masks = dict(zip(found, masks))  # each antichain's element mask
+        return found
 
     def __repr__(self):
         return f"WeightedPoset({len(self.elements)} elements, {len(self.covers)} covers)"
@@ -154,12 +159,13 @@ def maximal_chains(poset: WeightedPoset, max_chains: int = DEFAULT_MAX_CHAINS) -
     return out
 
 
-def maximal_antichains(poset: WeightedPoset) -> list[tuple[str, ...]]:
+def maximal_antichains(poset: WeightedPoset, masks: list[int] | None = None) -> list[tuple[str, ...]]:
     """All maximal antichains as element tuples in element order.
 
     They are the maximal cliques of the incomparability graph, found by
     Bron-Kerbosch with pivoting over element bitmasks (bit i is the i-th
-    element) and listed in increasing mask order.
+    element) and listed in increasing mask order. When ``masks`` is a
+    list, the clique masks are appended to it in the same order.
     """
     n = len(poset.elements)
     if n > DEFAULT_MAX_POSET:
@@ -179,7 +185,10 @@ def maximal_antichains(poset: WeightedPoset) -> list[tuple[str, ...]]:
             excluded |= 1 << v
 
     extend(0, (1 << n) - 1, 0)
-    return [tuple(elems[i] for i in set_bits(m)) for m in sorted(cliques)]
+    cliques.sort()
+    if masks is not None:
+        masks += cliques
+    return [tuple(elems[i] for i in set_bits(m)) for m in cliques]
 
 
 def chain_value(poset: WeightedPoset, chain: Iterable[str]) -> Element:
@@ -346,6 +355,13 @@ def check_correspondences(poset: WeightedPoset) -> CorrespondenceReport:
     (the complete bipartite poset on two plus two elements). Hence ``ok``
     implies that the maximal antichains are exactly the minimal chain
     transversals, but not conversely.
+
+    Both round trips run on bitmasks: crossing sets on edge masks (bit k
+    is ``net.edges[k]``), tail sets and antichains on element masks (bit
+    i is ``poset.elements[i]``). A side's crossing mask is the OR of its
+    vertices' out-edge masks less the OR of their in-edge masks; the
+    sides themselves come from :func:`_cut_for_antichain`. Element names
+    are built only for the problem messages.
     """
     net, _ = poset.network
     problems: list[str] = []
@@ -356,35 +372,69 @@ def check_correspondences(poset: WeightedPoset) -> CorrespondenceReport:
         problems.append("stripped paths differ from maximal chains")
 
     antichains = poset.antichains  # its element cap applies before any cut is listed
-    source_edges = sum(1 << i for i, e in enumerate(net.edges) if e[0] == net.source)
+    mask_of = poset._antichain_masks
+    maximal = {mask_of[a] for a in antichains}
+    elems = poset.elements
+    outs = dict.fromkeys(net.vertices, 0)
+    ins = dict.fromkeys(net.vertices, 0)
+    for k, (u, v) in enumerate(net.edges):
+        outs[u] |= 1 << k
+        ins[v] |= 1 << k
+    source_edges = outs[net.source]
+    elem_outs = [(1 << i, outs[x]) for i, x in enumerate(elems)]
+    above = [u & ~(1 << i) for i, u in enumerate(poset._up)]  # each element's strict up-set
     in_poset_edges = minimal_cut_masks(net, source_edges)
-    minimal, maximal = set(in_poset_edges), set(antichains)
 
     def crossing_for(antichain) -> int:
-        side = _cut_for_antichain(poset, net, antichain)
-        return sum(1 << i for i, (u, v) in enumerate(net.edges) if u in side and v not in side)
+        out = into = 0
+        for v in _cut_for_antichain(poset, net, antichain):
+            out |= outs[v]
+            into |= ins[v]
+        return out & ~into
 
-    def tails(crossing: int) -> tuple[str, ...]:
-        return tuple(sorted({net.edges[i][0] for i in set_bits(crossing)}, key=poset._index.__getitem__))
+    def tails(crossing: int) -> int:
+        found = 0
+        for bit, out in elem_outs:
+            if out & crossing:
+                found |= bit
+        return found
+
+    def is_antichain(mask: int) -> bool:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if above[low.bit_length() - 1] & mask:
+                return False
+            rest ^= low
+        return True
+
+    def names(mask: int) -> tuple[str, ...]:
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(elems[low.bit_length() - 1])
+            mask ^= low
+        return tuple(found)
 
     def antichain_problem(a) -> str | None:
         crossing = crossing_for(a)
         if crossing & source_edges:
             return f"cut for antichain {a} crosses a source edge"
-        if crossing not in minimal:
+        if crossing not in in_poset_edges:
             return f"cut for antichain {a} is not a minimal cut"
-        if tails(crossing) != a:
-            return f"antichain {a} round-trips to {tails(crossing)}"
+        back = tails(crossing)
+        if back != mask_of[a]:
+            return f"antichain {a} round-trips to {names(back)}"
         return None
 
     def cut_problem(crossing) -> str | None:
         sources = tails(crossing)
-        if any(poset.comparable(x, y) for x, y in itertools.combinations(sources, 2)):
-            return f"minimal cut sources {sources} are not an antichain"
+        if not is_antichain(sources):
+            return f"minimal cut sources {names(sources)} are not an antichain"
         if sources not in maximal:
-            return f"minimal cut sources {sources} are not a maximal antichain"
-        if crossing_for(sources) != crossing:
-            return f"cut with sources {sources} does not round-trip"
+            return f"minimal cut sources {names(sources)} are not a maximal antichain"
+        if crossing_for(names(sources)) != crossing:
+            return f"cut with sources {names(sources)} does not round-trip"
         return None
 
     antichain_problems = [q for q in map(antichain_problem, antichains) if q]

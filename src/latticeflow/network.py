@@ -322,38 +322,44 @@ def minimal_cut_masks(net: FlowNetwork, avoid: int) -> dict[int, int]:
     (s,t)-cuts in graphs", Algorithmica 1996). So this backtracks over
     the topological order on vertex bitmasks: a vertex with a
     predecessor in S joins S or is left out as a head, which must reach
-    the sink avoiding S (checked by one reverse pass each time S grows)
-    and may receive no ``avoid`` edge from S. Edges into the sink are
-    only known at a leaf, where a crossing mask meeting ``avoid`` is
-    dropped. S is the smallest side inducing C, so the first partition
-    of the walk that does: the cuts are listed by its partition mask.
+    the sink avoiding S and may receive no ``avoid`` edge from S. When
+    S grows by a vertex, a reverse pass recomputes that reach for the
+    positions below it only, and for none if it lies past the sink.
+    Edges into the sink are only known at a leaf, where a crossing mask
+    meeting ``avoid`` is dropped. S is the smallest side inducing C, so
+    the first partition of the walk that does: the cuts are listed by
+    its partition mask.
     Needs a DAG and checks no cap; it walks on a stack of its own.
     """
     order = net.topological_order()
     pos = {v: i for i, v in enumerate(order)}
-    bit = {e: 1 << i for i, e in enumerate(net.edges)}
     n = len(order)
-    succ = [sum(1 << pos[w] for _, w in net.out_edges(v)) for v in order]
-    pred = [sum(1 << pos[u] for u, _ in net.in_edges(v)) for v in order]
-    avoid_pred = [sum(1 << pos[e[0]] for e in net.in_edges(v) if bit[e] & avoid) for v in order]
-    outs = [sum(bit[e] for e in net.out_edges(v)) for v in order]
-    ins = [sum(bit[e] for e in net.in_edges(v)) for v in order]
+    succ, pred, avoid_pred, outs, ins = ([0] * n for _ in range(5))
+    for k, (u, v) in enumerate(net.edges):  # one pass: vertex masks by position, edge masks by bit
+        i, j = pos[u], pos[v]
+        succ[i] |= 1 << j
+        pred[j] |= 1 << i
+        outs[i] |= 1 << k
+        ins[j] |= 1 << k
+        if avoid >> k & 1:
+            avoid_pred[j] |= 1 << i
     part = [0] * n  # partition-mask bit of each position; none for the source and sink
     for i, v in enumerate(net.partition_order):
         part[pos[v]] = 1 << i
     src, sink = pos[net.source], pos[net.sink]
 
-    def reach_sink(side: int) -> int:
-        """The vertices that reach the sink avoiding ``side``."""
-        reach = 1 << sink
-        for i in range(sink - 1, -1, -1):
+    def reach_sink(reach: int, side: int, top: int) -> int:
+        """``reach`` with the positions below ``top`` recomputed: those
+        that reach the sink avoiding ``side``."""
+        reach = reach >> top << top
+        for i in range(top - 1, -1, -1):
             if succ[i] & reach and not side >> i & 1:
                 reach |= 1 << i
         return reach
 
     found: list[tuple[int, int]] = []
     # next position, S, heads, reach; the ORs of S's out- and in-edge masks, its partition mask
-    stack = [(src + 1, 1 << src, 0, reach_sink(1 << src), outs[src], ins[src], 0)]
+    stack = [(src + 1, 1 << src, 0, reach_sink(1 << sink, 1 << src, sink), outs[src], ins[src], 0)]
     while stack:
         i, side, heads, reach, out, into, side_part = stack.pop()
         while i < n and (i == sink or not pred[i] & side):
@@ -366,7 +372,8 @@ def minimal_cut_masks(net: FlowNetwork, avoid: int) -> dict[int, int]:
         if reach >> i & 1 and not avoid_pred[i] & side:
             stack.append((i + 1, side, heads | 1 << i, reach, out, into, side_part))
         grown = side | 1 << i
-        grown_reach = reach_sink(grown)
+        # only positions below i can reach i, and past the sink i reaches nothing
+        grown_reach = reach_sink(reach, grown, i + 1) if i < sink else reach
         if not heads & ~grown_reach:
             stack.append((i + 1, grown, heads, grown_reach, out | outs[i], into | ins[i], side_part | part[i]))
     return {crossing: side_part for side_part, crossing in sorted(found)}

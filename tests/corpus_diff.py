@@ -5,7 +5,10 @@
 PARENT and CHANGE are checkouts of the repository. The seed-1 ``fuzz``,
 ``poset`` and ``explicit`` benchmark corpora are written once, into a
 temporary directory, by PARENT's ``perfbench.corpus.BUILDERS`` and
-program; every ``maxflow`` call also gets a ``--mode lenient`` variant.
+program; every ``maxflow`` call also gets a ``--mode lenient`` variant,
+and every ``dilworth`` call a ``--format text`` variant, a ``--method
+direct`` one without the correspondence check and a ``--method network``
+one with it.
 Each checkout then runs every call in-process through
 ``latticeflow.cli.run_command``, one subprocess per checkout. Each call
 whose exit code, stdout or stderr differ is printed; the exit code is 1
@@ -39,13 +42,23 @@ def _import_from(tree: Path, *extra: Path):
     return cli
 
 
+def _variants(argv: list[str]) -> list[list[str]]:
+    """The extra calls made of one corpus call; a repeated option's last value wins."""
+    if argv[0] == "maxflow":
+        return [[*argv, "--mode", "lenient"]]
+    if argv[0] == "dilworth":
+        alone = [a for a in argv if a != "--correspondences"]
+        return [[*argv, "--format", "text"], [*alone, "--method", "direct"], [*argv, "--method", "network"]]
+    return []
+
+
 def build(tree: Path, workdir: Path) -> list[list[str]]:
-    """Every call of the three corpora, then the lenient maxflow variants."""
+    """Every call of the three corpora, then the maxflow and dilworth variants."""
     _import_from(tree, tree)
     from perfbench.corpus import BUILDERS
 
     calls = [argv for w in WORKLOADS for unit in BUILDERS[w](SEED, workdir) for argv in unit.argvs]
-    return calls + [[*argv, "--mode", "lenient"] for argv in calls if argv[0] == "maxflow"]
+    return calls + [variant for argv in calls for variant in _variants(argv)]
 
 
 def run(tree: Path, calls: list[list[str]]) -> list[list]:

@@ -500,13 +500,18 @@ def reference_correspondences(poset):
 class TestCorrespondenceContract:
     def test_random_posets_match_reference(self):
         rng = random.Random(67)
+        posets = [random_weighted_poset(rng, random_distributive_lattice(rng), max_elements=12) for _ in range(60)]
+        # then 13 elements, the largest benchmark poset, where minimal cuts far outnumber antichains
+        while len(posets) < 72:
+            poset = random_weighted_poset(rng, random_distributive_lattice(rng), max_elements=13)
+            if len(poset.elements) == 13:
+                posets.append(poset)
         broken = 0
-        for _ in range(60):
-            poset = random_weighted_poset(rng, random_distributive_lattice(rng), max_elements=12)
+        for poset in posets:
             report = check_correspondences(poset)
             assert report == reference_correspondences(poset), poset
             broken += not report.ok
-        assert 0 < broken < 60  # both verdicts are exercised
+        assert 0 < broken < len(posets)  # both verdicts are exercised
 
     @pytest.mark.parametrize(
         "make",
