@@ -149,26 +149,21 @@ def _json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, in one pass: one
     join per container, where the standard library's indented encoder
     runs in pure Python and yields every token separately. Strings go
-    through its C escaper, a string item or value with no recursive
-    call; non-finite floats and keys that are not strings are
-    written as it writes them."""
+    through its C escaper; non-finite floats and keys that are not
+    strings are written as it writes them."""
     if isinstance(value, str):
         return _escape(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
-        items = [
-            _json_key(k) + ": " + (_escape(v) if v.__class__ is str else _json_text(v, inner))
-            for k, v in value.items()
-        ]
+        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + "  "
-        items = [_escape(v) if v.__class__ is str else _json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
     if value is None:
         return "null"
     if value is True:

@@ -115,14 +115,8 @@ class WeightedPoset:
 
     # each runs once per poset, through the module function (whose binding spans wrap)
     chains = cached_property(lambda self: tuple(maximal_chains(self)))
+    antichains = cached_property(lambda self: tuple(maximal_antichains(self)))
     network = cached_property(lambda self: auxiliary_network(self))
-
-    @cached_property
-    def antichains(self) -> tuple[tuple[str, ...], ...]:
-        masks: list[int] = []
-        found = tuple(maximal_antichains(self, masks))
-        self._antichain_masks = dict(zip(found, masks))  # each antichain's element mask
-        return found
 
     def __repr__(self):
         return f"WeightedPoset({len(self.elements)} elements, {len(self.covers)} covers)"
@@ -159,13 +153,12 @@ def maximal_chains(poset: WeightedPoset, max_chains: int = DEFAULT_MAX_CHAINS) -
     return out
 
 
-def maximal_antichains(poset: WeightedPoset, masks: list[int] | None = None) -> list[tuple[str, ...]]:
+def maximal_antichains(poset: WeightedPoset) -> list[tuple[str, ...]]:
     """All maximal antichains as element tuples in element order.
 
     They are the maximal cliques of the incomparability graph, found by
     Bron-Kerbosch with pivoting over element bitmasks (bit i is the i-th
-    element) and listed in increasing mask order. When ``masks`` is a
-    list, the clique masks are appended to it in the same order.
+    element) and listed in increasing mask order.
     """
     n = len(poset.elements)
     if n > DEFAULT_MAX_POSET:
@@ -185,10 +178,7 @@ def maximal_antichains(poset: WeightedPoset, masks: list[int] | None = None) -> 
             excluded |= 1 << v
 
     extend(0, (1 << n) - 1, 0)
-    cliques.sort()
-    if masks is not None:
-        masks += cliques
-    return [tuple(elems[i] for i in set_bits(m)) for m in cliques]
+    return [tuple(elems[i] for i in set_bits(m)) for m in sorted(cliques)]
 
 
 def chain_value(poset: WeightedPoset, chain: Iterable[str]) -> Element:
@@ -372,8 +362,9 @@ def check_correspondences(poset: WeightedPoset) -> CorrespondenceReport:
         problems.append("stripped paths differ from maximal chains")
 
     antichains = poset.antichains  # its element cap applies before any cut is listed
-    mask_of = poset._antichain_masks
-    maximal = {mask_of[a] for a in antichains}
+    index = poset._index
+    mask_of = {a: sum(1 << index[x] for x in a) for a in antichains}
+    maximal = set(mask_of.values())
     elems = poset.elements
     outs = dict.fromkeys(net.vertices, 0)
     ins = dict.fromkeys(net.vertices, 0)
