@@ -12,8 +12,9 @@ the least upper and greatest lower bounds, and every lattice law holds.
 The distributivity test, on tables that pass the lattice test: every
 join-irreducible is join-prime, which on a finite lattice is
 distributivity (Birkhoff; Davey & Priestley, *Introduction to Lattices
-and Order*, 2nd ed., 2002). The lattice verdict is kept on the lattice,
-like the certificate.
+and Order*, 2nd ed., 2002). The lattice verdict and the distributivity
+verdict are kept on the lattice, like the certificate.
+:func:`is_distributive` reads the verdict alone and builds no witness.
 
 Only a failing test enters a cubic scan, which names the failure. Both
 scans read each law once off the tables, one (a, b) row at a time: a
@@ -21,20 +22,22 @@ triple law is a bitmask of its failing c, from ANDed up-set and down-set
 bitmasks or from the positions where two gathered rows differ. The axiom
 scan yields its violations in triple-by-triple order and stops after the
 first 25; the distributivity scan takes the lowest failing c of the
-first failing row. Non-distributive verdicts carry a failing triple and
-a five-element pentagon/diamond sublattice witness. One search finds
-both witnesses: it classifies only the five-subsets that three middle
-elements and their pairs' joins and meets form, and returns the one a
-scan of every five-subset would find first. It works on indices, with
-the order from up-set bitmasks and the joins and meets from one
-``bounds(i, j)`` function. The certificate runs it inside the
-sublattice the failing triple generates, with ``bounds`` reading the
-tables, so no native operation is called after the tables are built.
-:func:`find_forbidden_sublattice`, an oracle sharing no code with the
-failing-triple scan or the two O(n²) tests, runs it on the whole
-universe with ``bounds`` keeping native results: at most one ``_join``
-and one ``_meet`` call per ordered pair, none on a result outside the
-universe, and no tables.
+first failing row. On tables that fail the lattice test that scan also
+decides the verdict. Non-distributive certificates carry a failing
+triple and a five-element pentagon/diamond sublattice witness. One
+search finds both witnesses: it classifies only the five-subsets that
+three middle elements and their pairs' joins and meets form, passing
+over every middle triple with more than one comparable ordered pair (M3
+has none, N5 one), and returns the one a scan of every five-subset
+would find first. It works on indices, with the order from up-set
+bitmasks and the joins and meets from one ``bounds(i, j)`` function.
+The certificate runs it inside the sublattice the failing triple
+generates, with ``bounds`` reading the tables, so no native operation is
+called after the tables are built. :func:`find_forbidden_sublattice`,
+an oracle sharing no code with the failing-triple scan or the two O(n²)
+tests, runs it on the whole universe with ``bounds`` keeping native
+results: at most one ``_join`` and one ``_meet`` call per ordered pair,
+none on a result outside the universe, and no tables.
 """
 
 from __future__ import annotations
@@ -345,32 +348,45 @@ def _first_distributive_failure(lattice: Lattice) -> tuple[tuple[int, int, int],
     return None
 
 
+def _distributive(lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE) -> bool:
+    """The distributivity verdict alone: structural, or the lattice test
+    and then join-primality, or on tables that fail the lattice test no
+    failing triple. It is kept on ``lattice``; the cap is checked on
+    every call."""
+    structural = lattice.known_distributive
+    if not structural:
+        _guard_size(lattice, max_size)
+    verdict = getattr(lattice, "_distributive_verdict", None)
+    if verdict is None:
+        if structural:
+            verdict = True
+        elif _is_lattice(lattice):
+            verdict = _join_prime_test(lattice.tables())
+        else:
+            verdict = _first_distributive_failure(lattice) is None
+        lattice._distributive_verdict = verdict
+    return verdict
+
+
 def check_distributive(
     lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE
 ) -> DistributivityCertificate:
     """Certify that both distributive laws hold on every triple, or use the
     structural guarantee for parametric kinds too large to enumerate.
 
-    The lattice test and join-primality decide; only tables that fail
-    one of them are scanned for a failing triple. A non-distributive
-    verdict carries the first failing triple in enumeration order plus
-    an N5/M3 sublattice witness. The certificate is kept on ``lattice``;
-    the cap is checked on every call.
+    The verdict is :func:`_distributive`'s; only a non-distributive one
+    is scanned for a failing triple. It carries the first failing triple
+    in enumeration order plus an N5/M3 sublattice witness. The
+    certificate is kept on ``lattice``; the cap is checked on every call.
     """
-    structural = lattice.known_distributive
-    if not structural:
-        _guard_size(lattice, max_size)
+    distributive = _distributive(lattice, max_size)
     cached = getattr(lattice, "_distributivity_cert", None)
     if cached is not None:
         return cached
-    if structural or (_is_lattice(lattice) and _join_prime_test(lattice.tables())):
-        failure = None
+    if distributive:
+        cert = DistributivityCertificate(True, "structural" if lattice.known_distributive else "exhaustive")
     else:
-        failure = _first_distributive_failure(lattice)
-    if failure is None:
-        cert = DistributivityCertificate(True, "structural" if structural else "exhaustive")
-    else:
-        triple, law = failure
+        triple, law = _first_distributive_failure(lattice)
         elems = lattice.element_list()
         cert = DistributivityCertificate(
             False,
@@ -402,15 +418,18 @@ def _native_bounds(lattice: Lattice) -> Callable:
     return bounds
 
 
-def _five_candidates(bounds: Callable, within: int) -> list[tuple[int, ...]]:
+def _five_candidates(bounds: Callable, up, within: int) -> list[tuple[int, ...]]:
     """Every five-subset of the bitmask ``within`` that :func:`_classify`
     can accept, as ascending indices in ``combinations`` order.
 
     An accepted set is its three middle elements x < y < z (by index)
-    plus their bottom and top. Closure puts the join and meet of each
-    pair (x, y), (x, z), (y, z) in it; the N5/M3 checks make the bottom
-    and the top the meet and the join of such a pair, or of (z, x) when
-    z is the lone middle of an N5 and the operations do not commute.
+    plus their bottom and top. The middles of an M3 are pairwise
+    incomparable and those of an N5 hold one comparable ordered pair, so
+    a triple with more than one, read off ``up``, is passed over before
+    any set is built. Closure puts the join and meet of each pair (x, y),
+    (x, z), (y, z) in the set; the N5/M3 checks make the bottom and the
+    top the meet and the join of such a pair, or of (z, x) when z is the
+    lone middle of an N5 and the operations do not commute.
     """
     members = list(set_bits(within))
     if len(members) < 5:
@@ -421,19 +440,34 @@ def _five_candidates(bounds: Callable, within: int) -> list[tuple[int, ...]]:
     for p, q in itertools.combinations(range(m), 2):
         join, meet = bounds(members[p], members[q])
         bits[p][q] = 1 << members[p] | 1 << members[q] | 1 << join | 1 << meet
+    # one[p], two[p]: the other members comparable with members[p] one
+    # way at least, and both ways; with a member z it holds
+    # (one[p] >> z & 1) + (two[p] >> z & 1) comparable ordered pairs
+    one, two = [], []
+    for x in members:
+        above, below = up[x] & within, sum(1 << z for z in members if up[z] >> x & 1)
+        one.append((above | below) & ~(1 << x))
+        two.append(above & below & ~(1 << x))
+    position = {x: p for p, x in enumerate(members)}
     outside, found = ~within, set()
     for p, x in enumerate(members):
-        bx = bits[p]
+        bx, one_x, two_x = bits[p], one[p], two[p]
         for q in range(p + 1, m):
-            bxy, by = bx[q], bits[q]
-            if bxy & outside:
-                continue  # no set holding x and y is closed in ``within``
-            for r in range(q + 1, m):
+            y, bxy = members[q], bx[q]
+            if bxy & outside or two_x >> y & 1:
+                continue  # no set holding x and y is closed in ``within``, or x, y hold two pairs
+            if one_x >> y & 1:  # z comparable with neither
+                keep = ~(one_x | one[q])
+            else:  # z comparable one way with one of them at most
+                keep = ~(two_x | two[q] | one_x & one[q])
+            by = bits[q]
+            for z in set_bits(keep & (within >> y + 1 << y + 1)):  # the members above y
+                r = position[z]
                 five = bxy | bx[r] | by[r]
                 if five & outside:
                     continue
                 if five.bit_count() < 5:
-                    join, meet = bounds(members[r], x)
+                    join, meet = bounds(z, x)
                     five |= 1 << join | 1 << meet
                 if five.bit_count() == 5 and not five & outside:
                     found.add(five)
@@ -443,7 +477,7 @@ def _five_candidates(bounds: Callable, within: int) -> list[tuple[int, ...]]:
 def _first_five(elems: tuple, bounds: Callable, up, within: int) -> SublatticeWitness | None:
     """The witness of the first of :func:`_five_candidates` that
     :func:`_classify` accepts, or None."""
-    for five in _five_candidates(bounds, within):
+    for five in _five_candidates(bounds, up, within):
         found = _classify(five, bounds, up)
         if found is not None:
             label, roles = found
@@ -474,8 +508,8 @@ def find_forbidden_sublattice(
 
 def is_distributive(lattice: Lattice) -> bool | None:
     """True/False when certifiable, None when the universe is too large
-    and no structural guarantee applies."""
+    and no structural guarantee applies. Decided without a witness."""
     try:
-        return check_distributive(lattice).distributive
+        return _distributive(lattice)
     except UniverseTooLarge:
         return None

@@ -935,3 +935,93 @@ class TestScansOnlyNameFailures:
         with contextlib.redirect_stdout(io.StringIO()):
             _, code = run_command([command, str(path), "--format", "json"])
         assert code == 0 and len(runs) == 1
+
+
+# -- the verdict alone, without a witness ---------------------------------------
+
+
+class TestVerdictWithoutWitness:
+    def test_is_the_certificate_verdict_on_fresh_lattices(self):
+        from_the_scan = set()
+        for L in contract_lattices():
+            assert getattr(L, "_distributivity_cert", None) is None
+            verdict = certify.is_distributive(L)
+            assert verdict is check_distributive(L).distributive, L.describe()
+            if not L.known_distributive and not _lattice_test(L.tables()):
+                from_the_scan.add(verdict)
+        # corrupted and rigged tables fail the lattice test: the failing-triple scan decides
+        assert from_the_scan == {True, False}
+
+    def test_cap_is_checked_before_the_kept_verdict(self):
+        names = [f"c{i}" for i in range(520)]
+        L = ExplicitLattice.from_covers(names, list(zip(names, names[1:])))
+        assert check_distributive(L, max_size=1000).distributive
+        assert certify.is_distributive(L) is None
+        with pytest.raises(UniverseTooLarge):
+            check_distributive(L)
+
+    @pytest.mark.parametrize(
+        "covers",
+        [
+            pytest.param([("0", "c"), ("c", "b"), ("b", "1"), ("0", "a"), ("a", "1")], id="pentagon"),
+            pytest.param([("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")], id="diamond"),
+        ],
+    )
+    def test_network_commands_build_no_witness(self, covers, monkeypatch, tmp_path):
+        spec = {"kind": "explicit", "elements": ["0", "a", "b", "c", "1"], "covers": [list(c) for c in covers]}
+        instance = {
+            "lattice": spec,
+            "vertices": ["s", "u", "v", "t"],
+            "source": "s",
+            "sink": "t",
+            "edges": [
+                {"from": "s", "to": "u", "capacity": "a"},
+                {"from": "u", "to": "t", "capacity": "b"},
+                {"from": "s", "to": "v", "capacity": "c"},
+                {"from": "v", "to": "t", "capacity": "1"},
+                {"from": "u", "to": "v", "capacity": "b"},
+            ],
+        }
+        network, bare = tmp_path / "network.json", tmp_path / "lattice.json"
+        network.write_text(json.dumps(instance))
+        bare.write_text(json.dumps(spec))
+        calls = {"_first_distributive_failure": 0, "_witness_from_triple": 0}
+        for name in calls:
+            fn = getattr(certify, name)
+            monkeypatch.setattr(certify, name, lambda *a, fn=fn, name=name: calls.__setitem__(name, calls[name] + 1) or fn(*a))
+        codes = []
+        for command in (["bottleneck"], ["maxflow"], ["maxflow", "--unsafe-dp"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(run_command([*command, str(network), "--format", "json"])[1])
+        assert codes == [0, 1, 0]  # maxflow refuses the uncertified lattice unless told
+        assert calls == {"_first_distributive_failure": 0, "_witness_from_triple": 0}
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            run_command(["check-lattice", str(bare), "--format", "json"])
+        L = ExplicitLattice.from_covers(spec["elements"], covers)
+        assert json.loads(out.getvalue())["distributivity"] == reference_distributive(L).to_dict(L)
+        assert calls == {"_first_distributive_failure": 1, "_witness_from_triple": 1}
+
+
+class TestForbiddenScanWork:
+    """The middle-triple search's work on explicit copies, pinned. Before
+    triples with more than one comparable ordered pair were passed over,
+    the three made 440, 70 and 280 classifications and 862, 606 and 632
+    native calls."""
+
+    @pytest.mark.parametrize(
+        "factors, size, classified, native",
+        [
+            pytest.param([ChainLattice(2), ChainLattice(3), ChainLattice(4)], 24, 0, 552, id="chain2-x-chain3-x-chain4"),
+            pytest.param([PentagonLattice(), ChainLattice(4)], 20, 1, 384, id="pentagon-x-chain4"),
+            pytest.param([ChainLattice(4), ChainLattice(5)], 20, 0, 380, id="chain4-x-chain5"),
+        ],
+    )
+    def test_classifications_and_native_calls(self, factors, size, classified, native, monkeypatch):
+        L = explicit_copy(ProductLattice(factors))
+        classifications = []
+        classify = certify._classify
+        monkeypatch.setattr(certify, "_classify", lambda *a: classifications.append(1) or classify(*a))
+        calls = count_calls(L)
+        wit = find_forbidden_sublattice(L)
+        assert (wit is None) == (not isinstance(factors[0], PentagonLattice))
+        assert (L.size(), len(classifications), calls[0]) == (size, classified, native)
