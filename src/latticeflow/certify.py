@@ -351,8 +351,8 @@ def _first_distributive_failure(lattice: Lattice) -> tuple[tuple[int, int, int],
 def _distributive(lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE) -> bool:
     """The distributivity verdict alone: structural, or the lattice test
     and then join-primality, or on tables that fail the lattice test no
-    failing triple. It is kept on ``lattice``; the cap is checked on
-    every call."""
+    failing triple. It is kept on ``lattice``, and so is the failing
+    triple the scan found; the cap is checked on every call."""
     structural = lattice.known_distributive
     if not structural:
         _guard_size(lattice, max_size)
@@ -363,7 +363,8 @@ def _distributive(lattice: Lattice, max_size: int = DEFAULT_MAX_UNIVERSE) -> boo
         elif _is_lattice(lattice):
             verdict = _join_prime_test(lattice.tables())
         else:
-            verdict = _first_distributive_failure(lattice) is None
+            lattice._distributive_failure = _first_distributive_failure(lattice)
+            verdict = lattice._distributive_failure is None
         lattice._distributive_verdict = verdict
     return verdict
 
@@ -375,7 +376,8 @@ def check_distributive(
     structural guarantee for parametric kinds too large to enumerate.
 
     The verdict is :func:`_distributive`'s; only a non-distributive one
-    is scanned for a failing triple. It carries the first failing triple
+    is scanned for a failing triple, unless the verdict came from that
+    scan. It carries the first failing triple
     in enumeration order plus an N5/M3 sublattice witness. The
     certificate is kept on ``lattice``; the cap is checked on every call.
     """
@@ -386,7 +388,7 @@ def check_distributive(
     if distributive:
         cert = DistributivityCertificate(True, "structural" if lattice.known_distributive else "exhaustive")
     else:
-        triple, law = _first_distributive_failure(lattice)
+        triple, law = getattr(lattice, "_distributive_failure", None) or _first_distributive_failure(lattice)
         elems = lattice.element_list()
         cert = DistributivityCertificate(
             False,
@@ -429,17 +431,25 @@ def _five_candidates(bounds: Callable, up, within: int) -> list[tuple[int, ...]]
     any set is built. Closure puts the join and meet of each pair (x, y),
     (x, z), (y, z) in the set; the N5/M3 checks make the bottom and the
     top the meet and the join of such a pair, or of (z, x) when z is the
-    lone middle of an N5 and the operations do not commute.
+    lone middle of an N5 and the operations do not commute. ``bounds`` is
+    called for a pair only when a kept triple reads it, and for (y, z)
+    only while the set of x, y, z and the other two pairs' bounds can
+    still close into five members of ``within``.
     """
     members = list(set_bits(within))
     if len(members) < 5:
         return []
-    # bits[p][q]: members p < q (by position) and their join and meet
+    # bits[p][q]: members p < q (by position) and their join and meet,
+    # built when a kept triple first reads them (0 until then)
     m = len(members)
     bits = [[0] * m for _ in range(m)]
-    for p, q in itertools.combinations(range(m), 2):
-        join, meet = bounds(members[p], members[q])
-        bits[p][q] = 1 << members[p] | 1 << members[q] | 1 << join | 1 << meet
+
+    def pair(p: int, q: int) -> int:
+        if not bits[p][q]:
+            join, meet = bounds(members[p], members[q])
+            bits[p][q] = 1 << members[p] | 1 << members[q] | 1 << join | 1 << meet
+        return bits[p][q]
+
     # one[p], two[p]: the other members comparable with members[p] one
     # way at least, and both ways; with a member z it holds
     # (one[p] >> z & 1) + (two[p] >> z & 1) comparable ordered pairs
@@ -451,19 +461,27 @@ def _five_candidates(bounds: Callable, up, within: int) -> list[tuple[int, ...]]
     position = {x: p for p, x in enumerate(members)}
     outside, found = ~within, set()
     for p, x in enumerate(members):
-        bx, one_x, two_x = bits[p], one[p], two[p]
+        one_x, two_x = one[p], two[p]
         for q in range(p + 1, m):
-            y, bxy = members[q], bx[q]
-            if bxy & outside or two_x >> y & 1:
-                continue  # no set holding x and y is closed in ``within``, or x, y hold two pairs
+            y = members[q]
+            if two_x >> y & 1:
+                continue  # x, y hold two pairs
             if one_x >> y & 1:  # z comparable with neither
                 keep = ~(one_x | one[q])
             else:  # z comparable one way with one of them at most
                 keep = ~(two_x | two[q] | one_x & one[q])
-            by = bits[q]
-            for z in set_bits(keep & (within >> y + 1 << y + 1)):  # the members above y
+            above = keep & (within >> y + 1 << y + 1)  # the members above y
+            if not above:
+                continue
+            bxy = pair(p, q)
+            if bxy & outside:
+                continue  # no set holding x and y is closed in ``within``
+            for z in set_bits(above):
                 r = position[z]
-                five = bxy | bx[r] | by[r]
+                five = bxy | pair(p, r)
+                if five & outside or five.bit_count() > 5:
+                    continue
+                five |= pair(q, r)
                 if five & outside:
                     continue
                 if five.bit_count() < 5:

@@ -76,10 +76,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and shared by every later call,
     so callers parse with it and never change it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and its subparsers by command name."""
     parser = _Parser(prog="latticeflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -129,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=_at_least(2, DEFAULT_MAX_CUT_VERTICES), default=10)
     add_format(p)
 
-    return parser
+    return parser, sub.choices
 
 
 def _load(args, payload: str) -> Instance:
@@ -149,21 +154,26 @@ def _json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, in one pass: one
     join per container, where the standard library's indented encoder
     runs in pure Python and yields every token separately. Strings go
-    through its C escaper; non-finite floats and keys that are not
-    strings are written as it writes them."""
+    through its C escaper, those inside a container in place, with no
+    call per string; non-finite floats and keys that are not strings are
+    written as it writes them."""
     if isinstance(value, str):
         return _escape(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
-        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        items = [
+            _json_key(k) + ": " + (_escape(v) if isinstance(v, str) else _json_text(v, inner))
+            for k, v in value.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+        items = [_escape(v) if isinstance(v, str) else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if value is None:
         return "null"
     if value is True:
@@ -473,11 +483,24 @@ _HANDLERS = {
 }
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``. When ``argv`` starts with a
+    command, its subparser alone parses the rest, as the full parser
+    would hand it on; any other ``argv`` goes through the full parser."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def run_command(argv) -> tuple[dict, int]:
     """Parse and run one command; returns (report, exit code) and prints
     the formatted report to stdout."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         return _HANDLERS[args.command](args)
     except (_UsageError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)

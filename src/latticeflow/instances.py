@@ -18,7 +18,8 @@ spec file relative to the instance file. Every file is read by
 network must pass the lenient clauses of :func:`validate_network` (no
 self-loops or cycles, edges leave the source and enter the sink); dead
 ends are allowed. Errors are :class:`InstanceError` and carry the JSON
-path of the offending field.
+path of the offending field. A path travels as its parts, the root's
+name then keys and indices, and is formatted only when a field fails.
 """
 
 from __future__ import annotations
@@ -62,132 +63,141 @@ LATTICE_KINDS = (
 _MAX_PRODUCT_NESTING = 300
 
 
-def _fail(path: str, message: str):
+def _fail(message: str, root: str, *parts):
+    """InstanceError at the JSON path of ``root`` and then ``parts``, keys
+    and indices: ``_fail(m, "edges", 3, "from")`` reports ``edges[3].from``."""
+    path = root + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts)
     raise InstanceError(f"{path}: {message}")
 
 
-def _need(spec: dict, key: str, path: str):
+def _need(spec: dict, key: str, *path):
     if key not in spec:
-        _fail(path, f"missing required field {key!r}")
+        _fail(f"missing required field {key!r}", *path)
     return spec[key]
 
 
-def _name(value, path: str) -> str:
+def _name(value, *path) -> str:
     if not isinstance(value, str):
-        _fail(path, f"must be a name (a string), got {value!r}")
+        _fail(f"must be a name (a string), got {value!r}", *path)
     return value
 
 
-def _names(value, path: str) -> list[str]:
+def _names(value, *path) -> list[str]:
     if not isinstance(value, list):
-        _fail(path, "must be a list of names")
-    return [_name(x, f"{path}[{i}]") for i, x in enumerate(value)]
+        _fail("must be a list of names", *path)
+    for i, x in enumerate(value):
+        if not isinstance(x, str):
+            _name(x, *path, i)
+    return list(value)
 
 
-def _atoms(value, path: str) -> list[str]:
+def _atoms(value, *path) -> list[str]:
     """:func:`_names`, refusing a repeated atom."""
-    atoms = _names(value, path)
+    atoms = _names(value, *path)
     if len(set(atoms)) < len(atoms):
-        _fail(path, f"duplicate atoms {sorted({a for a in atoms if atoms.count(a) > 1})}")
+        _fail(f"duplicate atoms {sorted({a for a in atoms if atoms.count(a) > 1})}", *path)
     return atoms
 
 
-def _element(lattice: Lattice, literal, path: str):
+def _element(lattice: Lattice, literal, *path):
     try:
         return lattice.parse(literal)
     except MismatchError as exc:
-        _fail(path, str(exc))
+        _fail(str(exc), *path)
 
 
 def _decode(text, where: str):
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # also nesting past the recursion limit
-        _fail(where, f"not valid JSON: {exc}")
+        _fail(f"not valid JSON: {exc}", where)
 
 
 def read_json(file):
     """The JSON document in a file. InstanceError if the file cannot be
     read, is not UTF-8, or is not valid JSON."""
     try:
-        text = Path(file).read_text(encoding="utf-8")
+        # the OSError names the file as Path(file) spells it
+        with open(file if isinstance(file, Path) else Path(file), encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InstanceError(f"cannot read {file}: {exc}") from None
     return _decode(text, str(file))
 
 
-def _pairs(value, path: str) -> list[tuple[str, str]]:
+def _pairs(value, *path) -> list[tuple[str, str]]:
     if not isinstance(value, list):
-        _fail(path, "must be a list of [lower, upper] pairs")
+        _fail("must be a list of [lower, upper] pairs", *path)
     out = []
     for i, pair in enumerate(value):
         if not isinstance(pair, list) or len(pair) != 2:
-            _fail(f"{path}[{i}]", "must be a two-element list")
+            _fail("must be a two-element list", *path, i)
         out.append((pair[0], pair[1]))
     return out
 
 
 def lattice_from_spec(spec, base_dir: Path | None = None) -> Lattice:
     """Build a lattice from a spec dict or a file-reference string."""
-    return _lattice(spec, base_dir, "lattice", ())
+    return _lattice(spec, base_dir, ("lattice",), ())
 
 
-def _lattice(spec, base_dir: Path | None, path: str, reading: tuple[str, ...]) -> Lattice:
-    """:func:`lattice_from_spec`. ``reading`` holds the resolved paths of
-    the spec files still being read on the way to ``spec``; a reference
-    back into one of them is a cycle."""
+def _lattice(spec, base_dir: Path | None, path: tuple, reading: tuple[str, ...]) -> Lattice:
+    """:func:`lattice_from_spec`; ``path`` holds the parts of the spec's
+    JSON path. ``reading`` holds the resolved paths of the spec files
+    still being read on the way to ``spec``; a reference back into one
+    of them is a cycle."""
     if isinstance(spec, str):
         ref = Path(spec)
         if base_dir is not None and not ref.is_absolute():
             ref = base_dir / ref
         resolved = os.path.realpath(ref)  # unlike Path.resolve, no error on a symlink loop
         if resolved in reading:
-            _fail(path, f"lattice file reference cycle: {ref} is already being read")
+            _fail(f"lattice file reference cycle: {ref} is already being read", *path)
         return _lattice(read_json(ref), ref.parent, path, (*reading, resolved))
     if not isinstance(spec, dict):
-        _fail(path, f"must be an object or a file reference, got {type(spec).__name__}")
-    kind = _need(spec, "kind", path)
+        _fail(f"must be an object or a file reference, got {type(spec).__name__}", *path)
+    kind = _need(spec, "kind", *path)
     try:
         if kind == "chain":
-            return ChainLattice(_need(spec, "levels", path))
+            return ChainLattice(_need(spec, "levels", *path))
         if kind == "powerset":
-            return PowersetLattice(_names(_need(spec, "universe", path), f"{path}.universe"))
+            return PowersetLattice(_names(_need(spec, "universe", *path), *path, "universe"))
         if kind == "product":
-            if path.count(".factors[") >= _MAX_PRODUCT_NESTING:  # the per-factor walks recurse
-                _fail(path, f"products nested deeper than {_MAX_PRODUCT_NESTING} levels")
-            factors = _need(spec, "factors", path)
+            if path.count("factors") >= _MAX_PRODUCT_NESTING:  # the per-factor walks recurse
+                _fail(f"products nested deeper than {_MAX_PRODUCT_NESTING} levels", *path)
+            factors = _need(spec, "factors", *path)
             if not isinstance(factors, list) or not factors:
-                _fail(f"{path}.factors", "must be a non-empty list of lattice specs")
+                _fail("must be a non-empty list of lattice specs", *path, "factors")
             return ProductLattice(
-                [_lattice(f, base_dir, f"{path}.factors[{i}]", reading) for i, f in enumerate(factors)]
+                [_lattice(f, base_dir, (*path, "factors", i), reading) for i, f in enumerate(factors)]
             )
         if kind == "intervals":
             return IntervalGridLattice(spec.get("step", 0.01))
         if kind == "downset":
             return DownsetLattice(
-                _names(_need(spec, "elements", path), f"{path}.elements"),
-                _pairs(_need(spec, "covers", path), f"{path}.covers"),
+                _names(_need(spec, "elements", *path), *path, "elements"),
+                _pairs(_need(spec, "covers", *path), *path, "covers"),
             )
         if kind == "ring":
-            generators = _need(spec, "generators", path)
+            generators = _need(spec, "generators", *path)
             if not isinstance(generators, list):
-                _fail(f"{path}.generators", "must be a list of name lists")
+                _fail("must be a list of name lists", *path, "generators")
             universe = spec.get("universe")
             adjoin = spec.get("adjoin_bounds", False)
             if not isinstance(adjoin, bool):
-                _fail(f"{path}.adjoin_bounds", f"must be true or false, got {adjoin!r}")
+                _fail(f"must be true or false, got {adjoin!r}", *path, "adjoin_bounds")
             return RingOfSetsLattice(
-                [_atoms(g, f"{path}.generators[{i}]") for i, g in enumerate(generators)],
-                universe=None if universe is None else _atoms(universe, f"{path}.universe"),
+                [_atoms(g, *path, "generators", i) for i, g in enumerate(generators)],
+                universe=None if universe is None else _atoms(universe, *path, "universe"),
                 adjoin_bounds=adjoin,
             )
         if kind == "explicit":
-            elements = _names(_need(spec, "elements", path), f"{path}.elements")
+            elements = _names(_need(spec, "elements", *path), *path, "elements")
             if "covers" in spec:
-                return ExplicitLattice.from_covers(elements, _pairs(spec["covers"], f"{path}.covers"))
+                return ExplicitLattice.from_covers(elements, _pairs(spec["covers"], *path, "covers"))
             if "relation" in spec:
-                return ExplicitLattice.from_relation(elements, _pairs(spec["relation"], f"{path}.relation"))
-            _fail(path, "explicit lattice needs 'covers' or 'relation'")
+                return ExplicitLattice.from_relation(elements, _pairs(spec["relation"], *path, "relation"))
+            _fail("explicit lattice needs 'covers' or 'relation'", *path)
         if kind == "pentagon":
             return PentagonLattice()
         if kind == "diamond":
@@ -199,23 +209,23 @@ def _lattice(spec, base_dir: Path | None, path: str, reading: tuple[str, ...]) -
     except InstanceError:
         raise
     except (TypeError, ValueError, UniverseTooLarge) as exc:
-        _fail(path, str(exc))
-    _fail(f"{path}.kind", f"unknown lattice kind {kind!r}; known kinds: {', '.join(LATTICE_KINDS)}")
+        _fail(str(exc), *path)
+    _fail(f"unknown lattice kind {kind!r}; known kinds: {', '.join(LATTICE_KINDS)}", *path, "kind")
 
 
-def _require_lattice(lattice: Lattice, path: str = "lattice") -> None:
+def _require_lattice(lattice: Lattice, *path) -> None:
     """Explicit order tables, alone or as product factors, are the one
     kind whose join and meet can break the lattice axioms, and every fold
     rests on those axioms: a table that fails them is refused. Tables
     above the certification cap load unchecked."""
     if isinstance(lattice, ProductLattice):
         for i, factor in enumerate(lattice.factors):
-            _require_lattice(factor, f"{path}.factors[{i}]")
+            _require_lattice(factor, *path, "factors", i)
     elif lattice.kind == "explicit" and lattice.size() <= DEFAULT_MAX_UNIVERSE:
         report = check_lattice_axioms(lattice)
         if not report.ok:
             first = report.violations[0]
-            _fail(path, f"not a lattice: {first.law}: {first.message}")
+            _fail(f"not a lattice: {first.law}: {first.message}", *path)
 
 
 @dataclass
@@ -241,10 +251,10 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
     if not isinstance(data, dict):
         raise InstanceError(f"instance must be a JSON object, got {type(data).__name__}")
     lattice = lattice_from_spec(_need(data, "lattice", "instance"), base_dir)
-    _require_lattice(lattice)
+    _require_lattice(lattice, "lattice")
     for key in ("name", "description"):
         if not isinstance(data.get(key), (str, type(None))):
-            _fail(key, f"must be a string or null, got {data[key]!r}")
+            _fail(f"must be a string or null, got {data[key]!r}", key)
     name, description = data.get("name"), data.get("description")
 
     if "vertices" in data:
@@ -253,46 +263,45 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
         sink = _name(_need(data, "sink", "instance"), "sink")
         raw_edges = _need(data, "edges", "instance")
         if not isinstance(raw_edges, list):
-            _fail("edges", "must be a list of edge objects")
+            _fail("must be a list of edge objects", "edges")
         edges = []
         caps = {}
         for i, e in enumerate(raw_edges):
-            where = f"edges[{i}]"
             if not isinstance(e, dict):
-                _fail(where, "must be an object with from/to/capacity")
-            u = _name(_need(e, "from", where), f"{where}.from")
-            v = _name(_need(e, "to", where), f"{where}.to")
-            caps[(u, v)] = _element(lattice, _need(e, "capacity", where), f"{where}.capacity")
+                _fail("must be an object with from/to/capacity", "edges", i)
+            u = _name(_need(e, "from", "edges", i), "edges", i, "from")
+            v = _name(_need(e, "to", "edges", i), "edges", i, "to")
+            caps[(u, v)] = _element(lattice, _need(e, "capacity", "edges", i), "edges", i, "capacity")
             edges.append((u, v))
         try:
             net = FlowNetwork(vertices, edges, source, sink)
         except ValueError as exc:
-            _fail("instance", str(exc))
+            _fail(str(exc), "instance")
         bad = validate_network(net, mode="lenient").violations
         if bad:
-            _fail("instance", "; ".join(
+            _fail("; ".join(
                 v.message + (f": {list(v.offenders)}" if v.offenders else "") for v in bad
-            ))
+            ), "instance")
         return Instance(lattice, name, description, network=net, capacities=CapacityAssignment._of_members(lattice, caps))
 
     if "elements" in data:
         elements = _names(data["elements"], "elements")
         covers = [
-            (_name(a, f"covers[{i}][0]"), _name(b, f"covers[{i}][1]"))
+            (_name(a, "covers", i, 0), _name(b, "covers", i, 1))
             for i, (a, b) in enumerate(_pairs(_need(data, "covers", "instance"), "covers"))
         ]
         raw_weights = _need(data, "weights", "instance")
         if not isinstance(raw_weights, dict):
-            _fail("weights", "must map element names to element literals")
+            _fail("must map element names to element literals", "weights")
         known = set(elements)
         unknown = [x for x in raw_weights if x not in known]
         if unknown:
-            _fail("weights", f"weights for unknown elements {unknown}")
-        weights = {x: _element(lattice, lit, f"weights.{x}") for x, lit in raw_weights.items()}
+            _fail(f"weights for unknown elements {unknown}", "weights")
+        weights = {x: _element(lattice, lit, "weights", x) for x, lit in raw_weights.items()}
         try:
             poset = WeightedPoset._of_members(elements, covers, weights, lattice)
         except ValueError as exc:
-            _fail("instance", str(exc))
+            _fail(str(exc), "instance")
         return Instance(lattice, name, description, poset=poset)
 
     raise InstanceError(
@@ -310,7 +319,7 @@ def load_lattice(file) -> Lattice:
     path = Path(file)
     data = read_json(path)
     if isinstance(data, dict) and "kind" in data:
-        return _lattice(data, path.parent, "lattice", (os.path.realpath(path),))
+        return _lattice(data, path.parent, ("lattice",), (os.path.realpath(path),))
     if isinstance(data, dict) and "lattice" in data:
         return lattice_from_spec(data["lattice"], base_dir=path.parent)
     raise InstanceError("file holds neither a lattice spec nor an instance with one")
@@ -351,15 +360,15 @@ def parse_flow(data, net: FlowNetwork, lattice: Lattice) -> dict:
         raise InstanceError("flow file must be an object with an 'edges' list")
     phi = {}
     for i, e in enumerate(data["edges"]):
-        where = f"edges[{i}]"
         if not isinstance(e, dict):
-            _fail(where, "must be an object with from/to/value")
-        edge = (_name(_need(e, "from", where), f"{where}.from"), _name(_need(e, "to", where), f"{where}.to"))
+            _fail("must be an object with from/to/value", "edges", i)
+        u = _name(_need(e, "from", "edges", i), "edges", i, "from")
+        edge = (u, _name(_need(e, "to", "edges", i), "edges", i, "to"))
         if edge not in net.edge_set:
-            _fail(where, f"{edge} is not an edge of the network")
+            _fail(f"{edge} is not an edge of the network", "edges", i)
         if edge in phi:
-            _fail(where, f"edge {edge} is listed twice")
-        phi[edge] = _element(lattice, _need(e, "value", where), f"{where}.value")
+            _fail(f"edge {edge} is listed twice", "edges", i)
+        phi[edge] = _element(lattice, _need(e, "value", "edges", i), "edges", i, "value")
     missing = [e for e in net.edges if e not in phi]
     if missing:
         raise InstanceError(f"flow file is missing edges: {missing}")

@@ -8,7 +8,10 @@ temporary directory, by PARENT's ``perfbench.corpus.BUILDERS`` and
 program; every ``maxflow`` call also gets a ``--mode lenient`` variant,
 and every ``dilworth`` call a ``--format text`` variant, a ``--method
 direct`` one without the correspondence check and a ``--method network``
-one with it.
+one with it. Error paths are called too: copies of the first few
+``fuzz`` and ``poset`` files with one field broken each, and usage
+errors (no argument, an unknown command or option, ``-h`` on its own
+and after each command).
 Each checkout then runs every call in-process through
 ``latticeflow.cli.run_command``, one subprocess per checkout. Each call
 whose exit code, stdout or stderr differ is printed; the exit code is 1
@@ -30,6 +33,11 @@ from pathlib import Path
 
 SEED = 1
 WORKLOADS = ("fuzz", "poset", "explicit")
+COMMANDS = ("check-lattice", "bottleneck", "maxflow", "dilworth", "gallery", "random-check")
+# broken copies are made of this many files of each of the two workloads
+BROKEN_FILES = 3
+NETWORK_FAULTS = ("vertex-not-a-name", "edge-a-list", "edge-without-capacity", "capacity-not-an-element")
+POSET_FAULTS = ("cover-of-an-unknown-element", "weight-not-an-element")
 
 
 def _import_from(tree: Path, *extra: Path):
@@ -52,18 +60,58 @@ def _variants(argv: list[str]) -> list[list[str]]:
     return []
 
 
+def _broken(doc: dict, fault: str) -> dict:
+    """A copy of an instance document with one field broken. Edge faults
+    go to the last edge, so that the error names an index past the first."""
+    doc = json.loads(json.dumps(doc))
+    if fault == "vertex-not-a-name":
+        doc["vertices"][-1] = 7
+    elif fault == "edge-a-list":
+        edge = doc["edges"][-1]
+        doc["edges"][-1] = [edge["from"], edge["to"], edge["capacity"]]
+    elif fault == "edge-without-capacity":
+        del doc["edges"][-1]["capacity"]
+    elif fault == "capacity-not-an-element":
+        doc["edges"][-1]["capacity"] = "not-an-element"
+    elif fault == "cover-of-an-unknown-element":
+        doc["covers"].append([doc["elements"][-1], "not-an-element"])
+    else:  # weight-not-an-element
+        doc["weights"][doc["elements"][-1]] = "not-an-element"
+    return doc
+
+
+def _error_calls(units: dict, workdir: Path) -> list[list[str]]:
+    """Each corpus call of the first fuzz and poset files on their broken
+    copies, then the usage errors."""
+    calls = []
+    for workload, faults in (("fuzz", NETWORK_FAULTS), ("poset", POSET_FAULTS)):
+        for unit in units[workload][:BROKEN_FILES]:
+            given = Path(unit.argvs[0][1])
+            doc = json.loads(given.read_text())
+            for fault in faults:
+                broken = workdir / f"{given.stem}-{fault}.json"
+                broken.write_text(json.dumps(_broken(doc, fault)))
+                calls += [[argv[0], str(broken), *argv[2:]] for argv in unit.argvs]
+    example = units["fuzz"][0].argvs[0][1]
+    calls += [[], ["frobnicate"], ["-h"], ["bottleneck", example, "--frobnicate"]]
+    return calls + [[command, "-h"] for command in COMMANDS]
+
+
 def build(tree: Path, workdir: Path) -> list[list[str]]:
-    """Every call of the three corpora, then the maxflow and dilworth variants."""
+    """Every call of the three corpora, then the maxflow and dilworth
+    variants, then the error calls."""
     _import_from(tree, tree)
     from perfbench.corpus import BUILDERS
 
-    calls = [argv for w in WORKLOADS for unit in BUILDERS[w](SEED, workdir) for argv in unit.argvs]
-    return calls + [variant for argv in calls for variant in _variants(argv)]
+    units = {w: BUILDERS[w](SEED, workdir) for w in WORKLOADS}
+    calls = [argv for w in WORKLOADS for unit in units[w] for argv in unit.argvs]
+    return calls + [variant for argv in calls for variant in _variants(argv)] + _error_calls(units, workdir)
 
 
 def run(tree: Path, calls: list[list[str]]) -> list[list]:
     """(exit code, stdout, stderr) of each call; an exception is reported
-    by its type and message, which name no path of the checkout."""
+    by its type and message, which name no path of the checkout, and the
+    exit of ``-h`` by its code."""
     cli = _import_from(tree)
     outputs = []
     for argv in calls:
@@ -71,6 +119,8 @@ def run(tree: Path, calls: list[list[str]]) -> list[list]:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.run_command(argv)[1]
+            except SystemExit as exc:
+                code = f"SystemExit {exc.code}"
             except Exception as exc:
                 code = "exception"
                 err.write(f"{type(exc).__name__}: {exc}\n")

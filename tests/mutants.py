@@ -44,15 +44,15 @@ MUTANTS = (
         id="five-candidates-no-comparable-pair",
         file="src/latticeflow/certify.py",
         old=(
-            "            if bxy & outside or two_x >> y & 1:\n"
-            "                continue  # no set holding x and y is closed in ``within``, or x, y hold two pairs\n"
+            "            if two_x >> y & 1:\n"
+            "                continue  # x, y hold two pairs\n"
             "            if one_x >> y & 1:  # z comparable with neither\n"
             "                keep = ~(one_x | one[q])\n"
             "            else:  # z comparable one way with one of them at most\n"
             "                keep = ~(two_x | two[q] | one_x & one[q])\n"
         ),
         new=(
-            "            if bxy & outside or one_x >> y & 1:\n"
+            "            if one_x >> y & 1:\n"
             "                continue\n"
             "            keep = ~(one_x | one[q])\n"
         ),
@@ -69,7 +69,8 @@ MUTANTS = (
             "        elif _is_lattice(lattice):\n"
             "            verdict = _join_prime_test(lattice.tables())\n"
             "        else:\n"
-            "            verdict = _first_distributive_failure(lattice) is None\n"
+            "            lattice._distributive_failure = _first_distributive_failure(lattice)\n"
+            "            verdict = lattice._distributive_failure is None\n"
         ),
         new=(
             "        else:\n"
@@ -102,6 +103,132 @@ MUTANTS = (
         red=(
             "tests/test_certify.py::TestVerdictWithoutWitness::test_network_commands_build_no_witness[pentagon]",
             "tests/test_certify.py::TestVerdictWithoutWitness::test_network_commands_build_no_witness[diamond]",
+        ),
+    ),
+    Mutant(
+        id="verdict-scan-kept-apart",
+        file="src/latticeflow/certify.py",
+        old="        triple, law = getattr(lattice, \"_distributive_failure\", None) or _first_distributive_failure(lattice)\n",
+        new="        triple, law = _first_distributive_failure(lattice)\n",
+        red=("tests/test_certify.py::TestVerdictWithoutWitness::test_tables_that_fail_the_lattice_test_are_scanned_once",),
+    ),
+    Mutant(
+        id="pair-bounds-built-up-front",
+        file="src/latticeflow/certify.py",
+        old="    bits = [[0] * m for _ in range(m)]\n",
+        new=(
+            "    bits = [[0] * m for _ in range(m)]\n"
+            "    for p, q in itertools.combinations(range(m), 2):\n"
+            "        join, meet = bounds(members[p], members[q])\n"
+            "        bits[p][q] = 1 << members[p] | 1 << members[q] | 1 << join | 1 << meet\n"
+        ),
+        red=(
+            "tests/test_certify.py::TestForbiddenScanWork::test_classifications_and_native_calls[chain2-x-chain3-x-chain4]",
+            "tests/test_certify.py::TestForbiddenScanWork::test_classifications_and_native_calls[chain4-x-chain5]",
+        ),
+    ),
+    Mutant(
+        id="dispatch-gets-the-whole-argv",
+        file="src/latticeflow/cli.py",
+        old="    args = command.parse_args(argv[1:])\n",
+        new="    args = command.parse_args(argv)\n",
+        red=(
+            "tests/test_cli.py::TestDispatch::test_parses_as_the_full_parser[bottleneck]",
+            "tests/test_cli.py::TestDispatch::test_parses_as_the_full_parser[maxflow]",
+            "tests/test_cli.py::TestDispatch::test_parses_as_the_full_parser[repeated]",
+        ),
+    ),
+    Mutant(
+        id="dispatch-drops-the-command",
+        file="src/latticeflow/cli.py",
+        old="    args.command = argv[0]\n",
+        new="",
+        red=(
+            "tests/test_cli.py::TestDispatch::test_parses_as_the_full_parser[dilworth]",
+            "tests/test_cli.py::TestDispatch::test_a_command_is_parsed_by_its_subparser_alone",
+        ),
+    ),
+    Mutant(
+        id="edge-from-not-checked",
+        file="src/latticeflow/instances.py",
+        old="            u = _name(_need(e, \"from\", \"edges\", i), \"edges\", i, \"from\")\n",
+        new="            u = _need(e, \"from\", \"edges\", i)\n",
+        red=(
+            "tests/test_instances.py::test_an_input_error_is_one_line_naming_its_path[edge-end-not-a-name]",
+            "tests/test_cli.py::TestErrors::test_malformed_file_exits_one[bottleneck-data2]",
+        ),
+    ),
+    Mutant(
+        id="edge-path-names-the-next-edge",
+        file="src/latticeflow/instances.py",
+        old="_element(lattice, _need(e, \"capacity\", \"edges\", i), \"edges\", i, \"capacity\")",
+        new="_element(lattice, _need(e, \"capacity\", \"edges\", i), \"edges\", i + 1, \"capacity\")",
+        red=(
+            "tests/test_instances.py::TestParseInstance::test_capacity_literal_outside_lattice_names_edge",
+            "tests/test_instances.py::test_an_input_error_is_one_line_naming_its_path[powerset-literal]",
+            "tests/test_instances.py::test_an_input_error_is_one_line_naming_its_path[interval-literal]",
+        ),
+    ),
+    # the correspondence round trip on bitmasks: (a) to (d2) of the change
+    # that put it on element and edge masks
+    Mutant(
+        id="sink-reach-recomputed-past-the-sink",
+        file="src/latticeflow/network.py",
+        old="        grown_reach = reach_sink(reach, grown, i + 1) if i < sink else reach\n",
+        new="        grown_reach = reach_sink(reach, grown, i + 1)\n",
+        red=(
+            "tests/test_network.py::TestEnumerationContract::test_minimal_cuts_match_reference_in_order",
+            "tests/test_network.py::TestEnumerationContract::test_minimal_cut_masks_equal_the_walk_in_order",
+            "tests/test_network.py::TestEnumerationContract::test_cut_side_matches_reference[lenient]",
+            "tests/test_acceptance.py::test_criterion_9_dead_end_handling",
+        ),
+    ),
+    Mutant(
+        id="tails-read-off-the-heads",
+        file="src/latticeflow/dilworth.py",
+        old="    elem_outs = [(1 << i, outs[x]) for i, x in enumerate(elems)]\n",
+        new="    elem_outs = [(1 << i, ins[x]) for i, x in enumerate(elems)]\n",
+        red=(
+            "tests/test_dilworth.py::TestCorrespondenceContract::test_random_posets_match_reference",
+            "tests/test_dilworth.py::TestCorrespondenceContract::test_pinned_posets_match_reference[total-order]",
+            "tests/test_dilworth.py::TestCorrespondences::test_total_orders_roundtrip",
+            "tests/test_dilworth.py::TestCorrespondencesGoRed::test_a_missing_antichain",
+        ),
+    ),
+    Mutant(
+        id="antichain-test-skips-its-lowest-bit",
+        file="src/latticeflow/dilworth.py",
+        old="        rest = mask\n",
+        new="        rest = mask & mask - 1\n",
+        red=(
+            "tests/test_dilworth.py::TestCorrespondenceContract::test_random_posets_match_reference",
+            "tests/test_dilworth.py::TestCorrespondenceContract::test_pinned_posets_match_reference[n-poset]",
+            "tests/test_dilworth.py::TestCorrespondenceContract::test_pinned_posets_match_reference[transversal-gap]",
+        ),
+    ),
+    Mutant(
+        id="cut-side-without-the-minimal-elements",
+        file="src/latticeflow/dilworth.py",
+        old="    return frozenset({net.source, *(poset.elements[i] for i in set_bits(below))})\n",
+        new="    return frozenset({net.source, *(poset.elements[i] for i in set_bits(below) if poset._down[i] != 1 << i)})\n",
+        red=(
+            "tests/test_dilworth.py::TestCorrespondences::test_total_orders_roundtrip",
+            "tests/test_dilworth.py::TestCorrespondences::test_antichain_poset_single_cut",
+            "tests/test_dilworth.py::TestCorrespondenceContract::test_random_posets_match_reference",
+        ),
+    ),
+    Mutant(
+        id="cut-side-without-its-middle",
+        file="src/latticeflow/dilworth.py",
+        old="    return frozenset({net.source, *(poset.elements[i] for i in set_bits(below))})\n",
+        new=(
+            "    ends = sum(1 << poset._index[a] for a in antichain) | sum(1 << i for i, d in enumerate(poset._down) if d == 1 << i)\n"
+            "    return frozenset({net.source, *(poset.elements[i] for i in set_bits(below & ends))})\n"
+        ),
+        red=(
+            "tests/test_dilworth.py::TestCorrespondences::test_total_orders_roundtrip",
+            "tests/test_dilworth.py::TestDilworthDirect::test_transversal_gap_poset_sides_differ",
+            "tests/test_acceptance.py::test_criterion_8_dilworth_fuzz",
         ),
     ),
 )

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
@@ -665,6 +667,84 @@ class TestErrors:
         monkeypatch.setitem(cli._HANDLERS, "gallery", broken)
         with pytest.raises(ValueError, match="internal bug"):
             run_command(["gallery"])
+
+
+def _parsed(parse, argv) -> tuple:
+    """What ``parse(argv)`` returns or raises, and what it prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            return "namespace", parse(argv), out.getvalue()
+        except cli._UsageError as exc:
+            return "usage error", str(exc), out.getvalue()
+        except SystemExit as exc:  # -h
+            return "exit", exc.code, out.getvalue()
+
+
+COMMANDS = ("check-lattice", "bottleneck", "maxflow", "dilworth", "gallery", "random-check")
+
+
+class TestDispatch:
+    """``run_command`` hands a call that starts with a command to that
+    command's subparser alone; on every call it parses as
+    ``build_parser().parse_args`` does."""
+
+    ARGVS = {
+        **{command: [command, "in.json"] for command in COMMANDS},
+        **{f"{command}-h": [command, "-h"] for command in COMMANDS},
+        "no-argv": [],
+        "h": ["-h"],
+        "help-then-command": ["--help", "bottleneck", "in.json"],
+        "h-after-file": ["dilworth", "in.json", "--method", "direct", "-h"],
+        "every-command-option": ["maxflow", "in.json", "--check-flow", "flow.json", "--mode", "lenient",
+                                 "--unsafe-dp", "--format", "json"],
+        "abbreviated": ["bottleneck", "in.json", "--wit", "--max-p", "5", "--form", "json"],
+        "ambiguous-abbreviation": ["bottleneck", "in.json", "--max", "5"],
+        "option-equals-value": ["dilworth", "in.json", "--method=network", "--corr"],
+        "repeated": ["bottleneck", "in.json", "--mode", "lenient", "--mode", "strict", "--dp", "--dp"],
+        "negative-number": ["random-check", "--seed", "-5", "--instances", "2"],
+        "double-dash-before-file": ["bottleneck", "--", "in.json"],
+        "double-dash-before-option": ["bottleneck", "in.json", "--", "--dp"],
+        "double-dash-first": ["--", "bottleneck", "in.json"],
+        "unknown-option": ["bottleneck", "in.json", "--frobnicate"],
+        "unknown-option-first": ["--frobnicate", "bottleneck", "in.json"],
+        "unknown-command": ["frobnicate", "in.json"],
+        "abbreviated-command": ["bottle", "in.json"],
+        "missing-file": ["bottleneck"],
+        "missing-file-with-option": ["check-lattice", "--max-size", "3"],
+        "extra-positional": ["maxflow", "in.json", "other.json"],
+        "nonexistent-file": ["bottleneck", "/nonexistent/in.json"],
+        "bad-choice": ["bottleneck", "in.json", "--mode", "loose"],
+        "bad-count": ["random-check", "--instances", "-3"],
+        "oracle": ["bottleneck", "in.json", "--oracle"],
+        "oracle-and-dp": ["bottleneck", "in.json", "--oracle", "--dp"],
+        "dp-and-oracle": ["bottleneck", "in.json", "--dp", "--unsafe-dp", "--oracle"],
+    }
+
+    @pytest.mark.parametrize("name", list(ARGVS))
+    def test_parses_as_the_full_parser(self, name):
+        argv = self.ARGVS[name]
+        assert _parsed(cli._parse, argv) == _parsed(cli.build_parser().parse_args, argv)
+
+    def test_a_command_is_parsed_by_its_subparser_alone(self, monkeypatch):
+        parser = cli.build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full parser ran")
+
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        for argv in (["check-lattice", "in.json"], ["bottleneck", "in.json"], ["maxflow", "in.json"],
+                     ["dilworth", "in.json"], ["gallery"], ["random-check"]):
+            assert cli._parse(argv).command == argv[0]
+        with pytest.raises(AssertionError, match="the full parser ran"):
+            cli._parse(["frobnicate"])
+
+    def test_run_command_parses_through_the_dispatch(self, monkeypatch, capsys):
+        seen = []
+        parse = cli._parse
+        monkeypatch.setattr(cli, "_parse", lambda argv: seen.append(argv) or parse(argv))
+        assert run_command(["gallery", "--format", "json"])[1] == 0
+        assert seen == [["gallery", "--format", "json"]]
 
 
 class TestJsonText:

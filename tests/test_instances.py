@@ -368,6 +368,10 @@ INPUT_ERRORS = {
     "edges-not-a-list": ("bottleneck", {**net_file(CHAIN2), "edges": {}}, "edges: must be a list of edge objects"),
     "edge-not-an-object": ("bottleneck", {**net_file(CHAIN2), "edges": [5]},
                            "edges[0]: must be an object with from/to/capacity"),
+    "edge-end-not-a-name": ("bottleneck", {**net_file(CHAIN2), "vertices": ["s", "u", "t"],
+                                           "edges": [{"from": "s", "to": "u", "capacity": 1},
+                                                     {"from": 5, "to": "t", "capacity": 1}]},
+                            "edges[1].from: must be a name (a string), got 5"),
     "duplicate-vertices": ("bottleneck", {**net_file(CHAIN2), "vertices": ["s", "t", "s"]},
                            "instance: duplicate vertex names"),
     "duplicate-edges": ("bottleneck", {**net_file(CHAIN2), "edges": net_file(CHAIN2)["edges"] * 2},
