@@ -22,11 +22,9 @@ from .network import (
     Cut,
     FlowNetwork,
     _check_cut_cap,
-    _or_table,
     _reachable,
     count_paths,
     crossing_edges,
-    crossing_masks,
     enumerate_paths,
     minimal_cut_masks,
     partition_cut,
@@ -131,44 +129,46 @@ def first_path_at_least(net: FlowNetwork, cap: CapacityAssignment, j: Element) -
     return tuple(path)
 
 
-def beta_bruteforce(net: FlowNetwork, cap: CapacityAssignment, mode: str = "strict") -> Element:
-    """Meet over cuts of the cut capacity, by full enumeration.
+def beta_bruteforce(net: FlowNetwork, cap: CapacityAssignment) -> Element:
+    """Meet over cuts of the cut capacity, by full enumeration of the
+    minimal cuts under the vertex cap. Join is monotone and every crossing
+    set contains a minimal one, so on every lattice this is the meet over
+    all cuts."""
+    return _cut_side(net, cap, "strict", DEFAULT_MAX_CUT_VERTICES)[2]
 
-    Strict mode folds over all cuts, walking the partitions. Lenient mode
-    folds over minimal cuts only, listed by their source sides: with dead
-    ends, non-minimal crossing sets pick up edges that lie on no path, and
-    restricting to inclusion-minimal crossing sets is what keeps the
-    duality intact (the two folds agree whenever every empty join involved
-    is defined, since every crossing set contains a minimal one). Both
-    modes keep the partition walk's vertex cap."""
-    return _cut_side(net, cap, mode, DEFAULT_MAX_CUT_VERTICES)[2]
+
+def _or_table(masks: list[int]) -> list[int]:
+    """Entry m is the OR of masks[i] over every bit i of m."""
+    table = [0]
+    for m in range(1, 2 ** len(masks)):
+        low = m & -m
+        table.append(table[m ^ low] | masks[low.bit_length() - 1])
+    return table
 
 
 def _cut_side(
     net: FlowNetwork, cap: CapacityAssignment, mode: str, max_vertices: int
 ) -> tuple[int, Cut | None, Element]:
-    """How many cuts the cut side ranges over, the first of them (in
-    enumeration order) whose capacity is the meet, and that meet.
+    """How many cuts the cut side ranges over, the first minimal cut (in
+    partition-mask order) whose capacity is the meet, and that meet.
 
-    Strict mode walks every partition (:func:`crossing_masks`), lenient
-    mode lists the minimal cuts (:func:`minimal_cut_masks`). A cut's
-    capacity depends only on the set of distinct values that cross it,
-    because join is associative, commutative and idempotent under the
+    Both modes fold over the minimal cuts (:func:`minimal_cut_masks`),
+    under the vertex cap: the meet over every cut is the same value.
+    Strict mode counts every partition, lenient mode the minimal cuts. A
+    cut's capacity depends only on the set of distinct values that cross
+    it, because join is associative, commutative and idempotent under the
     lattice axioms. So the distinct capacity values are numbered in
     first-edge order, each crossing-edge mask is mapped to its value mask
     through OR tables over 8 edges at a time, and each distinct value
     mask is folded once. The empty crossing set still folds as the empty
     join: the bottom, or NoBottomError.
     """
-    if mode == "strict":
-        first = crossing_masks(net, max_vertices)
-    else:
-        _check_cut_cap(net, max_vertices)
-        first = minimal_cut_masks(net, 0)
+    _check_cut_cap(net, max_vertices)
+    first = minimal_cut_masks(net, 0)
     lat = cap.lattice
     value_bit: dict[Element, int] = {}
     edge_bits = [value_bit.setdefault(cap[e], 1 << len(value_bit)) for e in net.edges]
-    tables = [_or_table(0, edge_bits[i:i + 8]) for i in range(0, len(edge_bits), 8)]
+    tables = [_or_table(edge_bits[i:i + 8]) for i in range(0, len(edge_bits), 8)]
 
     def value_mask(m: int) -> int:
         out = 0
@@ -194,7 +194,7 @@ def cut_side(
     """The route's name, cut count, first optimal cut and beta by the one
     route rule: under "auto", strict mode on a certified-distributive
     lattice takes the threshold cut side, with no vertex cap; the rest,
-    and any other ``method``, enumerates cuts."""
+    and any other ``method``, lists the minimal cuts (:func:`_cut_side`)."""
     if method == "auto" and mode == "strict" and is_distributive(cap.lattice) is True:
         return "threshold", net.n_partitions, *_threshold_side(net, cap)
     return "bruteforce", *_cut_side(net, cap, mode, max_vertices)
@@ -221,8 +221,9 @@ def _threshold_side(net: FlowNetwork, cap: CapacityAssignment) -> tuple[Cut | No
     beta is the join of the sink's bits. A cut attains beta exactly when
     no crossing edge has a bit outside the sink's, so the smallest such
     source side is the closure of the source along those edges: the first
-    partition of :func:`crossing_masks`' walk that attains beta. When that
-    closure holds the sink, no cut attains beta.
+    partition, in partition-mask order, whose cut attains beta. It need
+    not be a minimal cut, so the brute-force side may name another. When
+    that closure holds the sink, no cut attains beta.
     """
     lat = cap.lattice
     joins = lat.join_irreducibles()
@@ -318,12 +319,12 @@ def verify_duality(
     ``method`` picks the routes: "bruteforce" folds over enumerated paths,
     under ``max_paths``, and "dp" runs the dynamic program (distributive
     lattices only unless overridden); both go next to the brute-force cut
-    side. "auto" takes each side by its route rule, :func:`path_side`'s
-    and :func:`cut_side`'s. Lenient mode's cut side is always brute
-    force, since it counts the minimal crossing sets: it lists them by
-    their source sides, under the vertex cap. A path or cut witness is
-    attached only when some path/cut actually attains the reported value;
-    either may be absent.
+    side, which lists the minimal cuts by their source sides, under the
+    vertex cap, in either mode. "auto" takes each side by its route rule,
+    :func:`path_side`'s and :func:`cut_side`'s. Strict mode counts every
+    partition; lenient mode counts the minimal cuts, so its cut side is
+    always brute force. A path or cut witness is attached only when some
+    path/cut actually attains the reported value; either may be absent.
     """
     if method not in ("auto", "bruteforce", "dp"):
         raise ValueError(f"method must be auto, bruteforce or dp, got {method!r}")

@@ -432,7 +432,7 @@ def _cmd_random_check(args) -> tuple[dict, int]:
     failures = []
     for i in range(args.instances):
         net, cap = random_instance(rng, max_vertices=args.max_vertices)
-        oracle = verify_duality(net, cap, method="bruteforce")  # listed paths, walked partitions
+        oracle = verify_duality(net, cap, method="bruteforce")  # listed paths and minimal cuts
         alpha, beta = oracle.alpha, oracle.beta
         dp = alpha_dp(net, cap)
         dp_paths, dp_path = count_paths(net), first_path_at_least(net, cap, dp)

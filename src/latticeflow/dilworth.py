@@ -19,9 +19,10 @@ Each poset is enumerated and folded once: it keeps its chains,
 antichains, auxiliary network and direct report. The routes share only
 lists that were already identical; lhs and rhs still come from each
 route's own folds, and paths are still checked against chains. On a
-certified-distributive lattice the network route walks no partitions
-(the dynamic program and the threshold cut side), and the cut round trip
-lists only the minimal cuts over cover and sink edges.
+certified-distributive lattice the network route enumerates no cuts (the
+dynamic program and the threshold cut side); elsewhere it lists the
+minimal cuts. The cut round trip lists only the minimal cuts over cover
+and sink edges.
 """
 
 from __future__ import annotations
@@ -153,6 +154,11 @@ def maximal_chains(poset: WeightedPoset, max_chains: int = DEFAULT_MAX_CHAINS) -
     return out
 
 
+def _check_poset_cap(n: int) -> None:
+    if n > DEFAULT_MAX_POSET:
+        raise CapExceeded(f"antichain enumeration capped at {DEFAULT_MAX_POSET} elements")
+
+
 def maximal_antichains(poset: WeightedPoset) -> list[tuple[str, ...]]:
     """All maximal antichains as element tuples in element order.
 
@@ -161,8 +167,7 @@ def maximal_antichains(poset: WeightedPoset) -> list[tuple[str, ...]]:
     element) and listed in increasing mask order.
     """
     n = len(poset.elements)
-    if n > DEFAULT_MAX_POSET:
-        raise CapExceeded(f"antichain enumeration capped at {DEFAULT_MAX_POSET} elements")
+    _check_poset_cap(n)
     elems = poset.elements
     apart = [((1 << n) - 1) & ~(u | d) for u, d in zip(poset._up, poset._down)]
     cliques: list[int] = []
@@ -280,7 +285,7 @@ def dilworth_via_network(poset: WeightedPoset) -> DilworthReport:
     is what makes the cross-method comparison meaningful. The sides take
     :func:`verify_duality`'s ``auto`` routes in strict mode: the dynamic
     program and the threshold cut side on a certified-distributive
-    lattice, enumeration of paths and partitions elsewhere.
+    lattice, enumeration of paths and minimal cuts elsewhere.
     """
     net, cap = poset.network
     report = verify_duality(net, cap, mode="strict")

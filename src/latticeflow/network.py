@@ -1,5 +1,6 @@
 """Flow networks: a finite DAG with a source (all edges outgoing) and a
-sink (all edges incoming), plus exhaustive path and cut enumeration.
+sink (all edges incoming), plus exhaustive path enumeration and one
+lister of the minimal cuts (:func:`minimal_cut_masks`).
 
 Cuts are vertex partitions (S, T) with the source in S and the sink in T;
 the crossing-edge set is always derived from the partition, never stored.
@@ -262,59 +263,11 @@ def enumerate_cuts(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICE
     return [partition_cut(net, mask) for mask in range(net.n_partitions)]
 
 
-def _or_table(base: int, masks: list[int]) -> list[int]:
-    """Entry m is ``base`` OR-ed with masks[i] for every bit i of m."""
-    table = [base]
-    for m in range(1, 2 ** len(masks)):
-        low = m & -m
-        table.append(table[m ^ low] | masks[low.bit_length() - 1])
-    return table
-
-
-def crossing_masks(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICES) -> dict[int, int]:
-    """Every distinct crossing-edge set of the partitions of
-    :func:`enumerate_cuts`, walked in the same order without building
-    them.
-
-    Keys are edge bitmasks (bit i is ``net.edges[i]``), each mapped to the
-    first partition mask (see :func:`partition_cut`) that induces it;
-    insertion order is first-seen order. A partition's crossing set is
-    the OR of its source side's out-edge masks less the OR of its in-edge
-    masks. Those ORs come from two tables over the low and the high half
-    of the vertex bits, so memory grows with the distinct crossing sets,
-    not with the partitions. Each call walks afresh and returns a dict of
-    its own.
-    """
-    _check_cut_cap(net, max_vertices)
-    bit = {e: 1 << i for i, e in enumerate(net.edges)}
-
-    def edge_mask(edges) -> int:
-        return sum(bit[e] for e in edges)
-
-    internal = net.partition_order
-    outs = [edge_mask(net.out_edges(v)) for v in internal]
-    ins = [edge_mask(net.in_edges(v)) for v in internal]
-    lo_bits = (len(internal) + 1) // 2
-    lo = list(zip(
-        _or_table(edge_mask(net.out_edges(net.source)), outs[:lo_bits]),
-        _or_table(edge_mask(net.in_edges(net.source)), ins[:lo_bits]),
-    ))
-    hi = zip(_or_table(0, outs[lo_bits:]), _or_table(0, ins[lo_bits:]))
-    first: dict[int, int] = {}
-    for h, (h_out, h_in) in enumerate(hi):
-        base = h << lo_bits
-        for low, (l_out, l_in) in enumerate(lo):
-            crossing = (l_out | h_out) & ~(l_in | h_in)
-            if crossing not in first:
-                first[crossing] = base | low
-    return first
-
-
 def minimal_cut_masks(net: FlowNetwork, avoid: int) -> dict[int, int]:
     """The minimal s-t cuts that share no edge with the edge mask
-    ``avoid``, as :func:`crossing_masks` has them but without walking
-    partitions: each crossing mask mapped to the first partition mask
-    that induces it, in the walk's first-seen order.
+    ``avoid``, without walking partitions: each crossing mask (bit k is
+    ``net.edges[k]``) mapped to the first partition mask (see
+    :func:`partition_cut`) that induces it, in partition-mask order.
 
     A crossing set C is minimal exactly when the vertices S that the
     source reaches in G - C have C as their out-edges and every head of
@@ -327,8 +280,8 @@ def minimal_cut_masks(net: FlowNetwork, avoid: int) -> dict[int, int]:
     positions below it only, and for none if it lies past the sink.
     Edges into the sink are only known at a leaf, where a crossing mask
     meeting ``avoid`` is dropped. S is the smallest side inducing C, so
-    the first partition of the walk that does: the cuts are listed by
-    its partition mask.
+    its partition mask is a submask of, and no larger than, any other
+    that induces C: the cuts are listed by it.
     Needs a DAG and checks no cap; it walks on a stack of its own.
     """
     order = net.topological_order()
@@ -383,7 +336,7 @@ def minimal_cuts(net: FlowNetwork, max_vertices: int = DEFAULT_MAX_CUT_VERTICES)
     """Cuts whose crossing-edge sets are inclusion-minimal, deduplicated
     by crossing set (distinct partitions can induce the same crossing
     set); first representative in enumeration order is kept. Listed by
-    :func:`minimal_cut_masks` under the partition walk's vertex cap."""
+    :func:`minimal_cut_masks` under the vertex cap."""
     _check_cut_cap(net, max_vertices)
     return [partition_cut(net, side_part) for side_part in minimal_cut_masks(net, 0).values()]
 

@@ -230,6 +230,108 @@ MUTANTS = (
             "tests/test_dilworth.py::TestDilworthDirect::test_transversal_gap_poset_sides_differ",
             "tests/test_acceptance.py::test_criterion_8_dilworth_fuzz",
         ),
+    ),    # one cut lister for both modes
+    Mutant(
+        id="strict-cut-side-avoids-the-source-edges",
+        file="src/latticeflow/bottleneck.py",
+        old="    first = minimal_cut_masks(net, 0)\n",
+        new=(
+            "    source_edges = sum(1 << k for k, e in enumerate(net.edges) if e[0] == net.source)\n"
+            "    first = minimal_cut_masks(net, source_edges if mode == \"strict\" else 0)\n"
+        ),
+        red=(
+            "tests/test_network.py::TestEnumerationContract::test_cut_side_matches_reference[strict]",
+            "tests/test_bottleneck.py::TestDeadEnds::test_beta_all_cuts_equals_beta_minimal_cuts",
+            "tests/test_acceptance.py::test_criterion_9_dead_end_handling",
+        ),
+    ),
+    Mutant(
+        id="cut-witness-is-the-last-attaining-cut",
+        file="src/latticeflow/bottleneck.py",
+        old="    witness = next((first[m] for m, v in value_masks.items() if capacity[v] == beta), None)\n",
+        new="    witness = next((first[m] for m, v in reversed(value_masks.items()) if capacity[v] == beta), None)\n",
+        red=(
+            "tests/test_network.py::TestEnumerationContract::test_cut_side_matches_reference[strict]",
+            "tests/test_network.py::TestEnumerationContract::test_cut_side_matches_reference[lenient]",
+            "tests/test_dilworth.py::TestEnumerationContract::test_auxiliary_network_cut_side_matches_reference",
+        ),
+    ),
+    Mutant(
+        id="strict-count-is-the-minimal-cuts",
+        file="src/latticeflow/bottleneck.py",
+        old="    n_cuts = net.n_partitions if mode == \"strict\" else len(first)\n",
+        new="    n_cuts = len(first)\n",
+        red=(
+            "tests/test_network.py::TestEnumerationContract::test_cut_side_matches_reference[strict]",
+            "tests/test_bottleneck.py::TestVerifyDuality::test_pentagon_report",
+        ),
+    ),
+    Mutant(
+        id="poset-cap-after-the-order",
+        file="src/latticeflow/instances.py",
+        old="        if len(elements) > DEFAULT_MAX_POSET and is_distributive(lattice) is True:\n",
+        new="        if False:\n",
+        red=(
+            "tests/test_dilworth.py::TestDilworthViaNetwork::test_a_chain_past_the_cap_is_refused_before_its_order_is_built[direct]",
+            "tests/test_dilworth.py::TestDilworthViaNetwork::test_a_chain_past_the_cap_is_refused_before_its_order_is_built[network]",
+        ),
+    ),
+    # criterion 8's plants: the antichain side folded with meet, and the
+    # network route reporting the direct antichain fold as its cut side
+    Mutant(
+        id="antichain-side-folds-with-meet",
+        file="src/latticeflow/dilworth.py",
+        old="    return poset.lattice.join_all(poset.weights[x] for x in antichain)\n",
+        new="    return poset.lattice.meet_all(poset.weights[x] for x in antichain)\n",
+        red=(
+            "tests/test_acceptance.py::test_criterion_8_dilworth_fuzz",
+            "tests/test_dilworth.py::TestDilworthDirect::test_competency_fixture_values",
+        ),
+    ),
+    Mutant(
+        id="network-rhs-is-the-antichain-fold",
+        file="src/latticeflow/dilworth.py",
+        old="        rhs=report.beta,\n",
+        new="        rhs=dilworth_direct(poset).rhs,\n",
+        red=(
+            "tests/test_acceptance.py::test_criterion_8_dilworth_fuzz",
+            "tests/test_dilworth.py::TestDilworthViaNetwork::test_n_poset_network_side_stays_self_dual",
+        ),
+    ),
+    # TestCorrespondencesGoRed's dropped path and missing antichain, in the
+    # program (its two side plants are the cut-side entries above)
+    Mutant(
+        id="correspondences-drop-a-path",
+        file="src/latticeflow/dilworth.py",
+        old="    paths = enumerate_paths(net)\n",
+        new="    paths = enumerate_paths(net)[1:]\n",
+        red=(
+            "tests/test_acceptance.py::test_criterion_8_dilworth_fuzz",
+            "tests/test_dilworth.py::TestCorrespondences::test_total_orders_roundtrip",
+            "tests/test_dilworth.py::TestCorrespondenceContract::test_random_posets_match_reference",
+        ),
+    ),
+    Mutant(
+        id="correspondences-miss-an-antichain",
+        file="src/latticeflow/dilworth.py",
+        old="    antichains = poset.antichains  # its element cap applies before any cut is listed\n",
+        new="    antichains = poset.antichains[1:]\n",
+        red=(
+            "tests/test_dilworth.py::TestCorrespondences::test_total_orders_roundtrip",
+            "tests/test_dilworth.py::TestCorrespondenceContract::test_random_posets_match_reference",
+        ),
+    ),
+    # random-check's plant: the threshold cut side answers the top
+    Mutant(
+        id="threshold-side-answers-the-top",
+        file="src/latticeflow/bottleneck.py",
+        old="    return _threshold_side(net, cap)[1]\n",
+        new="    return cap.lattice.top()\n",
+        red=(
+            "tests/test_cli.py::TestRandomCheck::test_seeded_run_passes",
+            "tests/test_acceptance.py::test_criterion_4_distributive_fuzz",
+            "tests/test_bottleneck.py::TestThresholdSide::test_witness_and_value_on_a_chain",
+        ),
     ),
 )
 

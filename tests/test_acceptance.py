@@ -356,14 +356,14 @@ def test_criterion_9_dead_end_handling():
         L = random_distributive_lattice(rng)  # bounded: all menu kinds carry bottom and top
         cap = random_capacities(rng, net, L)
         alpha = alpha_bruteforce(net, cap)
-        beta = beta_bruteforce(net, cap, mode="lenient")
+        beta = beta_bruteforce(net, cap)
         if alpha != beta:
             failures.append((i, L.describe()))
     # no-path instance degenerates to bottom on both sides
     net = FlowNetwork(["s", "d", "t"], [("s", "d")], "s", "t")
     cap = CapacityAssignment(ChainLattice(5), {("s", "d"): 4})
     alpha = alpha_bruteforce(net, cap)
-    beta = beta_bruteforce(net, cap, mode="lenient")
+    beta = beta_bruteforce(net, cap)
     no_path_ok = alpha == beta == 0
     elapsed = time.perf_counter() - started
     ok = not failures and no_path_ok and elapsed < 5

@@ -26,7 +26,7 @@ from latticeflow import (
     verify_duality,
 )
 from latticeflow.bottleneck import _cut_side, _threshold_side, first_path_at_least
-from latticeflow.network import Cut, count_paths
+from latticeflow.network import Cut, count_paths, partition_cut
 from latticeflow.generators import (
     add_dead_ends,
     random_any_lattice,
@@ -263,9 +263,15 @@ class TestThresholdSide:
             yield net, random_capacities(rng, net, cap.lattice)
 
     def test_matches_the_partition_walk(self):
+        # the first partition whose cut attains beta, found by the plain walk
+        from test_network import reference_walk
+
         kinds, no_path = set(), 0
         for net, cap in self.instances(83, 2100):
-            n_cuts, cut, beta = _cut_side(net, cap, "strict", 22)
+            lat, walk = cap.lattice, reference_walk(net)
+            capacity = {m: lat.join_all(cap[e] for k, e in enumerate(net.edges) if m >> k & 1) for m in walk}
+            beta = lat.meet_all(capacity.values())
+            cut = next((partition_cut(net, walk[m]) for m, value in capacity.items() if value == beta), None)
             assert _threshold_side(net, cap) == (cut, beta), (net, cap.lattice.describe())
             kinds.add(cap.lattice.kind)
             no_path += not net.in_edges(net.sink)
@@ -413,7 +419,7 @@ class TestDeadEnds:
             net = add_dead_ends(rng, random_network(rng, max_vertices=6))
             cap = random_capacities(rng, net, PowersetLattice("abc"))
             alpha = alpha_bruteforce(net, cap)
-            beta = beta_bruteforce(net, cap, mode="lenient")
+            beta = beta_bruteforce(net, cap)
             assert alpha == beta
 
     def test_no_path_gives_bottom_on_both_sides(self):
@@ -421,13 +427,21 @@ class TestDeadEnds:
         L = ChainLattice(4)
         cap = CapacityAssignment(L, {("s", "d"): 3})
         assert alpha_bruteforce(net, cap) == 0
-        assert beta_bruteforce(net, cap, mode="lenient") == 0
+        assert beta_bruteforce(net, cap) == 0
 
     def test_beta_all_cuts_equals_beta_minimal_cuts(self):
+        # the minimal cuts against the fold over every partition, on
+        # lattices of both verdicts, with and without dead ends
+        from test_network import reference_cut_side
+
         rng = random.Random(37)
-        for _ in range(20):
-            net, cap = random_instance(rng, max_vertices=7)
-            assert beta_bruteforce(net, cap, mode="strict") == beta_bruteforce(net, cap, mode="lenient")
+        for i in range(40):
+            factory = {"lattice_factory": random_any_lattice} if i % 2 else {}
+            net, cap = random_instance(rng, max_vertices=7, **factory)
+            if i % 4 > 1:
+                net = add_dead_ends(rng, net)
+                cap = random_capacities(rng, net, cap.lattice)
+            assert beta_bruteforce(net, cap) == reference_cut_side(net, cap, "strict")[2]
 
     def test_layered_row_lists_every_minimal_cut(self):
         # 18 vertices, 65,056 distinct crossing sets: the minimal cuts are

@@ -21,7 +21,6 @@ from latticeflow import (
     FlowNetwork,
     Instance,
     RingOfSetsLattice,
-    crossing_edges,
     network,
     validate_network,
 )
@@ -29,7 +28,7 @@ from latticeflow.cli import run_command
 from latticeflow.gallery import gallery_names, gallery_source
 from latticeflow.generators import add_dead_ends, random_explicit_lattice, random_instance, random_network
 from latticeflow.instances import instance_to_dict
-from latticeflow.network import ValidationReport, Violation, _reachable, crossing_masks, partition_cut
+from latticeflow.network import ValidationReport, Violation, _reachable
 from latticeflow.orderutils import topological_order
 
 # -- validate_network --------------------------------------------------------
@@ -141,23 +140,6 @@ def test_one_cli_call_sorts_its_network_once(command, tmp_path, monkeypatch):
         report, code = run_command([command, str(path), "--format", "json"])
         assert code == 0 and report["equal"] is True
         assert len(calls) == 1, (command, i)
-
-
-# -- one partition layout -------------------------------------------------------
-
-
-def test_partition_masks_read_one_layout():
-    """Every crossing mask the walk keeps is the crossing set of the
-    partition it is filed under, as :func:`partition_cut` builds it."""
-    rng = random.Random(11)
-    for _ in range(60):
-        net = random_network(rng, max_vertices=8)
-        assert net.partition_order == tuple(sorted(net.internal_vertices()))
-        bit = {e: 1 << i for i, e in enumerate(net.edges)}
-        for mask, partition in crossing_masks(net).items():
-            cut = partition_cut(net, partition)
-            assert cut.source_side | cut.sink_side == frozenset(net.vertices)
-            assert sum(bit[e] for e in crossing_edges(net, cut)) == mask
 
 
 # -- sizes and bounds of stored universes -----------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -285,6 +286,29 @@ class TestDilworthViaNetwork:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("method", ["direct", "network", "both"])
+    def test_a_chain_past_the_cap_is_refused_before_its_order_is_built(self, method, monkeypatch, tmp_path, capsys):
+        # a certified lattice: every route lists the antichains before any
+        # other capped work, so the file is refused as it is loaded
+        elements = [f"p{i}" for i in range(1200)]
+        doc = {
+            "lattice": {"kind": "chain", "levels": 3},
+            "elements": elements,
+            "covers": [[a, b] for a, b in zip(elements, elements[1:])],
+            "weights": dict.fromkeys(elements, 1),
+        }
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps(doc))
+        orders = []
+        partial_order = dilworth.partial_order
+        monkeypatch.setattr(dilworth, "partial_order", lambda *args: orders.append(1) or partial_order(*args))
+        started = time.perf_counter()
+        _, code = run_command(["dilworth", str(f), "--method", method])
+        elapsed = time.perf_counter() - started
+        assert code == 1 and not orders
+        assert capsys.readouterr().err == "error: antichain enumeration capped at 20 elements\n"
+        assert elapsed < 0.25  # building the order took 0.5-1.1 s
+
     def test_n_poset_network_side_stays_self_dual(self):
         # network duality holds (the lattice is distributive) even though
         # the poset antichain fold disagrees with it
@@ -525,8 +549,9 @@ class TestCorrespondenceContract:
 
 def count_enumerations(monkeypatch, argv):
     """Run the CLI with every binding of the enumerations wrapped, as the
-    benchmark's span recorders do. Every partition walk counts."""
-    from latticeflow import dilworth, network
+    benchmark's span recorders do. Of the cut lister's calls, the network
+    route's count, not the correspondence check's."""
+    from latticeflow import bottleneck, dilworth
 
     counts = Counter()
 
@@ -540,8 +565,8 @@ def count_enumerations(monkeypatch, argv):
         (dilworth.maximal_chains, counted("maximal_chains", dilworth.maximal_chains)),
         (dilworth.maximal_antichains, counted("maximal_antichains", dilworth.maximal_antichains)),
         (dilworth.auxiliary_network, counted("auxiliary_network", dilworth.auxiliary_network)),
-        (network.crossing_masks, counted("partition walks", network.crossing_masks)),
     ]
+    monkeypatch.setattr(bottleneck, "minimal_cut_masks", counted("cut listings", bottleneck.minimal_cut_masks))
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "latticeflow"]
     for module in modules:
         for attr, value in list(vars(module).items()):
@@ -563,17 +588,17 @@ class TestOneEnumerationPerPoset:
         counts, _ = count_enumerations(
             monkeypatch, ["dilworth", str(path), "--method", "both", "--correspondences"]
         )
-        # certified lattices: the network route and the cut round trip walk no partitions
+        # certified lattices: the network route lists no cuts
         assert counts == {"maximal_chains": 1, "maximal_antichains": 1, "auxiliary_network": 1}
 
-    @pytest.mark.parametrize("method, walks", [("both", 1), ("network", 1), ("direct", 0)])
-    def test_an_uncertified_lattice_walks_for_the_network_route_only(self, method, walks, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("method, listings", [("both", 1), ("network", 1), ("direct", 0)])
+    def test_an_uncertified_lattice_lists_cuts_for_the_network_route_only(self, method, listings, monkeypatch, tmp_path, capsys):
         poset = pentagon_poset()
         path = tmp_path / "poset.json"
         path.write_text(json.dumps(instance_to_dict(Instance(poset.lattice, "pentagon-poset", poset=poset))))
         counts, _ = count_enumerations(monkeypatch, ["dilworth", str(path), "--method", method, "--correspondences"])
         expected = {"maximal_chains": 1, "maximal_antichains": 1, "auxiliary_network": 1}
-        assert counts == ({**expected, "partition walks": walks} if walks else expected)
+        assert counts == ({**expected, "cut listings": listings} if listings else expected)
 
     def test_direct_route_builds_no_network(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "poset.json"

@@ -30,7 +30,7 @@ from latticeflow.generators import (
     random_network,
     random_weighted_poset,
 )
-from latticeflow.network import crossing_masks, minimal_cut_masks
+from latticeflow.network import minimal_cut_masks
 from latticeflow.orderutils import topological_order
 
 
@@ -164,20 +164,6 @@ class TestMinimalCuts:
                 assert not any(other < k for other in all_crossings)
 
 
-class TestPartitionWalk:
-    def test_each_call_walks_afresh(self):
-        net = gallery_instance("diamond").network
-        first = crossing_masks(net)
-        assert crossing_masks(net) is not first
-        assert crossing_masks(FlowNetwork(net.vertices, net.edges, "s", "t")) == first
-
-    def test_cap_checked_on_every_call(self):
-        net = gallery_instance("pentagon").network
-        crossing_masks(net)
-        with pytest.raises(CapExceeded):
-            crossing_masks(net, max_vertices=len(net.vertices) - 1)
-
-
 class TestTopologicalOrderKept:
     def test_kept_order_matches_orderutils(self):
         from test_orderutils import TestTopologicalOrder, topological_result
@@ -280,13 +266,38 @@ def reference_minimal_cuts(net):
     return [by_crossing[k] for k in keys if not any(other < k for other in keys)]
 
 
+def reference_walk(net):
+    """Every distinct crossing-edge mask (bit k is ``net.edges[k]``) of
+    the partitions, mapped to the first partition mask that induces it,
+    in first-seen order: one plain loop over the partition masks."""
+    internal = sorted(net.internal_vertices())
+    outs, ins = dict.fromkeys(net.vertices, 0), dict.fromkeys(net.vertices, 0)
+    for k, (u, v) in enumerate(net.edges):
+        outs[u] |= 1 << k
+        ins[v] |= 1 << k
+    first = {}
+    for mask in range(2 ** len(internal)):
+        out = into = 0
+        for v in (net.source, *(v for i, v in enumerate(internal) if mask >> i & 1)):
+            out |= outs[v]
+            into |= ins[v]
+        first.setdefault(out & ~into, mask)
+    return first
+
+
 def reference_cut_side(net, cap, mode):
-    """(n_cuts, optimal_cut, beta) by folding every cut's capacity."""
+    """(n_cuts, optimal_cut, beta): beta folded over every cut in strict
+    mode and over the minimal cuts in lenient mode; the witness is the
+    first minimal cut that attains it."""
     lat = cap.lattice
-    cuts = reference_enumerate_cuts(net) if mode == "strict" else reference_minimal_cuts(net)
-    capacities = [lat.join_all(cap[e] for e in crossing_edges(net, c)) for c in cuts]
-    beta = lat.meet_all(capacities)
-    witness = next((c for c, value in zip(cuts, capacities) if value == beta), None)
+    minimal = reference_minimal_cuts(net)
+    cuts = reference_enumerate_cuts(net) if mode == "strict" else minimal
+
+    def capacity(cut):
+        return lat.join_all(cap[e] for e in crossing_edges(net, cut))
+
+    beta = lat.meet_all([capacity(c) for c in cuts])
+    witness = next((c for c in minimal if capacity(c) == beta), None)
     return len(cuts), witness, beta
 
 
@@ -356,9 +367,9 @@ class TestEnumerationContract:
             assert minimal_cuts(net) == reference_minimal_cuts(net)
 
     def test_minimal_cut_masks_equal_the_walk_in_order(self):
-        # the partition walk and the pairwise filter are the reference, with
-        # no edge avoided and with the source edges avoided: the same masks
-        # in the same order, each with the walk's first partition
+        # the plain partition walk and the pairwise filter are the
+        # reference, with no edge avoided and with the source edges avoided:
+        # the same masks in the same order, each with the walk's first partition
         rng = random.Random(71)
         posets = (random_weighted_poset(rng, random_distributive_lattice(rng), max_elements=13) for _ in range(200))
         auxiliary = [p.network[0] for p in posets if len(p.elements) >= 10]
@@ -372,7 +383,7 @@ class TestEnumerationContract:
         assert len(auxiliary) >= 40
         assert any((net.source, net.sink) in net.edge_set for net in nets)
         for net in nets:
-            walk = crossing_masks(net)
+            walk = reference_walk(net)
             source_edges = sum(1 << i for i, e in enumerate(net.edges) if e[0] == net.source)
             for avoid in (0, source_edges):
                 expected = [(m, walk[m]) for m in minimal_masks([m for m in walk if not m & avoid])]
@@ -389,10 +400,13 @@ class TestEnumerationContract:
                 expected = reference_cut_side(net, cap, mode)
             except NoBottomError:
                 with pytest.raises(NoBottomError):
-                    beta_bruteforce(net, cap, mode)
+                    beta_bruteforce(net, cap)
                 continue
             report = verify_duality(net, cap, mode=mode, method="bruteforce")
             assert (report.n_cuts, report.optimal_cut, report.beta) == expected
+            if report.optimal_cut is not None:  # a minimal cut that attains beta
+                assert report.optimal_cut in reference_minimal_cuts(net)
+                assert cap.lattice.join_all(cap[e] for e in crossing_edges(net, report.optimal_cut)) == report.beta
 
     def test_cut_side_folds_each_capacity_set_once(self, monkeypatch):
         # every out-edge of a poset element carries its weight, so the
@@ -402,7 +416,7 @@ class TestEnumerationContract:
         while len(poset.elements) != 12:
             poset = random_weighted_poset(rng, random_distributive_lattice(rng), max_elements=12)
         net, cap = poset.network
-        crossings = {frozenset(crossing_edges(net, c)) for c in reference_enumerate_cuts(net)}
+        crossings = {frozenset(crossing_edges(net, c)) for c in reference_minimal_cuts(net)}
         value_sets = {frozenset(cap[e] for e in c) for c in crossings}
         assert len(value_sets) < len(crossings)
         lat, calls = cap.lattice, []
@@ -412,7 +426,7 @@ class TestEnumerationContract:
             return type(lat).join_all(lat, items)
 
         monkeypatch.setattr(lat, "join_all", counted_join_all)
-        beta_bruteforce(net, cap, "strict")
+        beta_bruteforce(net, cap)
         assert len(calls) == len(value_sets)
 
     @pytest.mark.parametrize("method", ["bruteforce", "auto"])
