@@ -22,6 +22,7 @@ from .network import (
     Cut,
     FlowNetwork,
     _check_cut_cap,
+    _check_mode,
     _reachable,
     count_paths,
     crossing_edges,
@@ -134,70 +135,51 @@ def beta_bruteforce(net: FlowNetwork, cap: CapacityAssignment) -> Element:
     minimal cuts under the vertex cap. Join is monotone and every crossing
     set contains a minimal one, so on every lattice this is the meet over
     all cuts."""
-    return _cut_side(net, cap, "strict", DEFAULT_MAX_CUT_VERTICES)[2]
+    return cut_side(net, cap, method="bruteforce")[3]
 
 
-def _or_table(masks: list[int]) -> list[int]:
-    """Entry m is the OR of masks[i] over every bit i of m."""
-    table = [0]
-    for m in range(1, 2 ** len(masks)):
-        low = m & -m
-        table.append(table[m ^ low] | masks[low.bit_length() - 1])
-    return table
+def cut_side(
+    net: FlowNetwork, cap: CapacityAssignment, mode: str = "strict",
+    max_vertices: int = DEFAULT_MAX_CUT_VERTICES, method: str = "auto",
+) -> tuple[str, int, Cut | None, Element]:
+    """The route's name, cut count, first optimal cut and beta by the one
+    route rule: under "auto", strict mode on a certified-distributive
+    lattice takes the threshold cut side (:func:`_threshold_side`), with
+    no vertex cap. The rest, and any other ``method``, list the minimal
+    cuts (:func:`minimal_cut_masks`) under the vertex cap, in either mode:
+    the meet over every cut is the same value. Strict mode counts every
+    partition, lenient mode the minimal cuts; the witness is the first
+    minimal cut, in partition-mask order, whose capacity is the meet.
 
-
-def _cut_side(
-    net: FlowNetwork, cap: CapacityAssignment, mode: str, max_vertices: int
-) -> tuple[int, Cut | None, Element]:
-    """How many cuts the cut side ranges over, the first minimal cut (in
-    partition-mask order) whose capacity is the meet, and that meet.
-
-    Both modes fold over the minimal cuts (:func:`minimal_cut_masks`),
-    under the vertex cap: the meet over every cut is the same value.
-    Strict mode counts every partition, lenient mode the minimal cuts. A
-    cut's capacity depends only on the set of distinct values that cross
+    A cut's capacity depends only on the set of distinct values that cross
     it, because join is associative, commutative and idempotent under the
     lattice axioms. So the distinct capacity values are numbered in
-    first-edge order, each crossing-edge mask is mapped to its value mask
-    through OR tables over 8 edges at a time, and each distinct value
-    mask is folded once. The empty crossing set still folds as the empty
-    join: the bottom, or NoBottomError.
+    first-edge order, each crossing-edge mask is mapped to its value mask,
+    and each distinct value mask is joined once. The empty crossing set
+    still folds as the empty join: the bottom, or NoBottomError.
     """
+    _check_mode(mode)
+    if method == "auto" and mode == "strict" and is_distributive(cap.lattice) is True:
+        return "threshold", net.n_partitions, *_threshold_side(net, cap)
     _check_cut_cap(net, max_vertices)
     first = minimal_cut_masks(net, 0)
     lat = cap.lattice
     value_bit: dict[Element, int] = {}
     edge_bits = [value_bit.setdefault(cap[e], 1 << len(value_bit)) for e in net.edges]
-    tables = [_or_table(edge_bits[i:i + 8]) for i in range(0, len(edge_bits), 8)]
-
-    def value_mask(m: int) -> int:
-        out = 0
-        for table in tables:
-            out |= table[m & 0xFF]
-            m >>= 8
-        return out
-
+    value_masks: dict[int, int] = {}
+    for m in first:
+        v = 0
+        for k in set_bits(m):
+            v |= edge_bits[k]
+        value_masks[m] = v
     values = list(value_bit)
-    value_masks = {m: value_mask(m) for m in first}
     capacity = {
         v: lat.join_all(values[i] for i in set_bits(v)) for v in dict.fromkeys(value_masks.values())
     }
     beta = lat.meet_all(capacity.values())
     witness = next((first[m] for m, v in value_masks.items() if capacity[v] == beta), None)
     n_cuts = net.n_partitions if mode == "strict" else len(first)
-    return n_cuts, None if witness is None else partition_cut(net, witness), beta
-
-
-def cut_side(
-    net: FlowNetwork, cap: CapacityAssignment, mode: str, max_vertices: int, method: str = "auto"
-) -> tuple[str, int, Cut | None, Element]:
-    """The route's name, cut count, first optimal cut and beta by the one
-    route rule: under "auto", strict mode on a certified-distributive
-    lattice takes the threshold cut side, with no vertex cap; the rest,
-    and any other ``method``, lists the minimal cuts (:func:`_cut_side`)."""
-    if method == "auto" and mode == "strict" and is_distributive(cap.lattice) is True:
-        return "threshold", net.n_partitions, *_threshold_side(net, cap)
-    return "bruteforce", *_cut_side(net, cap, mode, max_vertices)
+    return "bruteforce", n_cuts, None if witness is None else partition_cut(net, witness), beta
 
 
 def beta_threshold(net: FlowNetwork, cap: CapacityAssignment) -> Element:

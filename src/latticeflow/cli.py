@@ -17,7 +17,7 @@ import random
 import sys
 from pathlib import Path
 
-from .bottleneck import alpha_dp, beta_threshold, cut_side, first_path_at_least, verify_duality
+from .bottleneck import beta_threshold, cut_side, path_side, verify_duality
 from .certify import DEFAULT_MAX_UNIVERSE, check_distributive, check_lattice_axioms, find_forbidden_sublattice, is_distributive
 from .dilworth import check_correspondences, dilworth_direct, dilworth_via_network
 from .dot import emit_dot
@@ -33,7 +33,7 @@ from .flows import _feasibility, max_flow_value
 from .gallery import gallery_expected, gallery_names, gallery_source, run_gallery_entry
 from .generators import random_instance
 from .instances import Instance, load_instance, load_lattice, parse_flow, read_json
-from .network import DEFAULT_MAX_CUT_VERTICES, DEFAULT_MAX_PATHS, count_paths
+from .network import DEFAULT_MAX_CUT_VERTICES, DEFAULT_MAX_PATHS
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -306,7 +306,7 @@ def _cmd_maxflow(args) -> tuple[dict, int]:
     inst = _load(args, "network")
     net, cap, lat = inst.network, inst.capacities, inst.lattice
     value = max_flow_value(net, cap, allow_non_distributive=args.unsafe_dp)
-    cut_method, _, _, beta = cut_side(net, cap, args.mode, DEFAULT_MAX_CUT_VERTICES)
+    cut_method, _, _, beta = cut_side(net, cap, args.mode)
     result = {
         "instance": inst.name,
         "max_flow_value": lat.literal(value),
@@ -434,8 +434,7 @@ def _cmd_random_check(args) -> tuple[dict, int]:
         net, cap = random_instance(rng, max_vertices=args.max_vertices)
         oracle = verify_duality(net, cap, method="bruteforce")  # listed paths and minimal cuts
         alpha, beta = oracle.alpha, oracle.beta
-        dp = alpha_dp(net, cap)
-        dp_paths, dp_path = count_paths(net), first_path_at_least(net, cap, dp)
+        _, dp_paths, dp_path, dp = path_side(net, cap, "dp")
         flow = max_flow_value(net, cap)
         threshold = beta_threshold(net, cap)
         listed = (oracle.n_paths, oracle.optimal_path)

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 from .bottleneck import path_side, path_throughput, require_distributive
 from .certify import is_distributive  # noqa: F401  (unused here; perfbench/spans.py wraps this binding)
 from .lattices import Element
-from .network import CapacityAssignment, Edge, FlowNetwork
+from .network import CapacityAssignment, Edge, FlowNetwork, _check_mode
 from .network import enumerate_paths  # noqa: F401  (unused here; perfbench/spans.py wraps this binding)
 
 
@@ -120,6 +120,7 @@ def path_flow(
     (lenient, where dead ends need the empty join to balance). The result
     always passes is_feasible_flow and its value is the path throughput.
     """
+    _check_mode(mode)
     value = path_throughput(net, cap, path)
     lat = cap.lattice
     if mode == "lenient":

@@ -29,8 +29,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .certify import DEFAULT_MAX_UNIVERSE, check_lattice_axioms, is_distributive
-from .dilworth import DEFAULT_MAX_POSET, WeightedPoset, _check_poset_cap
+from .certify import DEFAULT_MAX_UNIVERSE, check_lattice_axioms
+from .dilworth import WeightedPoset, _check_poset_cap
 from .errors import InstanceError, MismatchError, UniverseTooLarge
 from .lattices import (
     ChainLattice,
@@ -298,10 +298,7 @@ def parse_instance(data, base_dir: Path | None = None) -> Instance:
         if unknown:
             _fail(f"weights for unknown elements {unknown}", "weights")
         weights = {x: _element(lattice, lit, "weights", x) for x, lit in raw_weights.items()}
-        if len(elements) > DEFAULT_MAX_POSET and is_distributive(lattice) is True:
-            # on a certified lattice every dilworth route lists the antichains
-            # before any other capped work: refuse before the order is built
-            _check_poset_cap(len(elements))
+        _check_poset_cap(len(elements))  # no dilworth route takes more: refuse before the order is built
         try:
             poset = WeightedPoset._of_members(elements, covers, weights, lattice)
         except ValueError as exc:

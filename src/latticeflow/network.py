@@ -136,12 +136,17 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
+def _check_mode(mode: str) -> None:
+    """ValueError unless ``mode`` is "strict" or "lenient"."""
+    if mode not in ("strict", "lenient"):
+        raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
+
+
 def validate_network(net: FlowNetwork, mode: str = "strict") -> ValidationReport:
     """Check the flow-network clauses; strict mode additionally requires
     every internal vertex to lie on some source-to-sink path, lenient
     mode permits dead ends."""
-    if mode not in ("strict", "lenient"):
-        raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
+    _check_mode(mode)
     violations: list[Violation] = []
 
     loops = tuple(e for e in net.edges if e[0] == e[1])

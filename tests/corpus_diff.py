@@ -5,10 +5,12 @@
 PARENT and CHANGE are checkouts of the repository. The seed-1 ``fuzz``,
 ``poset`` and ``explicit`` benchmark corpora are written once, into a
 temporary directory, by PARENT's ``perfbench.corpus.BUILDERS`` and
-program; every ``maxflow`` call also gets a ``--mode lenient`` variant,
-and every ``dilworth`` call a ``--format text`` variant, a ``--method
-direct`` one without the correspondence check and a ``--method network``
-one with it. Error paths are called too: copies of the first few
+program; every ``bottleneck`` call also gets an ``--oracle`` variant
+and a ``--mode lenient`` one, so the brute-force cut side runs on
+lattices of both verdicts; every ``maxflow`` call a ``--mode lenient``
+variant, and every ``dilworth`` call a ``--format text`` variant, a
+``--method direct`` one without the correspondence check and a
+``--method network`` one with it. Error paths are called too: copies of the first few
 ``fuzz`` and ``poset`` files with one field broken each, and usage
 errors (no argument, an unknown command or option, ``-h`` on its own
 and after each command).
@@ -52,6 +54,8 @@ def _import_from(tree: Path, *extra: Path):
 
 def _variants(argv: list[str]) -> list[list[str]]:
     """The extra calls made of one corpus call; a repeated option's last value wins."""
+    if argv[0] == "bottleneck":
+        return [[*argv, "--oracle"], [*argv, "--mode", "lenient"]]
     if argv[0] == "maxflow":
         return [[*argv, "--mode", "lenient"]]
     if argv[0] == "dilworth":
@@ -98,8 +102,8 @@ def _error_calls(units: dict, workdir: Path) -> list[list[str]]:
 
 
 def build(tree: Path, workdir: Path) -> list[list[str]]:
-    """Every call of the three corpora, then the maxflow and dilworth
-    variants, then the error calls."""
+    """Every call of the three corpora, then the bottleneck, maxflow and
+    dilworth variants, then the error calls."""
     _import_from(tree, tree)
     from perfbench.corpus import BUILDERS
 

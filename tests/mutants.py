@@ -257,6 +257,34 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        id="value-mask-skips-the-lowest-crossing-edge",
+        file="src/latticeflow/bottleneck.py",
+        old="        for k in set_bits(m):\n",
+        new="        for k in set_bits(m & (m - 1)):\n",
+        red=(
+            "tests/test_network.py::TestEnumerationContract::test_cut_side_matches_reference[strict]",
+            "tests/test_network.py::TestEnumerationContract::test_cut_side_matches_reference[lenient]",
+            "tests/test_bottleneck.py::TestDeadEnds::test_beta_all_cuts_equals_beta_minimal_cuts",
+        ),
+    ),
+    Mutant(
+        id="fold-joins-once-per-crossing-mask",
+        file="src/latticeflow/bottleneck.py",
+        old="        v: lat.join_all(values[i] for i in set_bits(v)) for v in dict.fromkeys(value_masks.values())\n",
+        new="        v: lat.join_all(values[i] for i in set_bits(v)) for v in value_masks.values()\n",
+        red=("tests/test_network.py::TestEnumerationContract::test_cut_side_folds_each_capacity_set_once",),
+    ),
+    Mutant(
+        id="mode-check-removed",
+        file="src/latticeflow/network.py",
+        old=(
+            "    if mode not in (\"strict\", \"lenient\"):\n"
+            "        raise ValueError(f\"mode must be 'strict' or 'lenient', got {mode!r}\")\n"
+        ),
+        new="",
+        red=("tests/test_network.py::TestValidation::test_an_unknown_mode_is_refused_by_each_taker",),
+    ),
+    Mutant(
         id="strict-count-is-the-minimal-cuts",
         file="src/latticeflow/bottleneck.py",
         old="    n_cuts = net.n_partitions if mode == \"strict\" else len(first)\n",
@@ -269,11 +297,26 @@ MUTANTS = (
     Mutant(
         id="poset-cap-after-the-order",
         file="src/latticeflow/instances.py",
-        old="        if len(elements) > DEFAULT_MAX_POSET and is_distributive(lattice) is True:\n",
-        new="        if False:\n",
+        old="        _check_poset_cap(len(elements))  # no dilworth route takes more: refuse before the order is built\n",
+        new="",
         red=(
             "tests/test_dilworth.py::TestDilworthViaNetwork::test_a_chain_past_the_cap_is_refused_before_its_order_is_built[direct]",
             "tests/test_dilworth.py::TestDilworthViaNetwork::test_a_chain_past_the_cap_is_refused_before_its_order_is_built[network]",
+        ),
+    ),
+    Mutant(
+        id="poset-cap-on-certified-lattices-only",
+        file="src/latticeflow/instances.py",
+        old="        _check_poset_cap(len(elements))  # no dilworth route takes more: refuse before the order is built\n",
+        new=(
+            "        from .certify import is_distributive\n"
+            "        if is_distributive(lattice) is True:\n"
+            "            _check_poset_cap(len(elements))\n"
+        ),
+        red=(
+            "tests/test_dilworth.py::TestDilworthViaNetwork::test_a_21_element_poset_stops_at_the_first_cap_its_route_meets[uncertified]",
+            "tests/test_dilworth.py::TestDilworthViaNetwork::test_a_chain_past_the_cap_is_refused_before_its_order_is_built[uncertified-direct]",
+            "tests/test_dilworth.py::TestDilworthViaNetwork::test_a_chain_past_the_cap_is_refused_before_its_order_is_built[uncertified-network]",
         ),
     ),
     # criterion 8's plants: the antichain side folded with meet, and the
@@ -319,6 +362,19 @@ MUTANTS = (
         red=(
             "tests/test_dilworth.py::TestCorrespondences::test_total_orders_roundtrip",
             "tests/test_dilworth.py::TestCorrespondenceContract::test_random_posets_match_reference",
+        ),
+    ),
+    # the threshold witness is the closure of the source along every edge,
+    # not only along the edges whose bits reach past the sink's
+    Mutant(
+        id="threshold-witness-closes-along-every-edge",
+        file="src/latticeflow/bottleneck.py",
+        old="    side = _reachable(net, net.source, True, {e for e, m in edge_mask.items() if m & ~at_sink})\n",
+        new="    side = _reachable(net, net.source, True)\n",
+        red=(
+            "tests/test_bottleneck.py::TestThresholdSide::test_witness_and_value_on_a_chain",
+            "tests/test_bottleneck.py::TestThresholdSide::test_only_strict_auto_takes_it",
+            "tests/test_bottleneck.py::TestThresholdSide::test_a_fine_interval_grid",
         ),
     ),
     # random-check's plant: the threshold cut side answers the top

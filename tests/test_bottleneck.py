@@ -25,7 +25,7 @@ from latticeflow import (
     path_throughput,
     verify_duality,
 )
-from latticeflow.bottleneck import _cut_side, _threshold_side, first_path_at_least
+from latticeflow.bottleneck import _threshold_side, cut_side, first_path_at_least
 from latticeflow.network import Cut, count_paths, partition_cut
 from latticeflow.generators import (
     add_dead_ends,
@@ -249,6 +249,27 @@ class TestDpPathSide:
             assert first_path_at_least(net, cap, j) == (in_g_j[0] if in_g_j else None)
 
 
+def assert_promised_cuts(net, cap, threshold, bruteforce):
+    """What each cut side promises of its (witness, beta): the same beta,
+    a witness that attains it, the brute-force one a minimal cut and the
+    threshold one the first attaining partition, in partition-mask order.
+    The two witnesses need not be the same cut."""
+    from test_network import reference_minimal_cuts, reference_walk
+
+    (threshold_cut, beta), (bruteforce_cut, bruteforce_beta) = threshold, bruteforce
+    assert beta == bruteforce_beta
+    for cut in (threshold_cut, bruteforce_cut):
+        assert cut is None or cut_capacity(net, cap, cut) == beta
+    assert bruteforce_cut is None or bruteforce_cut in reference_minimal_cuts(net)
+    lat = cap.lattice
+    first = next(
+        (part for m, part in reference_walk(net).items()
+         if lat.join_all(cap[e] for k, e in enumerate(net.edges) if m >> k & 1) == beta),
+        None,
+    )
+    assert threshold_cut == (None if first is None else partition_cut(net, first))
+
+
 class TestThresholdSide:
     def instances(self, seed, count):
         """Networks of 2-10 vertices over every certified kind; every third
@@ -301,7 +322,7 @@ class TestThresholdSide:
         for mode, method in (("lenient", "auto"), ("strict", "dp"), ("strict", "bruteforce")):
             report = verify_duality(net, cap, mode=mode, method=method)
             assert report.beta_method == "bruteforce"
-            assert (report.beta, report.optimal_cut) == (auto.beta, auto.optimal_cut)
+            assert_promised_cuts(net, cap, (auto.optimal_cut, auto.beta), (report.optimal_cut, report.beta))
 
     def test_a_fine_interval_grid(self):
         L = IntervalGridLattice(0.0001)
@@ -311,9 +332,9 @@ class TestThresholdSide:
             net = random_network(rng, 7)
             caps = {e: L.parse(sorted(rng.randint(0, 10_000) / 10_000 for _ in "lh")) for e in net.edges}
             cap = CapacityAssignment(L, caps)
-            _, cut, beta = _cut_side(net, cap, "strict", 22)
+            _, _, cut, beta = cut_side(net, cap, method="bruteforce")
             assert beta_threshold(net, cap) == beta == beta_bruteforce(net, cap) == alpha_dp(net, cap)
-            assert _threshold_side(net, cap) == (cut, beta)
+            assert_promised_cuts(net, cap, _threshold_side(net, cap), (cut, beta))
 
     def test_no_vertex_cap(self):
         from test_network import layered_network

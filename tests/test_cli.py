@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from latticeflow import CapacityAssignment, ChainLattice, Instance, SublatticeWitness, cli, gallery
+from latticeflow import CapacityAssignment, ChainLattice, Instance, SublatticeWitness, bottleneck, cli, gallery
 from latticeflow.cli import run_command
 from latticeflow.instances import instance_to_dict
 from latticeflow.gallery import gallery_names, gallery_source
@@ -458,7 +458,7 @@ class TestRandomCheck:
         assert all(f["beta_threshold"] != f["beta"] for f in report["failures"])
 
     def test_wrong_path_count_turns_it_red(self, monkeypatch):
-        monkeypatch.setattr(cli, "count_paths", lambda net: 1)
+        monkeypatch.setattr(bottleneck, "count_paths", lambda net: 1)
         report, code = run_command(["random-check", "--seed", "7", "--instances", "20", "--format", "json"])
         assert code == 2 and report["failed"] > 0
         assert all(f["paths_dp"] == 1 != f["paths"] for f in report["failures"])
@@ -470,7 +470,7 @@ class TestRandomCheck:
         def last_path(net, cap, alpha):
             return next((p for p in reversed(enumerate_paths(net)) if path_throughput(net, cap, p) == alpha), None)
 
-        monkeypatch.setattr(cli, "first_path_at_least", last_path)
+        monkeypatch.setattr(bottleneck, "first_path_at_least", last_path)
         report, code = run_command(["random-check", "--seed", "7", "--instances", "40", "--format", "json"])
         assert code == 2 and report["failed"] > 0
         assert all(f["optimal_path_dp"] != f["optimal_path"] for f in report["failures"])

@@ -17,6 +17,7 @@ from latticeflow import (
     gallery_instance,
     is_distributive,
     minimal_cuts,
+    path_flow,
     validate_network,
     verify_duality,
 )
@@ -30,6 +31,7 @@ from latticeflow.generators import (
     random_network,
     random_weighted_poset,
 )
+from latticeflow.bottleneck import cut_side
 from latticeflow.network import minimal_cut_masks
 from latticeflow.orderutils import topological_order
 
@@ -82,6 +84,20 @@ class TestValidation:
         net = FlowNetwork(["s", "u", "t"], [("s", "u"), ("u", "u"), ("u", "t")], "s", "t")
         report = validate_network(net)
         assert any(v.clause == "self-loops" for v in report.violations)
+
+    def test_an_unknown_mode_is_refused_by_each_taker(self):
+        # a mode that is neither name is refused, not read as one of them
+        inst = gallery_instance("supply-chain")
+        net, cap = inst.network, inst.capacities
+        path = enumerate_paths(net)[0]
+        for call in (
+            lambda: validate_network(net, "Strict"),
+            lambda: cut_side(net, cap, "Strict"),
+            lambda: verify_duality(net, cap, mode="Strict"),
+            lambda: path_flow(net, cap, path, "Strict"),
+        ):
+            with pytest.raises(ValueError, match="^mode must be 'strict' or 'lenient', got 'Strict'$"):
+                call()
 
 
 class TestPaths:
